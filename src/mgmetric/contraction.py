@@ -10,11 +10,13 @@ Two pointwise conditions are supported, both evaluated in log-domain:
 Both come with an m-th-root variant; since t -> t**(1/m) is strictly
 increasing, the truth value never depends on m, and the predicates here
 evaluate the m = 1 form.  ``certify_region`` sweeps a condition over a
-sampled region and returns a deterministic, re-checkable report.
+sampled region, evaluating whole sample arrays at once, and returns a
+deterministic, re-checkable report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -29,6 +31,10 @@ from .metric import (
     LogDistance,
     Point,
     Witness,
+    _evaluate_many,
+    _Recorder,
+    _relation_holds,
+    _with_corners,
     ball_contains,
 )
 
@@ -64,14 +70,24 @@ class ContractionParams:
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A self-map of the carrier with an explicit domain interval."""
+    """A self-map of the carrier with an explicit domain interval.
+
+    The optional ``batch`` is ``apply`` over a float64 array: it returns
+    bitwise the floats ``apply`` returns, and ``many`` calls ``apply``
+    once per point when it is missing.
+    """
 
     apply: Callable[[Point], Point]
     description: str = ""
     domain: Interval = Interval(0.0, math.inf)
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Point) -> Point:
         return self.apply(x)
+
+    def many(self, x: np.ndarray) -> np.ndarray:
+        """``apply`` of each element of a float64 array."""
+        return _evaluate_many(self.apply, self.batch, x)
 
 
 def _validate_eta_m(eta: float, m: int) -> None:
@@ -81,6 +97,45 @@ def _validate_eta_m(eta: float, m: int) -> None:
         raise ValueError(f"root index m must be an integer >= 1, got {m}")
 
 
+def _root_majorant(g, x, y, z, fx, fy):
+    return g(x, y, z)
+
+
+def _implicit_majorant(g, x, y, z, fx, fy):
+    terms = (
+        g(x, y, z),
+        g(x, fx, fx),
+        g(y, fy, fy),
+        g(x, fy, fy),
+        # np.minimum and np.maximum return their second argument on ties,
+        # so the earlier term goes second: ties keep it, as Python's min
+        # and max do.  Unlike those, they propagate a NaN term.
+        np.minimum(g(x, z, z), g(z, fx, fx)),
+    )
+    return functools.reduce(lambda acc, term: np.maximum(term, acc), terms)
+
+
+# The majorant M of each condition, which must satisfy
+# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, the triple and the
+# images Fx, Fy, either as scalars with the scalar metric or as arrays
+# with the metric's batch evaluation.
+_MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
+
+
+def _condition_sides(condition: str, g, F, eta: float, x, y, z):
+    """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, for
+    scalars (``g`` a GMetric, ``F`` a SelfMap) or arrays (their
+    ``many``)."""
+    fx, fy, fz = F(x), F(y), F(z)
+    return g(fx, fy, fz), eta * _MAJORANTS[condition](g, x, y, z, fx, fy)
+
+
+def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
+                     x: Point, y: Point, z: Point, m: int) -> bool:
+    _validate_eta_m(eta, m)
+    return bool(_relation_holds("<=", *_condition_sides(condition, g, F, eta, x, y, z)))
+
+
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
                            x: Point, y: Point, z: Point, *, m: int = 1) -> bool:
     """Pointwise contraction test g(Fx,Fy,Fz) <= eta * g(x,y,z).
@@ -88,8 +143,7 @@ def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
     Independent of ``m``: taking m-th roots rescales both sides by the
     same strictly monotone map.
     """
-    _validate_eta_m(eta, m)
-    return g(F(x), F(y), F(z)) <= eta * g(x, y, z) + SLACK
+    return _condition_holds("root", g, F, eta, x, y, z, m)
 
 
 def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:
@@ -103,26 +157,12 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     return g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK
 
 
-def _implicit_max(g: GMetric, F: SelfMap,
-                  x: Point, y: Point, z: Point) -> LogDistance:
-    fx, fy = F(x), F(y)
-    # Order matters only for diagnostics: ties pick the earliest term.
-    terms = (
-        g(x, y, z),
-        g(x, fx, fx),
-        g(y, fy, fy),
-        g(x, fy, fy),
-        min(g(z, fx, fx), g(x, z, z)),
-    )
-    return max(terms)
-
-
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,
                    x: Point, y: Point, z: Point, *, m: int = 1) -> LogDistance:
     """Log-domain value of the implicit majorant: eta/m times the max of
     the five reference distances at (x, y, z)."""
     _validate_eta_m(eta, m)
-    return eta * _implicit_max(g, F, x, y, z) / m
+    return float(eta * _implicit_majorant(g, x, y, z, F(x), F(y)) / m)
 
 
 def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,
@@ -131,8 +171,7 @@ def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,
 
     Independent of ``m`` for the same reason as the root condition.
     """
-    _validate_eta_m(eta, m)
-    return g(F(x), F(y), F(z)) <= eta * _implicit_max(g, F, x, y, z) + SLACK
+    return _condition_holds("implicit", g, F, eta, x, y, z, m)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +234,7 @@ def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Inte
 
 def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
                     region: Interval | str, n: int,
-                    rng: np.random.Generator) -> tuple[list[tuple[float, float, float]], str]:
+                    rng: np.random.Generator) -> tuple[tuple[np.ndarray, ...], str]:
     if isinstance(region, str):
         if region != "ball":
             raise ValueError(f"region must be an Interval or 'ball', got {region!r}")
@@ -203,16 +242,17 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         if not ball_contains(g, ball, ball.center):
             raise EmptyRegion(f"{ball} is empty (radius below the metric floor)")
         probe = _ball_probe_interval(g, ball, F.domain)
-        candidates = [probe.lo, probe.hi, ball.center, params.seed_point]
-        candidates += [float(v) for v in _stratified(rng, probe.lo, probe.hi, 3 * n)]
-        pool = [p for p in candidates if ball_contains(g, ball, p)]
-        if not pool:
+        candidates = np.concatenate((
+            [probe.lo, probe.hi, ball.center, params.seed_point],
+            _stratified(rng, probe.lo, probe.hi, 3 * n)))
+        center = np.full_like(candidates, ball.center)
+        pool = candidates[g.many(center, candidates, candidates) <= ball.log_radius]
+        if not pool.size:
             raise EmptyRegion(f"no sampled point lies in {ball}")
         idx = rng.integers(len(pool), size=(n, 3))
-        triples = [(pool[i], pool[j], pool[k]) for i, j, k in idx]
         a, b = pool[0], pool[-1]
-        triples = [(a, a, a), (a, a, b), (a, b, b), (b, a, b)] + triples
-        return triples, str(ball)
+        corners = [(a, a, a), (a, a, b), (a, b, b), (b, a, b)]
+        return _with_corners(corners, *(pool[idx[:, k]] for k in range(3))), str(ball)
 
     if not region.finite:
         raise ValueError(f"region interval must be finite, got {region}")
@@ -224,11 +264,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
     a = float(lo + (hi - lo) * rng.random())
     b = float(lo + (hi - lo) * rng.random())
     corners += [(a, a, b), (a, b, b), (a, a, a)]
-    xs = _stratified(rng, lo, hi, n)
-    ys = _stratified(rng, lo, hi, n)
-    zs = _stratified(rng, lo, hi, n)
-    triples = corners + [(float(x), float(y), float(z)) for x, y, z in zip(xs, ys, zs)]
-    return triples, str(region)
+    return _with_corners(corners, *(_stratified(rng, lo, hi, n) for _ in range(3))), str(region)
 
 
 def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
@@ -251,31 +287,19 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
         raise ValueError(f"sample count must be >= 1, got {n}")
 
     rng = np.random.default_rng(seed)
-    triples, region_label = _region_triples(g, F, params, region, n, rng)
-
-    # a violated verdict must carry at least one witness
-    max_witnesses = max(1, max_witnesses)
-    witnesses: list[Witness] = []
-    violations = 0
-    eta = params.eta
-    for x, y, z in triples:
-        lhs = g(F(x), F(y), F(z))
-        if condition == "root":
-            rhs = eta * g(x, y, z)
-        else:
-            rhs = eta * _implicit_max(g, F, x, y, z)
-        if lhs > rhs + SLACK:
-            violations += 1
-            if violations <= max_witnesses:
-                witnesses.append(Witness(condition, (x, y, z), lhs, rhs))
+    (x, y, z), region_label = _region_triples(g, F, params, region, n, rng)
+    lhs, rhs = _condition_sides(condition, g.many, F.many, params.eta, x, y, z)
+    rec = _Recorder((condition,), max_witnesses)
+    rec.require(0, condition, (x, y, z), lhs, rhs)
+    violations = rec.counts[condition]
 
     return CertificateReport(
         condition=condition,
         region=region_label,
-        samples=len(triples),
+        samples=len(x),
         seed=seed,
         verdict="violated" if violations else "holds-on-sample",
-        witnesses=tuple(witnesses),
+        witnesses=rec.witnesses(),
         violations=violations,
         seed_condition_ok=seed_condition_holds(g, F, params),
         eta=params.eta,

@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .metric import GMetric, Interval, MultMetric, Point, gm_from_exp, gm_from_product
 from .contraction import ContractionParams, SelfMap
 
 
 def usual_metric(x: Point, y: Point) -> float:
-    """Ordinary distance |x - y|."""
+    """Ordinary distance |x - y|; elementwise on float64 arrays too."""
     return abs(x - y)
 
 
 #: Multiplicative metric e^{|x - y|}, held in log-domain.
-EXP_ABS_METRIC = MultMetric(dist=usual_metric, description="e^|x-y|")
+EXP_ABS_METRIC = MultMetric(dist=usual_metric, description="e^|x-y|", batch=usual_metric)
 
 
 def quarter_shift_map(x: Point) -> Point:
@@ -45,6 +47,15 @@ def half_shift_map(x: Point) -> Point:
     return x - 0.25
 
 
+# Batch forms of the two stock maps: the same branch test and arithmetic.
+def _quarter_shift_batch(x: np.ndarray) -> np.ndarray:
+    return np.where(x < 1.0 / 3.0, x / 4.0, x - 1.0 / 3.0)
+
+
+def _half_shift_batch(x: np.ndarray) -> np.ndarray:
+    return np.where(x < 0.5, x / 2.0, x - 0.25)
+
+
 @dataclass(frozen=True)
 class NamedFixture:
     """A registered space, optionally with a self-map and its parameters."""
@@ -59,7 +70,7 @@ class NamedFixture:
 
 _STOCK_PARAMS = ContractionParams(eta=5.0 / 8.0, gamma=11.0 / 2.0, seed_point=1.0 / 3.0)
 
-_EXP_USUAL = gm_from_exp(usual_metric, description="exp-usual")
+_EXP_USUAL = gm_from_exp(usual_metric, description="exp-usual", batch=usual_metric)
 _PRODUCT_EXP = gm_from_product(EXP_ABS_METRIC, description="product-exp")
 
 _REGISTRY = (
@@ -68,7 +79,8 @@ _REGISTRY = (
     NamedFixture(
         id="ex33",
         gmetric=_EXP_USUAL,
-        map=SelfMap(apply=quarter_shift_map, description="x/4 below 1/3, x-1/3 above"),
+        map=SelfMap(apply=quarter_shift_map, description="x/4 below 1/3, x-1/3 above",
+                    batch=_quarter_shift_batch),
         params=_STOCK_PARAMS,
         metadata={
             "breakpoint": 1.0 / 3.0,
@@ -80,7 +92,8 @@ _REGISTRY = (
     NamedFixture(
         id="ex37",
         gmetric=_EXP_USUAL,
-        map=SelfMap(apply=half_shift_map, description="x/2 below 1/2, x-1/4 above"),
+        map=SelfMap(apply=half_shift_map, description="x/2 below 1/2, x-1/4 above",
+                    batch=_half_shift_batch),
         params=_STOCK_PARAMS,
         metadata={
             "breakpoint": 0.5,
@@ -120,27 +133,54 @@ class PiecewiseRow:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"empty piecewise cell: [{self.lo}, {self.hi})")
+        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
+            raise ValueError(f"piecewise slope and offset must be finite, "
+                             f"got {self.slope} and {self.offset}")
 
 
-def _evaluate_rows(rows: tuple[PiecewiseRow, ...], x: float) -> float:
-    for row in rows:
-        if row.lo <= x < row.hi:
-            return row.slope * x + row.offset
-    raise ValueError(f"point {x} is outside the piecewise rows")
+def _outside(x: float) -> ValueError:
+    return ValueError(f"point {x} is outside the piecewise rows")
+
+
+class _Piecewise:
+    """Contiguous rows sorted by ``lo``, evaluated at one point or over a
+    float64 array (the row found by ``np.searchsorted``, then the same
+    arithmetic)."""
+
+    def __init__(self, rows: list[PiecewiseRow]):
+        self.cells = tuple(sorted(rows, key=lambda r: r.lo))
+        if not self.cells:
+            raise ValueError("piecewise rows must not be empty")
+        for a, b in zip(self.cells, self.cells[1:]):
+            if a.hi != b.lo:
+                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
+        self._los, self._his, self._slopes, self._offsets = (
+            np.array(col, dtype=np.float64)
+            for col in zip(*((r.lo, r.hi, r.slope, r.offset) for r in self.cells)))
+
+    def at(self, x: float) -> float:
+        for row in self.cells:
+            if row.lo <= x < row.hi:
+                return row.slope * x + row.offset
+        raise _outside(x)
+
+    def batch(self, x: np.ndarray) -> np.ndarray:
+        i = np.maximum(np.searchsorted(self._los, x, side="right") - 1, 0)
+        inside = (self._los[i] <= x) & (x < self._his[i])
+        if not inside.all():
+            raise _outside(float(x[np.flatnonzero(~inside)[0]]))
+        return self._slopes[i] * x + self._offsets[i]
 
 
 def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
     """Self-map from contiguous piecewise-linear rows; each breakpoint
     belongs to the cell on its right."""
-    cells = tuple(sorted(rows, key=lambda r: r.lo))
-    for a, b in zip(cells, cells[1:]):
-        if a.hi != b.lo:
-            raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
-    domain = Interval(cells[0].lo, cells[-1].hi)
+    pw = _Piecewise(rows)
     return SelfMap(
-        apply=lambda x: _evaluate_rows(cells, x),
+        apply=pw.at,
         description=description or "piecewise linear map",
-        domain=domain,
+        domain=Interval(pw.cells[0].lo, pw.cells[-1].hi),
+        batch=pw.batch,
     )
 
 
@@ -170,13 +210,12 @@ def _parse_space(space) -> tuple[GMetric, MultMetric | None]:
         # Log-distance given as a piecewise-linear function of the signed
         # difference x - y; deliberately expressive enough to describe
         # broken (e.g. non-symmetric) metric candidates for auditing.
-        cells = tuple(sorted(_parse_rows(space["rows"]), key=lambda r: r.lo))
-        for a, b in zip(cells, cells[1:]):
-            if a.hi != b.lo:
-                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
+        pw = _Piecewise(_parse_rows(space["rows"]))
+        at = pw.at
         d = MultMetric(
-            dist=lambda x, y: _evaluate_rows(cells, x - y),
+            dist=lambda x, y: at(x - y),
             description="piecewise log-distance of x - y",
+            batch=lambda x, y: pw.batch(x - y),
         )
         return gm_from_product(d), d
     raise ValueError(f"unknown space {space!r}")

@@ -8,14 +8,16 @@ becomes log value 0.  Exponentiation happens only at API boundaries
 (``GMetric.value``, reports, the CLI).
 
 Axiom checking is sampling-based: deterministic pseudo-random points
-given a seed, plus a fixed set of corner cases.  Failures are recorded
-as re-checkable witnesses, never raised.
+given a seed, plus a fixed set of corner cases.  Each check runs on the
+whole sample array at once.  Failures are recorded as re-checkable
+witnesses, never raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,8 @@ SLACK = 1e-12
 # Sampled "distinct" points must be separated by at least this much,
 # so strict-positivity checks cannot trip over float coincidences.
 _MIN_SEPARATION = 1e-9
+# Draw rounds for such pairs; a normal domain needs one or two.
+_MAX_PAIR_ROUNDS = 100
 
 Point = float
 LogDistance = float
@@ -56,17 +60,35 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def _evaluate_many(scalar: Callable[..., float], batch: Callable[..., np.ndarray] | None,
+                   *args: np.ndarray) -> np.ndarray:
+    """Evaluate a kernel elementwise over equal-length float64 arrays.
+
+    ``batch`` takes the arrays and returns a float64 array holding
+    bitwise the floats ``scalar`` returns.  Without one, ``scalar`` is
+    called once per element, on Python floats.
+    """
+    if batch is not None:
+        return np.asarray(batch(*args), dtype=np.float64)
+    columns = [a.tolist() for a in args]
+    return np.fromiter(map(scalar, *columns), dtype=np.float64, count=len(columns[0]))
+
+
 @dataclass(frozen=True)
 class MultMetric:
     """Binary multiplicative metric candidate, evaluated in log-domain.
 
     ``dist(x, y)`` returns ln of the multiplicative distance; for a
     valid metric that is >= 0, zero exactly on the diagonal, symmetric,
-    and subadditive (the multiplicative triangle inequality).
+    and subadditive (the multiplicative triangle inequality).  The
+    optional ``batch`` is ``dist`` over float64 arrays: it returns
+    bitwise the floats ``dist`` returns, and ``many`` calls ``dist`` once
+    per pair when it is missing.
     """
 
     dist: Callable[[Point, Point], LogDistance]
     description: str = ""
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Point, y: Point) -> LogDistance:
         return self.dist(x, y)
@@ -75,13 +97,23 @@ class MultMetric:
         """Multiplicative (exponentiated) distance."""
         return math.exp(self.dist(x, y))
 
+    def many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``dist`` of each pair of elements of two float64 arrays."""
+        return _evaluate_many(self.dist, self.batch, x, y)
+
 
 @dataclass(frozen=True)
 class GMetric:
-    """Ternary multiplicative metric candidate, evaluated in log-domain."""
+    """Ternary multiplicative metric candidate, evaluated in log-domain.
+
+    The optional ``batch`` is ``g`` over float64 arrays: it returns
+    bitwise the floats ``g`` returns, and ``many`` calls ``g`` once per
+    triple when it is missing.
+    """
 
     g: Callable[[Point, Point, Point], LogDistance]
     description: str = ""
+    batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Point, y: Point, z: Point) -> LogDistance:
         return self.g(x, y, z)
@@ -89,6 +121,10 @@ class GMetric:
     def value(self, x: Point, y: Point, z: Point) -> float:
         """Multiplicative (exponentiated) distance of the triple."""
         return math.exp(self.g(x, y, z))
+
+    def many(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``g`` of each triple of elements of three float64 arrays."""
+        return _evaluate_many(self.g, self.batch, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -138,29 +174,76 @@ def _canonical_pair_sum(pairfn: Callable[[float, float], float],
     return t0 + t1 + t2
 
 
+def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # A swap, not minimum/maximum: the pair keeps its exact floats, signed
+    # zeros included, so the sum below matches the scalar sorted() sum.
+    swap = b < a
+    return np.where(swap, b, a), np.where(swap, a, b)
+
+
+def _canonical_pair_sum_batch(pairfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                              x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # _canonical_pair_sum over arrays: the same pair order and the same
+    # smallest-first sum, hence the same floats.
+    def pair(u, v):
+        first = u <= v
+        return pairfn(np.where(first, u, v), np.where(first, v, u))
+
+    t0, t1 = _sort2(pair(x, y), pair(y, z))
+    t1, t2 = _sort2(t1, pair(z, x))
+    t0, t1 = _sort2(t0, t1)
+    return (t0 + t1) + t2
+
+
+def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
+                     pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+                     description: str) -> GMetric:
+    def g(x: Point, y: Point, z: Point) -> LogDistance:
+        return _canonical_pair_sum(pairfn, x, y, z)
+
+    batch = None if pair_batch is None else partial(_canonical_pair_sum_batch, pair_batch)
+    return GMetric(g=g, description=description, batch=batch)
+
+
 def gm_from_product(d: MultMetric, description: str = "") -> GMetric:
     """Ternary metric from a multiplicative metric: the product of the
-    three pairwise distances (a sum in log-domain)."""
-    def g(x: Point, y: Point, z: Point) -> LogDistance:
-        return _canonical_pair_sum(d.dist, x, y, z)
-
+    three pairwise distances (a sum in log-domain).  Batch-capable when
+    ``d`` carries a batch form."""
     label = description or (f"pairwise product of {d.description}" if d.description
                             else "pairwise product metric")
-    return GMetric(g=g, description=label)
+    return _pair_sum_metric(d.dist, d.batch, label)
 
 
-def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> GMetric:
+def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
+                batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None) -> GMetric:
     """Ternary metric from an ordinary metric: exp of the perimeter
     d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, so the returned
-    callable is just the perimeter itself."""
-    def g(x: Point, y: Point, z: Point) -> LogDistance:
-        return _canonical_pair_sum(d, x, y, z)
-
-    return GMetric(g=g, description=description or "exp of pairwise perimeter")
+    callable is just the perimeter itself.  ``batch`` is ``d`` over
+    float64 arrays, if there is one."""
+    return _pair_sum_metric(d, batch, description or "exp of pairwise perimeter")
 
 
 # ---------------------------------------------------------------------------
 # Axiom reports
+
+# Each required relation between lhs_log and rhs_log, for floats and
+# float64 arrays alike.  A NaN side fails every relation.
+_RELATIONS = {
+    "<=": lambda lhs, rhs, slack: lhs <= rhs + slack,
+    ">=": lambda lhs, rhs, slack: lhs >= rhs - slack,
+    ">": lambda lhs, rhs, slack: lhs > rhs + slack,
+    "==": lambda lhs, rhs, slack: abs(lhs - rhs) <= slack,
+}
+
+
+def _relation_holds(relation: str, lhs, rhs, slack: float = SLACK):
+    """Whether ``lhs relation rhs`` holds within ``slack``; elementwise
+    on float64 arrays."""
+    try:
+        test = _RELATIONS[relation]
+    except KeyError:
+        raise ValueError(f"unknown relation {relation!r}") from None
+    return test(lhs, rhs, slack)
 
 
 @dataclass(frozen=True)
@@ -180,15 +263,7 @@ class Witness:
 
     def holds(self, slack: float = SLACK) -> bool:
         """Re-evaluate the required relation from the stored sides."""
-        if self.relation == "<=":
-            return self.lhs_log <= self.rhs_log + slack
-        if self.relation == ">=":
-            return self.lhs_log >= self.rhs_log - slack
-        if self.relation == ">":
-            return self.lhs_log > self.rhs_log + slack
-        if self.relation == "==":
-            return abs(self.lhs_log - self.rhs_log) <= slack
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return bool(_relation_holds(self.relation, self.lhs_log, self.rhs_log, slack))
 
 
 @dataclass(frozen=True)
@@ -220,22 +295,46 @@ class AxiomReport:
 
 
 class _Recorder:
-    """Collects violations while a suite runs; order is evaluation order."""
+    """Collects the violations of checks run on whole sample arrays.
+
+    Witnesses come out in the order a per-sample loop would meet them:
+    by phase, then sample index, then the check's position in the phase
+    (the order of ``require`` calls).  Each rule keeps its first
+    ``max_witnesses``; ``counts`` has the full numbers.
+    """
 
     def __init__(self, rules: tuple[str, ...], max_witnesses: int):
         self.rules = rules
         # a failing rule must keep at least one witness
         self.max_witnesses = max(1, max_witnesses)
         self.counts: dict[str, int] = {rule: 0 for rule in rules}
-        self.witnesses: list[Witness] = []
+        self._found: list[tuple[tuple[int, int, int], Witness]] = []
+        self._checks = 0
 
-    def require(self, rule: str, points: tuple[float, ...],
-                lhs: float, rhs: float, relation: str = "<=") -> None:
-        w = Witness(rule, points, lhs, rhs, relation)
-        if not w.holds():
-            self.counts[rule] += 1
-            if self.counts[rule] <= self.max_witnesses:
-                self.witnesses.append(w)
+    def require(self, phase: int, rule: str, points: tuple[np.ndarray, ...],
+                lhs: np.ndarray, rhs: np.ndarray | float, relation: str = "<=",
+                samples: np.ndarray | None = None) -> None:
+        """Check ``lhs relation rhs`` for every sample.  ``samples`` gives
+        the sample index of each element when the check covers only some
+        samples of its phase."""
+        rhs = np.broadcast_to(rhs, lhs.shape)
+        failing = np.flatnonzero(~_relation_holds(relation, lhs, rhs))
+        self.counts[rule] += failing.size
+        kept = failing[:self.max_witnesses]
+        index = (kept if samples is None else samples[kept]).tolist()
+        columns = [p[kept].tolist() for p in points]
+        for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs[kept].tolist()):
+            self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
+        self._checks += 1
+
+    def witnesses(self) -> tuple[Witness, ...]:
+        kept = {rule: 0 for rule in self.rules}
+        out = []
+        for _, w in sorted(self._found, key=lambda found: found[0]):
+            if kept[w.rule] < self.max_witnesses:
+                kept[w.rule] += 1
+                out.append(w)
+        return tuple(out)
 
     def report(self, subject: str, domain: Interval, samples: int, seed: int) -> AxiomReport:
         statuses = {rule: ("fail" if self.counts[rule] else "pass") for rule in self.rules}
@@ -243,7 +342,7 @@ class _Recorder:
             subject=subject,
             domain=str(domain),
             axioms=statuses,
-            witnesses=tuple(self.witnesses),
+            witnesses=self.witnesses(),
             violations=dict(self.counts),
             samples=samples,
             seed=seed,
@@ -255,22 +354,41 @@ def _check_sampling_args(domain: Interval, n: int) -> None:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if not domain.finite:
         raise ValueError(f"axiom checking needs a finite domain, got {domain}")
+    if not domain.hi - domain.lo > _MIN_SEPARATION:
+        raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
+                         f"got {domain}")
 
 
 def _uniform(rng: np.random.Generator, domain: Interval, n: int) -> np.ndarray:
     return domain.lo + (domain.hi - domain.lo) * rng.random(n)
 
 
-def _distinct_pairs(rng: np.random.Generator, domain: Interval, n: int) -> list[tuple[float, float]]:
+def _distinct_pairs(rng: np.random.Generator, domain: Interval,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
     # Rejection keeps pairs separated enough for strict-positivity checks.
-    pairs: list[tuple[float, float]] = []
-    while len(pairs) < n:
-        xs = _uniform(rng, domain, n)
-        ys = _uniform(rng, domain, n)
-        for x, y in zip(xs, ys):
-            if abs(x - y) > _MIN_SEPARATION and len(pairs) < n:
-                pairs.append((float(x), float(y)))
-    return pairs
+    # On a domain barely wider than the separation almost every draw is
+    # rejected, so the number of rounds is capped.
+    xs, ys = [], []
+    found = rounds = 0
+    while found < n:
+        if rounds == _MAX_PAIR_ROUNDS:
+            raise ValueError(f"found only {found} of {n} point pairs more than "
+                             f"{_MIN_SEPARATION} apart in {domain} after {rounds} rounds")
+        rounds += 1
+        x = _uniform(rng, domain, n)
+        y = _uniform(rng, domain, n)
+        apart = np.abs(x - y) > _MIN_SEPARATION
+        xs.append(x[apart])
+        ys.append(y[apart])
+        found += int(apart.sum())
+    return np.concatenate(xs)[:n], np.concatenate(ys)[:n]
+
+
+def _with_corners(corners: list[tuple[float, ...]],
+                  *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sample columns, each preceded by its coordinates of the corner tuples."""
+    return tuple(np.concatenate((np.array(head, dtype=np.float64), col))
+                 for head, col in zip(zip(*corners), columns))
 
 
 def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
@@ -289,21 +407,18 @@ def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
     lo, hi = domain.lo, domain.hi
     mid = 0.5 * (lo + hi)
 
-    singles = [lo, hi, mid] + [float(v) for v in _uniform(rng, domain, n)]
-    for p in singles:
-        rec.require("identity", (p, p), d(p, p), 0.0, "==")
+    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
+    rec.require(0, "identity", (p, p), d.many(p, p), 0.0, "==")
 
-    pairs = [(lo, hi), (hi, lo), (lo, mid)] + _distinct_pairs(rng, domain, n)
-    for x, y in pairs:
-        dxy = d(x, y)
-        rec.require("floor", (x, y), dxy, 0.0, ">=")
-        rec.require("separation", (x, y), dxy, 0.0, ">")
-        rec.require("symmetry", (x, y), dxy, d(y, x), "==")
+    x, y = _with_corners([(lo, hi), (hi, lo), (lo, mid)], *_distinct_pairs(rng, domain, n))
+    dxy = d.many(x, y)
+    rec.require(1, "floor", (x, y), dxy, 0.0, ">=")
+    rec.require(1, "separation", (x, y), dxy, 0.0, ">")
+    rec.require(1, "symmetry", (x, y), dxy, d.many(y, x), "==")
 
-    triples = [(lo, hi, mid), (lo, lo, hi)]
-    triples += list(zip(*(map(float, _uniform(rng, domain, n)) for _ in range(3))))
-    for x, y, z in triples:
-        rec.require("triangle", (x, y, z), d(x, y), d(x, z) + d(z, y))
+    x, y, z = _with_corners([(lo, hi, mid), (lo, lo, hi)],
+                            *(_uniform(rng, domain, n) for _ in range(3)))
+    rec.require(2, "triangle", (x, y, z), d.many(x, y), d.many(x, z) + d.many(z, y))
 
     return rec.report(d.description or "multiplicative metric", domain, n, seed)
 
@@ -328,28 +443,29 @@ def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
     lo, hi = domain.lo, domain.hi
     mid = 0.5 * (lo + hi)
 
-    for p in [lo, hi, mid] + [float(v) for v in _uniform(rng, domain, n)]:
-        rec.require("identity", (p, p, p), g(p, p, p), 0.0, "==")
+    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
+    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
 
-    for x, y in [(lo, hi), (mid, hi)] + _distinct_pairs(rng, domain, n):
-        rec.require("separation", (x, x, y), g(x, x, y), 0.0, ">")
+    x, y = _with_corners([(lo, hi), (mid, hi)], *_distinct_pairs(rng, domain, n))
+    rec.require(1, "separation", (x, x, y), g.many(x, x, y), 0.0, ">")
 
-    corner_triples = [(lo, lo, hi), (lo, hi, hi), (lo, mid, hi), (hi, mid, lo)]
-    base = tuple(float(v) for v in _uniform(rng, domain, 3))
-    corner_triples += [tuple(base[i] for i in p) for p in _PERMUTATIONS]
-    triples = corner_triples + list(
-        zip(*(map(float, _uniform(rng, domain, n)) for _ in range(3))))
+    base = _uniform(rng, domain, 3).tolist()
+    corners = [(lo, lo, hi), (lo, hi, hi), (lo, mid, hi), (hi, mid, lo)]
+    corners += [tuple(base[i] for i in perm) for perm in _PERMUTATIONS]
+    xyz = _with_corners(corners, *(_uniform(rng, domain, n) for _ in range(3)))
+    x, y, z = xyz
+    tvals = np.concatenate(([lo, hi, mid], _uniform(rng, domain, max(0, n - 3))))
+    t = tvals[np.arange(len(x)) % len(tvals)]
 
-    tvals = [lo, hi, mid] + [float(v) for v in _uniform(rng, domain, max(0, n - 3))]
-    for i, (x, y, z) in enumerate(triples):
-        gxyz = g(x, y, z)
-        if abs(y - z) > _MIN_SEPARATION:
-            rec.require("pair_dominance", (x, y, z), g(x, x, y), gxyz)
-        for p in _PERMUTATIONS[1:]:
-            px, py, pz = (x, y, z)[p[0]], (x, y, z)[p[1]], (x, y, z)[p[2]]
-            rec.require("permutation", (px, py, pz), g(px, py, pz), gxyz, "==")
-        t = tvals[i % len(tvals)]
-        rec.require("rectangle", (x, y, z, t), gxyz, g(x, t, t) + g(t, y, z))
+    gxyz = g.many(x, y, z)
+    apart = np.flatnonzero(np.abs(y - z) > _MIN_SEPARATION)
+    xa, ya, za = x[apart], y[apart], z[apart]
+    rec.require(2, "pair_dominance", (xa, ya, za), g.many(xa, xa, ya), gxyz[apart],
+                samples=apart)
+    for perm in _PERMUTATIONS[1:]:
+        px, py, pz = (xyz[k] for k in perm)
+        rec.require(2, "permutation", (px, py, pz), g.many(px, py, pz), gxyz, "==")
+    rec.require(2, "rectangle", (x, y, z, t), gxyz, g.many(x, t, t) + g.many(t, y, z))
 
     return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)
 
@@ -371,20 +487,19 @@ def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int,
     lo, hi = domain.lo, domain.hi
     mid = 0.5 * (lo + hi)
 
-    for p in [lo, hi, mid] + [float(v) for v in _uniform(rng, domain, n)]:
-        rec.require("identity", (p, p, p), g(p, p, p), 0.0, "==")
+    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
+    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
 
-    triples = [(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)]
-    triples += list(zip(*(map(float, _uniform(rng, domain, n)) for _ in range(3))))
-    tvals = [mid, lo, hi] + [float(v) for v in _uniform(rng, domain, max(0, n - 3))]
-    for i, (x, y, z) in enumerate(triples):
-        gxyz = g(x, y, z)
-        t = tvals[i % len(tvals)]
-        rec.require("star_bound", (x, y, z, t), gxyz,
-                    g(x, t, t) + g(y, t, t) + g(z, t, t))
-        rec.require("pair_split", (x, y, z), gxyz, g(x, x, y) + g(x, x, z))
+    x, y, z = _with_corners([(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)],
+                            *(_uniform(rng, domain, n) for _ in range(3)))
+    tvals = np.concatenate(([mid, lo, hi], _uniform(rng, domain, max(0, n - 3))))
+    t = tvals[np.arange(len(x)) % len(tvals)]
+    gxyz = g.many(x, y, z)
+    rec.require(1, "star_bound", (x, y, z, t), gxyz,
+                g.many(x, t, t) + g.many(y, t, t) + g.many(z, t, t))
+    rec.require(1, "pair_split", (x, y, z), gxyz, g.many(x, x, y) + g.many(x, x, z))
 
-    for x, y in [(lo, hi), (hi, lo)] + _distinct_pairs(rng, domain, n):
-        rec.require("swap_doubling", (x, y), g(x, y, y), 2.0 * g(y, x, x))
+    x, y = _with_corners([(lo, hi), (hi, lo)], *_distinct_pairs(rng, domain, n))
+    rec.require(2, "swap_doubling", (x, y), g.many(x, y, y), 2.0 * g.many(y, x, x))
 
     return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)

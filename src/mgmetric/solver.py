@@ -164,6 +164,12 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # written so that NaN fails too
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+
+
 def step_bound(log_g01: LogDistance, eta: float, j: int) -> LogDistance:
     """Per-step a-priori bound eta**j * g(x0, x1, x1), in log-domain."""
     if not (0.0 <= eta < 1.0):
@@ -182,8 +188,7 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
     """
     if log_g01 < 0.0:
         raise ValueError(f"log distance must be >= 0, got {log_g01}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_epsilon(epsilon)
     if not 0.0 <= rate < 1.0:
         raise RateOutOfRange(f"geometric rate must lie in [0, 1), got {rate}")
 
@@ -204,8 +209,7 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
 
 def converged(g: GMetric, x: Point, p: Point, epsilon: float) -> bool:
     """Multiplicative convergence test: g(x, p, p) <= ln(1 + epsilon)."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_epsilon(epsilon)
     return g(x, p, p) <= math.log1p(epsilon)
 
 
@@ -246,8 +250,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     """
     if mode not in ("root", "implicit"):
         raise ValueError(f"mode must be 'root' or 'implicit', got {mode!r}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_epsilon(epsilon)
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 

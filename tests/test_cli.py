@@ -156,6 +156,29 @@ def test_solve_seed_violation_exits_one(capsys):
     assert "SeedConditionViolated" in err
 
 
+def test_solve_nan_epsilon_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--fixture", "ex33", "--epsilon", "nan")
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
+@pytest.mark.parametrize("field,literal", [("slope", "NaN"), ("offset", "Infinity"),
+                                           ("offset", "-Infinity")])
+def test_non_finite_config_row_is_usage_error(capsys, tmp_path, field, literal):
+    row = {"interval": [0.0, None], "slope": 0.5, "offset": 0.0}
+    text = json.dumps({"space": "exp-usual", "map": [row],
+                       "params": {"eta": 0.625, "gamma": 5.5, "x0": 0.5}})
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(text.replace(f'"{field}": {row[field]}', f'"{field}": {literal}'))
+    assert literal in cfg.read_text()
+    code, out, err = run_cli(capsys, "certify", "--config", str(cfg), "--condition", "root",
+                             "--region", "0:1", "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_solve_csv_trace(capsys):
     code, out, _ = run_cli(capsys, "solve", "--fixture", "ex37", "--format", "csv")
     assert code == 0
@@ -225,6 +248,18 @@ def test_module_entrypoint_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("region,message", [("1:1", "wider than"),
+                                            ("1:1.0000000010001", "point pairs")])
+def test_axioms_tiny_domain_is_usage_error(region, message):
+    # (almost) no room for distinct sample pairs: these used to loop forever
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", "axioms", "--fixture",
+                           "exp-usual", "--region", region],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 def test_usage_error_on_bad_region(capsys):

@@ -8,6 +8,7 @@ from mgmetric import (
     SLACK,
     ContractionParams,
     EmptyRegion,
+    GMetric,
     Interval,
     SelfMap,
     certify_region,
@@ -246,6 +247,32 @@ def test_certify_ball_degenerate_single_point():
     report = certify_region(G, EX33.map, params, "root", "ball", 200, seed=7)
     assert report.holds  # only the center is in the ball
     assert not report.seed_condition_ok  # budget (1-eta)*1 < 1
+
+
+@pytest.mark.parametrize("condition", ["root", "implicit"])
+def test_certify_counts_nan_images_as_violations(condition):
+    nan_map = SelfMap(apply=lambda x: math.nan, description="nan everywhere")
+    report = certify_region(G, nan_map, EX33.params, condition,
+                            Interval(0.0, 1.0), 200, seed=7)
+    assert report.verdict == "violated"
+    assert report.violations == report.samples
+    assert all(not w.holds() for w in report.witnesses)
+
+
+def _nan_off_diagonal(x, y, z):
+    # perimeter, but NaN on triples (x, y, y) with x != y
+    return math.nan if y == z != x else perimeter(x, y, z)
+
+
+def test_implicit_nan_reference_term_is_a_violation():
+    # g(x, Fx, Fx) is NaN for x > 0; a max that skips it would pass
+    g = GMetric(g=_nan_off_diagonal, description="NaN off the diagonal")
+    halving = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    assert not implicit_contraction_holds(g, halving, ETA, 0.1, 0.2, 0.3)
+    report = certify_region(g, halving, EX37.params, "implicit",
+                            Interval(0.001, 0.499), 200, seed=7)
+    assert report.verdict == "violated"
+    assert all(not w.holds() for w in report.witnesses)
 
 
 def test_certify_is_deterministic():

@@ -128,6 +128,18 @@ def test_piecewise_map_rejects_gaps():
         ])
 
 
+@pytest.mark.parametrize("slope,offset", [(math.nan, 0.0), (0.5, math.inf),
+                                           (-math.inf, 0.0)])
+def test_piecewise_row_rejects_non_finite_coefficients(slope, offset):
+    with pytest.raises(ValueError):
+        PiecewiseRow(lo=0.0, hi=1.0, slope=slope, offset=offset)
+
+
+def test_piecewise_map_rejects_empty_rows():
+    with pytest.raises(ValueError):
+        piecewise_map([])
+
+
 def _ex33_config():
     third = 1 / 3
     return {

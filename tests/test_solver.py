@@ -241,8 +241,13 @@ def test_solve_idempotent_on_fixed_seed():
 def test_solve_validates_arguments():
     with pytest.raises(ValueError):
         solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, mode="secant")
-    with pytest.raises(ValueError):
-        solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, epsilon=0.0)
+    for epsilon in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, epsilon=epsilon)
+        with pytest.raises(ValueError):
+            converged(G, 0.0, 0.0, epsilon)
+        with pytest.raises(ValueError):
+            a_priori_iterations(1.0, 0.5, epsilon)
     with pytest.raises(ValueError):
         solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, max_iter=-1)
 

@@ -33,6 +33,8 @@ from .metric import (
     Witness,
     _evaluate_many,
     _Recorder,
+    _check_sample_count,
+    _in_ball,
     _relation_holds,
     _with_corners,
     ball_contains,
@@ -54,14 +56,11 @@ class ContractionParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta < 1.0):
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
+        _validate_eta_m(self.eta, self.m)
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
         if not (math.isfinite(self.seed_point) and self.seed_point >= 0.0):
             raise ValueError(f"seed point must be a nonnegative finite real, got {self.seed_point}")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError(f"root index m must be an integer >= 1, got {self.m}")
 
     @property
     def ball(self) -> ClosedBall:
@@ -90,7 +89,7 @@ class SelfMap:
         return _evaluate_many(self.apply, self.batch, x)
 
 
-def _validate_eta_m(eta: float, m: int) -> None:
+def _validate_eta_m(eta: float, m: int = 1) -> None:
     if not (0.0 <= eta < 1.0):
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if not (isinstance(m, int) and m >= 1):
@@ -122,6 +121,11 @@ def _implicit_majorant(g, x, y, z, fx, fy):
 _MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
 
 
+def _check_condition(name: str, label: str) -> None:
+    if name not in _MAJORANTS:
+        raise ValueError(f"{label} must be 'root' or 'implicit', got {name!r}")
+
+
 def _condition_sides(condition: str, g, F, eta: float, x, y, z):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, for
     scalars (``g`` a GMetric, ``F`` a SelfMap) or arrays (their
@@ -150,11 +154,12 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     """Seed admissibility: g(x0, Fx0, Fx0) <= ln((1 - eta) * gamma).
 
     Returns False (not an error) when (1 - eta) * gamma < 1, where the
-    budget is below the metric's floor and nothing can satisfy it.
+    budget is below the metric's floor and nothing can satisfy it; that
+    includes a budget that underflows to 0.
     """
     x0 = params.seed_point
     budget = (1.0 - params.eta) * params.gamma
-    return g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK
+    return budget > 0.0 and g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,
@@ -245,8 +250,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         candidates = np.concatenate((
             [probe.lo, probe.hi, ball.center, params.seed_point],
             _stratified(rng, probe.lo, probe.hi, 3 * n)))
-        center = np.full_like(candidates, ball.center)
-        pool = candidates[g.many(center, candidates, candidates) <= ball.log_radius]
+        pool = candidates[_in_ball(g, ball, candidates)]
         if not pool.size:
             raise EmptyRegion(f"no sampled point lies in {ball}")
         idx = rng.integers(len(pool), size=(n, 3))
@@ -281,10 +285,8 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
 
     Raises EmptyRegion when no sampled point lies in the region.
     """
-    if condition not in ("root", "implicit"):
-        raise ValueError(f"condition must be 'root' or 'implicit', got {condition!r}")
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_condition(condition, "condition")
+    _check_sample_count(n)
 
     rng = np.random.default_rng(seed)
     (x, y, z), region_label = _region_triples(g, F, params, region, n, rng)

@@ -31,29 +31,85 @@ def usual_metric(x: Point, y: Point) -> float:
 EXP_ABS_METRIC = MultMetric(dist=usual_metric, description="e^|x-y|", batch=usual_metric)
 
 
-def quarter_shift_map(x: Point) -> Point:
-    """x/4 below 1/3, x - 1/3 from 1/3 up (the breakpoint belongs to the
-    translation branch, so the map jumps there)."""
-    if x < 1.0 / 3.0:
-        return x / 4.0
-    return x - 1.0 / 3.0
+@dataclass(frozen=True)
+class PiecewiseRow:
+    """One linear piece slope * x + offset on the half-open cell [lo, hi)."""
+
+    lo: float
+    hi: float
+    slope: float
+    offset: float
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError(f"empty piecewise cell: [{self.lo}, {self.hi})")
+        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
+            raise ValueError(f"piecewise slope and offset must be finite, "
+                             f"got {self.slope} and {self.offset}")
 
 
-def half_shift_map(x: Point) -> Point:
-    """x/2 on (0, 1/2), x - 1/4 from 1/2 up; 0 stays fixed, matching the
-    limit of the halving branch."""
-    if x < 0.5:
-        return x / 2.0
-    return x - 0.25
+def _outside(x: float) -> ValueError:
+    return ValueError(f"point {x} is outside the piecewise rows")
 
 
-# Batch forms of the two stock maps: the same branch test and arithmetic.
-def _quarter_shift_batch(x: np.ndarray) -> np.ndarray:
-    return np.where(x < 1.0 / 3.0, x / 4.0, x - 1.0 / 3.0)
+class _Piecewise:
+    """Contiguous rows sorted by ``lo``, evaluated at one point or over a
+    float64 array (the row found by ``np.searchsorted`` on the inner
+    breakpoints, then the same arithmetic)."""
+
+    def __init__(self, rows: list[PiecewiseRow]):
+        self.cells = tuple(sorted(rows, key=lambda r: r.lo))
+        if not self.cells:
+            raise ValueError("piecewise rows must not be empty")
+        for a, b in zip(self.cells, self.cells[1:]):
+            if a.hi != b.lo:
+                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
+        self._cuts = np.array([r.lo for r in self.cells[1:]], dtype=np.float64)
+        self._slopes = np.array([r.slope for r in self.cells], dtype=np.float64)
+        self._offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
+
+    def at(self, x: float) -> float:
+        for row in self.cells:
+            if row.lo <= x < row.hi:
+                return row.slope * x + row.offset
+        raise _outside(x)
+
+    def batch(self, x: np.ndarray) -> np.ndarray:
+        # The cells are contiguous: together they cover [first lo, last hi),
+        # and the cell of x is the number of inner breakpoints <= x.
+        inside = (self.cells[0].lo <= x) & (x < self.cells[-1].hi)
+        if not inside.all():
+            raise _outside(float(x[np.flatnonzero(~inside)[0]]))
+        i = np.searchsorted(self._cuts, x, side="right")
+        return self._slopes.take(i) * x + self._offsets.take(i)
 
 
-def _half_shift_batch(x: np.ndarray) -> np.ndarray:
-    return np.where(x < 0.5, x / 2.0, x - 0.25)
+def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
+    """Self-map from contiguous piecewise-linear rows; each breakpoint
+    belongs to the cell on its right.  The last cell is half-open too, so
+    a finite right end is left out of the domain, which stops at the
+    float just below it."""
+    pw = _Piecewise(rows)
+    hi = pw.cells[-1].hi
+    return SelfMap(
+        apply=pw.at,
+        description=description or "piecewise linear map",
+        domain=Interval(pw.cells[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf)),
+        batch=pw.batch,
+    )
+
+
+# The two stock maps.  Each breakpoint belongs to the translation branch
+# on its right: x/4 jumps there, x/2 meets x - 1/4 continuously.
+quarter_shift_map = piecewise_map([
+    PiecewiseRow(lo=0.0, hi=1.0 / 3.0, slope=0.25, offset=0.0),
+    PiecewiseRow(lo=1.0 / 3.0, hi=math.inf, slope=1.0, offset=-1.0 / 3.0),
+], description="x/4 below 1/3, x-1/3 above")
+
+half_shift_map = piecewise_map([
+    PiecewiseRow(lo=0.0, hi=0.5, slope=0.5, offset=0.0),
+    PiecewiseRow(lo=0.5, hi=math.inf, slope=1.0, offset=-0.25),
+], description="x/2 below 1/2, x-1/4 above")
 
 
 @dataclass(frozen=True)
@@ -79,8 +135,7 @@ _REGISTRY = (
     NamedFixture(
         id="ex33",
         gmetric=_EXP_USUAL,
-        map=SelfMap(apply=quarter_shift_map, description="x/4 below 1/3, x-1/3 above",
-                    batch=_quarter_shift_batch),
+        map=quarter_shift_map,
         params=_STOCK_PARAMS,
         metadata={
             "breakpoint": 1.0 / 3.0,
@@ -92,8 +147,7 @@ _REGISTRY = (
     NamedFixture(
         id="ex37",
         gmetric=_EXP_USUAL,
-        map=SelfMap(apply=half_shift_map, description="x/2 below 1/2, x-1/4 above",
-                    batch=_half_shift_batch),
+        map=half_shift_map,
         params=_STOCK_PARAMS,
         metadata={
             "breakpoint": 0.5,
@@ -119,69 +173,6 @@ def get_fixture(fixture_id: str) -> NamedFixture | None:
 
 # ---------------------------------------------------------------------------
 # User-defined fixtures from JSON config
-
-
-@dataclass(frozen=True)
-class PiecewiseRow:
-    """One linear piece slope * x + offset on the half-open cell [lo, hi)."""
-
-    lo: float
-    hi: float
-    slope: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"empty piecewise cell: [{self.lo}, {self.hi})")
-        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
-            raise ValueError(f"piecewise slope and offset must be finite, "
-                             f"got {self.slope} and {self.offset}")
-
-
-def _outside(x: float) -> ValueError:
-    return ValueError(f"point {x} is outside the piecewise rows")
-
-
-class _Piecewise:
-    """Contiguous rows sorted by ``lo``, evaluated at one point or over a
-    float64 array (the row found by ``np.searchsorted``, then the same
-    arithmetic)."""
-
-    def __init__(self, rows: list[PiecewiseRow]):
-        self.cells = tuple(sorted(rows, key=lambda r: r.lo))
-        if not self.cells:
-            raise ValueError("piecewise rows must not be empty")
-        for a, b in zip(self.cells, self.cells[1:]):
-            if a.hi != b.lo:
-                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
-        self._los, self._his, self._slopes, self._offsets = (
-            np.array(col, dtype=np.float64)
-            for col in zip(*((r.lo, r.hi, r.slope, r.offset) for r in self.cells)))
-
-    def at(self, x: float) -> float:
-        for row in self.cells:
-            if row.lo <= x < row.hi:
-                return row.slope * x + row.offset
-        raise _outside(x)
-
-    def batch(self, x: np.ndarray) -> np.ndarray:
-        i = np.maximum(np.searchsorted(self._los, x, side="right") - 1, 0)
-        inside = (self._los[i] <= x) & (x < self._his[i])
-        if not inside.all():
-            raise _outside(float(x[np.flatnonzero(~inside)[0]]))
-        return self._slopes[i] * x + self._offsets[i]
-
-
-def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
-    """Self-map from contiguous piecewise-linear rows; each breakpoint
-    belongs to the cell on its right."""
-    pw = _Piecewise(rows)
-    return SelfMap(
-        apply=pw.at,
-        description=description or "piecewise linear map",
-        domain=Interval(pw.cells[0].lo, pw.cells[-1].hi),
-        batch=pw.batch,
-    )
 
 
 def _parse_endpoint(v, sign: float) -> float:

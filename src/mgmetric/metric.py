@@ -158,6 +158,12 @@ def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
     return g(ball.center, rho, rho) <= ball.log_radius
 
 
+def _in_ball(g: GMetric, ball: ClosedBall, rho) -> np.ndarray:
+    """``ball_contains`` of each of a sequence of points."""
+    rho = np.asarray(rho, dtype=np.float64)
+    return g.many(np.full_like(rho, ball.center), rho, rho) <= ball.log_radius
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 
@@ -349,9 +355,13 @@ class _Recorder:
         )
 
 
-def _check_sampling_args(domain: Interval, n: int) -> None:
+def _check_sample_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+
+
+def _check_sampling_args(domain: Interval, n: int) -> None:
+    _check_sample_count(n)
     if not domain.finite:
         raise ValueError(f"axiom checking needs a finite domain, got {domain}")
     if not domain.hi - domain.lo > _MIN_SEPARATION:

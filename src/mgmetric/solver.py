@@ -23,8 +23,9 @@ import operator
 from dataclasses import dataclass, asdict
 from typing import Callable
 
-from .metric import ClosedBall, GMetric, LogDistance, Point, ball_contains
-from .contraction import ContractionParams, SelfMap, seed_condition_holds
+from .metric import ClosedBall, GMetric, LogDistance, Point, _in_ball
+from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
+                          seed_condition_holds)
 
 
 class DomainExit(RuntimeError):
@@ -132,10 +133,43 @@ class FixedPointResult:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["trace"] = self.trace.to_dict()
         doc["ball_exited"] = self.ball_exited
         doc["order_monotone"] = self.order_monotone
         return doc
+
+
+def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: Point,
+           steps: int, tol: float | None) -> tuple[PicardTrace, LogDistance | None]:
+    """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace.
+
+    Every iterate must lie in F's domain, else DomainExit.  With ``tol``
+    None the loop makes exactly ``steps`` transitions.  Otherwise it
+    stops at the first iterate whose residual g(x, Fx, Fx) is <= tol,
+    and iterate ``steps`` above tol raises MaxIterationsExceeded.
+    Returns the trace and the last residual computed (None if none was).
+    """
+    iterates = [x0]
+    step_logs: list[float] = []
+    monotone = True
+    x = x0
+    residual = None
+    for j in range(steps + 1):
+        if not F.domain.contains(x):
+            raise DomainExit(j, x)
+        if tol is None and j == steps:
+            break
+        nxt = F(x)
+        residual = g(x, nxt, nxt)
+        if tol is not None and residual <= tol:
+            break
+        if j == steps:
+            raise MaxIterationsExceeded(j, x, residual)
+        step_logs.append(residual)
+        monotone = monotone and order(nxt, x)
+        iterates.append(nxt)
+        x = nxt
+    flags = tuple(_in_ball(g, ball, iterates).tolist())
+    return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
 def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
@@ -146,22 +180,7 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    iterates = [x0]
-    step_logs: list[float] = []
-    monotone = True
-    x = x0
-    for j in range(steps):
-        if not F.domain.contains(x):
-            raise DomainExit(j, x)
-        nxt = F(x)
-        step_logs.append(g(x, nxt, nxt))
-        monotone = monotone and order(nxt, x)
-        iterates.append(nxt)
-        x = nxt
-    if steps > 0 and not F.domain.contains(x):
-        raise DomainExit(steps, x)
-    flags = tuple(ball_contains(g, ball, p) for p in iterates)
-    return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone)
+    return _orbit(F, g, order, ball, x0, steps, None)[0]
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -172,8 +191,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 def step_bound(log_g01: LogDistance, eta: float, j: int) -> LogDistance:
     """Per-step a-priori bound eta**j * g(x0, x1, x1), in log-domain."""
-    if not (0.0 <= eta < 1.0):
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    _validate_eta_m(eta)
     if j < 0:
         raise ValueError(f"step index must be >= 0, got {j}")
     return (eta ** j) * log_g01
@@ -215,8 +233,7 @@ def converged(g: GMetric, x: Point, p: Point, epsilon: float) -> bool:
 
 def mu_of(eta: float) -> float:
     """Telescoped per-step rate eta / (1 - eta) of the implicit condition."""
-    if not (0.0 <= eta < 1.0):
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    _validate_eta_m(eta)
     return eta / (1.0 - eta)
 
 
@@ -238,7 +255,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     fixed point.
 
     The seed condition is checked first and SeedConditionViolated raised
-    on failure.  ``mode`` selects the rate for the a-priori bound: eta
+    on failure (DomainExit when the seed is outside F's domain).  ``mode`` selects the rate for the a-priori bound: eta
     for "root", mu = eta / (1 - eta) for "implicit".  A rate >= 1 cannot
     be certified; by default the solver then runs best-effort with
     ``certified_bound`` = None and ``rate_certified`` = False, or raises
@@ -248,17 +265,17 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     MaxIterationsExceeded if the residual never reaches tolerance.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
-    if mode not in ("root", "implicit"):
-        raise ValueError(f"mode must be 'root' or 'implicit', got {mode!r}")
+    _check_condition(mode, "mode")
     _check_epsilon(epsilon)
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
-    if not seed_condition_holds(g, F, params):
+    x0 = params.seed_point
+    # a seed outside F's domain has no image; the orbit raises DomainExit
+    if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
         budget = (1.0 - params.eta) * params.gamma
         raise SeedConditionViolated(
-            f"seed {params.seed_point} has log-distance "
-            f"{g(params.seed_point, F(params.seed_point), F(params.seed_point))} "
+            f"seed {x0} has log-distance {g(x0, F(x0), F(x0))} "
             f"to its image, above the budget ln({budget})")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
@@ -269,40 +286,14 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
             f"implicit mode with eta = {params.eta} gives rate mu = {mu} >= 1; "
             "rerun with require_certified=False for a best-effort solve")
 
-    tol = math.log1p(epsilon)
-    iterates = [params.seed_point]
-    step_logs: list[float] = []
-    monotone = True
-    log_g01: float | None = None
-    x = params.seed_point
-    point = residual = None
-    iterations = 0
-    for j in range(max_iter + 1):
-        if not F.domain.contains(x):
-            raise DomainExit(j, x)
-        nxt = F(x)
-        r = g(x, nxt, nxt)
-        if log_g01 is None:
-            log_g01 = r
-        if r <= tol:
-            point, residual, iterations = x, r, j
-            break
-        if j == max_iter:
-            raise MaxIterationsExceeded(j, x, r)
-        step_logs.append(r)
-        monotone = monotone and order(nxt, x)
-        iterates.append(nxt)
-        x = nxt
-
-    ball = params.ball
-    flags = tuple(ball_contains(g, ball, p) for p in iterates)
-    trace = PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone)
+    trace, residual = _orbit(F, g, order, params.ball, x0, max_iter, math.log1p(epsilon))
+    log_g01 = trace.step_logs[0] if trace.step_logs else residual
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(
-        point=point,
+        point=trace.iterates[-1],
         residual_log=residual,
-        iterations_used=iterations,
+        iterations_used=len(trace.step_logs),
         certified_bound=bound,
         trace=trace,
         rate=rate,

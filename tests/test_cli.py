@@ -179,6 +179,49 @@ def test_non_finite_config_row_is_usage_error(capsys, tmp_path, field, literal):
     assert "finite" in err
 
 
+def _bounded_map_config(tmp_path):
+    # one half-open row [0, 1): the right end 1 is not in the map's domain
+    cfg = tmp_path / "bounded.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, 1], "slope": 0.5, "offset": 0}],
+        "params": {"eta": 0.6, "gamma": 10, "x0": 1},
+    }))
+    return str(cfg)
+
+
+def test_solve_seed_at_open_right_end_is_domain_exit(capsys, tmp_path):
+    code, doc, err = run_json(capsys, "solve", "--config", _bounded_map_config(tmp_path))
+    assert code == 1
+    assert doc["error"]["type"] == "DomainExit"
+    assert "DomainExit" in err
+
+
+def test_certify_ball_stops_below_open_right_end(capsys, tmp_path):
+    # the ball around 0.5 reaches past 1; its probe must stay inside [0, 1)
+    code, doc, _ = run_json(capsys, "certify", "--config", _bounded_map_config(tmp_path),
+                            "--condition", "root", "--region", "ball", "--x0", "0.5",
+                            "--n", "200")
+    assert code == 0
+    assert doc["verdict"] == "holds-on-sample"
+    assert doc["samples"] > 0
+
+
+def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
+    # (1 - eta) * gamma underflows to 0 for the smallest positive gamma
+    code, doc, _ = run_json(capsys, "solve", "--fixture", "ex33", "--gamma", "5e-324")
+    assert code == 1
+    assert doc["error"]["type"] == "SeedConditionViolated"
+
+
+def test_certify_underflowing_seed_budget_reports_violation(capsys):
+    code, doc, _ = run_json(capsys, "certify", "--fixture", "ex33", "--condition", "root",
+                            "--region", "0:0.3333", "--n", "100", "--gamma", "5e-324")
+    assert code == 1
+    assert doc["verdict"] == "holds-on-sample"
+    assert doc["seed_condition_ok"] is False
+
+
 def test_solve_csv_trace(capsys):
     code, out, _ = run_cli(capsys, "solve", "--fixture", "ex37", "--format", "csv")
     assert code == 0

@@ -89,6 +89,13 @@ def test_seed_condition_false_when_budget_below_floor():
     assert not seed_condition_holds(G, EX33.map, params)
 
 
+def test_seed_condition_false_when_budget_underflows():
+    # (1 - eta) * gamma rounds to 0: False, not a math domain error
+    params = ContractionParams(eta=ETA, gamma=5e-324, seed_point=1 / 3)
+    assert (1.0 - params.eta) * params.gamma == 0.0
+    assert not seed_condition_holds(G, EX33.map, params)
+
+
 def test_seed_condition_monotone_in_gamma():
     rng = np.random.default_rng(17)
     for _ in range(200):

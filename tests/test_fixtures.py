@@ -44,7 +44,8 @@ def test_usual_metric_values():
     assert usual_metric(2.0, 5.0) == 3.0
 
 
-@pytest.mark.parametrize("F", [quarter_shift_map, half_shift_map])
+@pytest.mark.parametrize("F", [quarter_shift_map, half_shift_map],
+                         ids=["quarter_shift_map", "half_shift_map"])
 def test_maps_are_total_into_the_carrier(F):
     rng = np.random.default_rng(13)
     for x in rng.uniform(0.0, 100.0, size=2000):
@@ -52,7 +53,8 @@ def test_maps_are_total_into_the_carrier(F):
         assert math.isfinite(y) and y >= 0.0
 
 
-@pytest.mark.parametrize("F", [quarter_shift_map, half_shift_map])
+@pytest.mark.parametrize("F", [quarter_shift_map, half_shift_map],
+                         ids=["quarter_shift_map", "half_shift_map"])
 def test_single_fixed_point_on_grid(F):
     grid = np.linspace(0.0, 6.0, 10_000)
     fixed = [x for x in grid if abs(F(float(x)) - x) < 1e-12]
@@ -118,6 +120,23 @@ def test_piecewise_map_breakpoint_ownership():
     assert F(0.999) == pytest.approx(0.4995)
     assert F(1.0) == 0.5  # boundary point uses the right cell
     assert F.domain == Interval(0.0, math.inf)
+
+
+def test_piecewise_map_domain_stops_below_finite_right_end():
+    F = piecewise_map([PiecewiseRow(lo=0.0, hi=1.0, slope=0.5, offset=0.0)])
+    assert F.domain == Interval(0.0, math.nextafter(1.0, -math.inf))
+    assert not F.domain.contains(1.0)
+    assert F(F.domain.hi) == 0.5 * F.domain.hi
+    assert F.many(np.array([F.domain.hi]))[0] == 0.5 * F.domain.hi
+
+
+def test_stock_maps_are_piecewise_rows():
+    # the stock maps and their config clones are the same rows
+    assert get_fixture("ex33").map is quarter_shift_map
+    assert get_fixture("ex37").map is half_shift_map
+    clone = load_fixture_config(_ex33_config()).map
+    points = np.array([0.0, 0.2, 1 / 3, 1.0, 5.5])
+    assert np.array_equal(clone.many(points), quarter_shift_map.many(points))
 
 
 def test_piecewise_map_rejects_gaps():

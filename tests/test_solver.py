@@ -3,21 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgmetric import (
     NUMERIC_ORDER,
     ClosedBall,
     ContractionParams,
     DomainExit,
+    GMetric,
     Interval,
     MaxIterationsExceeded,
     RateOutOfRange,
     SeedConditionViolated,
     SelfMap,
     a_priori_iterations,
+    ball_contains,
     converged,
     get_fixture,
     gm_from_exp,
+    load_fixture_config,
     mu_class,
     mu_of,
     picard_trace,
@@ -214,11 +218,16 @@ def test_solve_seed_condition_violated():
         solve_fixed_point(G, EX33.map, NUMERIC_ORDER, params, epsilon=TOL)
 
 
-def test_solve_max_iterations_exceeded():
+@pytest.mark.parametrize("max_iter", [0, 1, 3])
+def test_solve_max_iterations_exceeded(max_iter):
     with pytest.raises(MaxIterationsExceeded) as err:
         solve_fixed_point(G, EX37.map, NUMERIC_ORDER, EX37.params, epsilon=TOL,
-                          max_iter=3)
-    assert err.value.iterations == 3
+                          max_iter=max_iter)
+    # the halving orbit from 1/3: x_j = (1/3) / 2**j, residual 2|x_j - x_j/2| = x_j
+    x = (1 / 3) * 0.5 ** max_iter
+    assert err.value.iterations == max_iter
+    assert err.value.last_point == x
+    assert err.value.last_residual_log == x
     assert err.value.last_residual_log > math.log1p(TOL)
 
 
@@ -304,3 +313,42 @@ def test_result_to_dict_shape():
     assert doc["point"] == 0.0
     assert doc["ball_exited"] is False
     assert doc["trace"]["iterates"] == (1 / 3, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# solve and picard_trace walk the same orbit
+
+
+@st.composite
+def contracting_configs(draw):
+    """A PL map on [0, inf) with slopes in [0, 0.95) and no offsets, so
+    every orbit falls toward 0, plus a seed and an eta."""
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=0.01, max_value=20.0),
+                                    max_size=4))))
+    edges = [0.0] + cuts + [None]
+    rows = [{"interval": [lo, hi], "offset": 0.0,
+             "slope": draw(st.floats(min_value=0.0, max_value=0.95, exclude_max=True))}
+            for lo, hi in zip(edges, edges[1:])]
+    space = draw(st.sampled_from(["exp-usual", "product-exp"]))
+    x0 = draw(st.floats(min_value=0.0, max_value=20.0))
+    eta = draw(st.floats(min_value=0.05, max_value=0.95))
+    return {"space": space, "map": rows}, x0, eta
+
+
+@settings(max_examples=150, deadline=None)
+@given(contracting_configs(), st.floats(min_value=1.0, max_value=8.0),
+       st.sampled_from(["root", "implicit"]), st.booleans())
+def test_solve_trace_is_the_fixed_step_trace(config, slack, mode, batched):
+    doc, x0, eta = config
+    fx = load_fixture_config(doc)
+    # without a batch form the ball flags come from the scalar fallback
+    g = fx.gmetric if batched else GMetric(g=fx.gmetric.g)
+    F = fx.map
+    # a radius that admits the seed, so that later iterates may leave the ball
+    gamma = math.exp(g(x0, F(x0), F(x0))) * slack / (1.0 - eta)
+    params = ContractionParams(eta=eta, gamma=gamma, seed_point=x0)
+    r = solve_fixed_point(g, F, NUMERIC_ORDER, params, mode=mode, epsilon=TOL)
+    trace = picard_trace(F, x0, r.iterations_used, g, params.ball, NUMERIC_ORDER)
+    assert r.trace == trace
+    for x, flag in zip(trace.iterates, trace.in_ball):
+        assert flag == ball_contains(g, params.ball, x)

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
+
+_BOOLS = ("false", "true")
 
 
 def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return _BOOLS[obj]
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -26,19 +27,29 @@ def _render(obj, indent: int, level: int) -> str:
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    sep = ",\n" + pad
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-            for k, v in obj.items())
-        return "{\n" + items + "\n" + close_pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}{_render(v, indent, level + 1)}" for v in obj)
-        return "[\n" + items + "\n" + close_pad + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+        items = sep.join(f"{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+                         for k, v in obj.items())
+        return "{\n" + pad + items + "\n" + close_pad + "}"
+    # A sequence of finite floats only, or of bools only (a trace's
+    # iterates, step logs and ball flags), is rendered in one join: the
+    # same text as one recursive call per item, without the calls.  Any
+    # other sequence recurses, which also raises for a non-finite float.
+    kinds = set(map(type, obj))
+    if kinds == {float} and all(map(math.isfinite, obj)):
+        items = sep.join(map(format, obj, repeat(".17g")))
+    elif kinds == {bool}:
+        items = sep.join([_BOOLS[v] for v in obj])
+    else:
+        items = sep.join([_render(v, indent, level + 1) for v in obj])
+    return "[\n" + pad + items + "\n" + close_pad + "]"
 
 
 def dumps(doc, indent: int = 2) -> str:

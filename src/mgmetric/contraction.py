@@ -32,6 +32,7 @@ from .metric import (
     Point,
     Witness,
     _evaluate_many,
+    _fields_dict,
     _Recorder,
     _check_sample_count,
     _in_ball,
@@ -153,13 +154,15 @@ def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
 def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:
     """Seed admissibility: g(x0, Fx0, Fx0) <= ln((1 - eta) * gamma).
 
-    Returns False (not an error) when (1 - eta) * gamma < 1, where the
-    budget is below the metric's floor and nothing can satisfy it; that
-    includes a budget that underflows to 0.
+    Returns False (not an error) when x0 is outside F's domain, where it
+    has no image, and when (1 - eta) * gamma < 1, where the budget is
+    below the metric's floor and nothing can satisfy it; that includes a
+    budget that underflows to 0.
     """
     x0 = params.seed_point
     budget = (1.0 - params.eta) * params.gamma
-    return budget > 0.0 and g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK
+    return (F.domain.contains(x0) and budget > 0.0
+            and g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK)
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,
@@ -210,7 +213,7 @@ class CertificateReport:
         return self.verdict == "holds-on-sample"
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = _fields_dict(self)
         doc["witnesses"] = [asdict(w) for w in self.witnesses]
         doc["holds"] = self.holds
         return doc
@@ -224,7 +227,9 @@ def _stratified(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.nd
 
 def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Interval:
     # Expand around the center until both ends are outside the ball or
-    # clipped by the map's domain; the ball never extends past that.
+    # clipped by the map's domain; the ball never extends past that.  A
+    # center outside the domain can leave the ends crossed: the ball
+    # then ends before the domain begins.
     span = 1.0
     for _ in range(200):
         lo = max(domain.lo, ball.center - span)
@@ -232,6 +237,8 @@ def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Inte
         lo_done = lo == domain.lo or not ball_contains(g, ball, lo)
         hi_done = hi == domain.hi or not ball_contains(g, ball, hi)
         if lo_done and hi_done and math.isfinite(lo) and math.isfinite(hi):
+            if lo > hi:
+                raise EmptyRegion(f"{ball} does not meet the map's domain {domain}")
             return Interval(lo, hi)
         span *= 2.0
     raise EmptyRegion(f"could not bound {ball} inside domain {domain}")
@@ -247,9 +254,10 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         if not ball_contains(g, ball, ball.center):
             raise EmptyRegion(f"{ball} is empty (radius below the metric floor)")
         probe = _ball_probe_interval(g, ball, F.domain)
-        candidates = np.concatenate((
-            [probe.lo, probe.hi, ball.center, params.seed_point],
-            _stratified(rng, probe.lo, probe.hi, 3 * n)))
+        # the draws lie in the probe, inside F's domain; the seed may not
+        forced = [p for p in (probe.lo, probe.hi, ball.center, params.seed_point)
+                  if F.domain.contains(p)]
+        candidates = np.concatenate((forced, _stratified(rng, probe.lo, probe.hi, 3 * n)))
         pool = candidates[_in_ball(g, ball, candidates)]
         if not pool.size:
             raise EmptyRegion(f"no sampled point lies in {ball}")

@@ -16,7 +16,7 @@ witnesses, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import partial
 from typing import Callable
 
@@ -38,7 +38,12 @@ LogDistance = float
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] of carrier points; hi may be +inf."""
+    """Closed interval [lo, hi] of carrier points; hi may be +inf.
+
+    Carrier points are finite reals, so an infinite end bounds the
+    interval without belonging to it: ``contains`` is False for +-inf
+    and NaN whatever the ends.
+    """
 
     lo: float
     hi: float
@@ -50,7 +55,7 @@ class Interval:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+        return self.lo <= x <= self.hi and math.isfinite(x)
 
     @property
     def finite(self) -> bool:
@@ -232,6 +237,16 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
 # ---------------------------------------------------------------------------
 # Axiom reports
 
+
+def _fields_dict(report) -> dict:
+    """The fields of a frozen report dataclass by name, in declaration
+    order, for its ``to_dict``.  Values are not copied (unlike
+    ``dataclasses.asdict``): tuples of floats and bools go to the
+    renderer as they are, and each ``to_dict`` converts or copies the
+    fields that are not immutable leaves."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 # Each required relation between lhs_log and rhs_log, for floats and
 # float64 arrays alike.  A NaN side fails every relation.
 _RELATIONS = {
@@ -294,8 +309,11 @@ class AxiomReport:
         return all(status == "pass" for status in self.axioms.values())
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = _fields_dict(self)
+        # copies, so a caller editing the document cannot edit the report
+        doc["axioms"] = dict(self.axioms)
         doc["witnesses"] = [asdict(w) for w in self.witnesses]
+        doc["violations"] = dict(self.violations)
         doc["passed"] = self.passed
         return doc
 

@@ -16,20 +16,19 @@ still runs best-effort and flags the rate as uncertified.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 import operator
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
-from .metric import ClosedBall, GMetric, LogDistance, Point, _in_ball
+from .metric import ClosedBall, GMetric, LogDistance, Point, _fields_dict, _in_ball
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
                           seed_condition_holds)
 
 
 class DomainExit(RuntimeError):
-    """An iterate left the self-map's declared domain."""
+    """An iterate left the self-map's declared domain (an infinite or
+    NaN iterate is in no domain)."""
 
     def __init__(self, index: int, point: float):
         super().__init__(f"iterate {index} = {point} left the map's domain")
@@ -89,18 +88,17 @@ class PicardTrace:
             raise ValueError("trace needs exactly one ball flag per iterate")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields_dict(self)
 
     def to_csv(self) -> str:
         """Rows of (index, value, step_log, in_ball); the final row has
-        no step log."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value", "step_log", "in_ball"])
-        for j, x in enumerate(self.iterates):
-            step = repr(self.step_logs[j]) if j < len(self.step_logs) else ""
-            writer.writerow([j, repr(x), step, self.in_ball[j]])
-        return buf.getvalue()
+        no step log.  Values are float reprs and the flags True/False,
+        so no field needs CSV quoting."""
+        rows = [f"{j},{x!r},{step!r},{flag}\n" for j, (x, step, flag)
+                in enumerate(zip(self.iterates, self.step_logs, self.in_ball))]
+        last = len(self.step_logs)
+        return ("index,value,step_log,in_ball\n" + "".join(rows)
+                + f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,8 @@ class FixedPointResult:
         return self.trace.monotone
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = _fields_dict(self)
+        doc["trace"] = self.trace.to_dict()
         doc["ball_exited"] = self.ball_exited
         doc["order_monotone"] = self.order_monotone
         return doc

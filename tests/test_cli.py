@@ -207,6 +207,41 @@ def test_certify_ball_stops_below_open_right_end(capsys, tmp_path):
     assert doc["samples"] > 0
 
 
+@pytest.mark.parametrize("region", ["0:0.5", "ball"])
+def test_certify_seed_outside_domain_reports_seed_violation(capsys, tmp_path, region):
+    # x0 = 1 is the open right end: the seed has no image, the sweep still runs
+    code, doc, err = run_json(capsys, "certify", "--config", _bounded_map_config(tmp_path),
+                              "--condition", "root", "--region", region, "--n", "200")
+    assert code == 1
+    assert doc["seed_condition_ok"] is False
+    assert doc["verdict"] == "holds-on-sample"
+    assert "seed condition: violated" in err
+
+
+def test_certify_ball_outside_domain_is_empty_region(capsys, tmp_path):
+    # the ball of radius 10 around 5 ends above 3.8, past the domain [0, 1)
+    code, out, err = run_cli(capsys, "certify", "--config", _bounded_map_config(tmp_path),
+                             "--condition", "root", "--region", "ball", "--x0", "5")
+    assert code == 2
+    assert out == ""
+    assert "does not meet the map's domain" in err
+
+
+def test_solve_overflowing_orbit_is_domain_exit(capsys, tmp_path):
+    # x -> 4x from 1 reaches inf after 512 steps; inf is in no domain
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, None], "slope": 4, "offset": 0}],
+        "params": {"eta": 0.5, "gamma": 1e300, "x0": 1},
+    }))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg), "--max-iter", "2000")
+    assert code == 1
+    assert doc["error"] == {"type": "DomainExit",
+                            "message": "iterate 512 = inf left the map's domain"}
+    assert "DomainExit" in err
+
+
 def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
     # (1 - eta) * gamma underflows to 0 for the smallest positive gamma
     code, doc, _ = run_json(capsys, "solve", "--fixture", "ex33", "--gamma", "5e-324")

@@ -16,6 +16,7 @@ from mgmetric import (
     gm_from_exp,
     implicit_bound,
     implicit_contraction_holds,
+    load_fixture_config,
     root_contraction_holds,
     seed_condition_holds,
     usual_metric,
@@ -94,6 +95,15 @@ def test_seed_condition_false_when_budget_underflows():
     params = ContractionParams(eta=ETA, gamma=5e-324, seed_point=1 / 3)
     assert (1.0 - params.eta) * params.gamma == 0.0
     assert not seed_condition_holds(G, EX33.map, params)
+
+
+def test_seed_condition_false_outside_map_domain():
+    # the seed 1 is the open right end of [0, 1): False, not an evaluation error
+    F = load_fixture_config({"space": "exp-usual",
+                             "map": [{"interval": [0, 1], "slope": 0.5, "offset": 0}]}).map
+    params = ContractionParams(eta=ETA, gamma=10.0, seed_point=1.0)
+    assert not F.domain.contains(params.seed_point)
+    assert not seed_condition_holds(G, F, params)
 
 
 def test_seed_condition_monotone_in_gamma():

@@ -1,17 +1,24 @@
-"""The README commands print exactly the recorded bytes.
+"""The README commands and one seed of the benchmark's sweep-orbit
+workload print exactly the recorded bytes.
 
-``perfbench/golden.json`` holds the sha256 of each README command's
-stdout under ``["readme-cli"]["*"]``; this test only reads it.  Any
-change to a report's bytes fails here, not only in the benchmark run.
+``perfbench/golden.json`` holds the sha256 of each command's stdout:
+the README commands under ``["readme-cli"]["*"]``, the commands
+``perfbench/workloads.py`` builds for sweep-orbit seed 0 under
+``["sweep-orbit"]["0"]``.  These tests only read both files.  Any change
+to a report's bytes fails here, not only in the benchmark run; the
+sweep-orbit solves pin the long JSON and CSV orbit reports.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from mgmetric.cli import main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden.json"
 
 # The README commands, by their label in golden.json.
 README_COMMANDS = {
@@ -36,4 +43,26 @@ def test_readme_commands_match_golden_digests(capsys):
     for label, argv in README_COMMANDS.items():
         main(argv)
         digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == recorded
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is processed
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_sweep_orbit_seed0_matches_golden_digests(capsys, tmp_path):
+    recorded = json.loads(GOLDEN.read_text())["sweep-orbit"]["0"]
+    digests = {}
+    for cmd in _load_workloads().build("sweep-orbit", 0, tmp_path):
+        assert main(list(cmd.argv)) == cmd.expect_rc, cmd.label
+        digests[cmd.label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == recorded

@@ -122,6 +122,10 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     assert Interval(0.0, math.inf).contains(1e18)
     assert not Interval(0.0, 1.0).contains(1.5)
+    # an infinite end bounds the interval but is not one of its points
+    assert not Interval(0.0, math.inf).contains(math.inf)
+    assert not Interval(-math.inf, math.inf).contains(-math.inf)
+    assert not Interval(-math.inf, math.inf).contains(math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_trace_domain_exit():
     assert err.value.point == -0.5
 
 
+def test_trace_overflow_is_domain_exit():
+    # x -> 4x overflows to inf, which the unbounded domain [0, inf) bounds
+    # but does not contain
+    F = load_fixture_config({"space": "exp-usual",
+                             "map": [{"interval": [0, None], "slope": 4, "offset": 0}]}).map
+    with pytest.raises(DomainExit) as err:
+        picard_trace(F, 1.0, 600, G, BALL, NUMERIC_ORDER)
+    assert err.value.index == 512
+    assert err.value.point == math.inf
+
+
 def test_trace_csv_round_trip():
     trace = picard_trace(EX37.map, 1 / 3, 4, G, BALL, NUMERIC_ORDER)
     lines = trace.to_csv().strip().splitlines()

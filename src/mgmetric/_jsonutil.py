@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
 
 _BOOLS = ("false", "true")
 
@@ -39,12 +38,13 @@ def _render(obj, indent: int, level: int) -> str:
                          for k, v in obj.items())
         return "{\n" + pad + items + "\n" + close_pad + "}"
     # A sequence of finite floats only, or of bools only (a trace's
-    # iterates, step logs and ball flags), is rendered in one join: the
-    # same text as one recursive call per item, without the calls.  Any
-    # other sequence recurses, which also raises for a non-finite float.
+    # iterates, step logs and ball flags), is rendered in one pass: the
+    # same text as one recursive call per item, without the calls ("%.17g"
+    # formats a float as format(x, ".17g") does).  Any other sequence
+    # recurses, which also raises for a non-finite float.
     kinds = set(map(type, obj))
     if kinds == {float} and all(map(math.isfinite, obj)):
-        items = sep.join(map(format, obj, repeat(".17g")))
+        items = sep.join(["%.17g"] * len(obj)) % tuple(obj)
     elif kinds == {bool}:
         items = sep.join([_BOOLS[v] for v in obj])
     else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import _jsonutil
@@ -21,6 +20,7 @@ from .solver import (
     NUMERIC_ORDER,
     DomainExit,
     MaxIterationsExceeded,
+    NonFiniteStep,
     SeedConditionViolated,
     solve_fixed_point,
 )
@@ -155,7 +155,7 @@ def cmd_solve(args) -> int:
         result = solve_fixed_point(fx.gmetric, fx.map, NUMERIC_ORDER, params,
                                    mode=args.mode, epsilon=args.epsilon,
                                    max_iter=args.max_iter)
-    except (SeedConditionViolated, MaxIterationsExceeded, DomainExit) as exc:
+    except (SeedConditionViolated, MaxIterationsExceeded, DomainExit, NonFiniteStep) as exc:
         doc = {
             "command": "solve",
             "fixture": fx.id,

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Callable
 
-import numpy as np
-
 from .metric import (
     SLACK,
     ClosedBall,
@@ -39,6 +37,7 @@ from .metric import (
     _relation_holds,
     _with_corners,
     ball_contains,
+    np,
 )
 
 

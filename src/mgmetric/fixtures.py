@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
-from .metric import GMetric, Interval, MultMetric, Point, gm_from_exp, gm_from_product
+from .metric import GMetric, Interval, MultMetric, Point, gm_from_exp, gm_from_product, np
 from .contraction import ContractionParams, SelfMap
 
 
@@ -55,7 +54,9 @@ def _outside(x: float) -> ValueError:
 class _Piecewise:
     """Contiguous rows sorted by ``lo``, evaluated at one point or over a
     float64 array (the row found by ``np.searchsorted`` on the inner
-    breakpoints, then the same arithmetic)."""
+    breakpoints, then the same arithmetic).  The arrays are built on the
+    first batch call, not with the rows: the stock maps are built at
+    import, and a scalar command makes no batch call."""
 
     def __init__(self, rows: list[PiecewiseRow]):
         self.cells = tuple(sorted(rows, key=lambda r: r.lo))
@@ -64,9 +65,14 @@ class _Piecewise:
         for a, b in zip(self.cells, self.cells[1:]):
             if a.hi != b.lo:
                 raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
-        self._cuts = np.array([r.lo for r in self.cells[1:]], dtype=np.float64)
-        self._slopes = np.array([r.slope for r in self.cells], dtype=np.float64)
-        self._offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The inner breakpoints, and the slope and offset of each cell."""
+        cuts = np.array([r.lo for r in self.cells[1:]], dtype=np.float64)
+        slopes = np.array([r.slope for r in self.cells], dtype=np.float64)
+        offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
+        return cuts, slopes, offsets
 
     def at(self, x: float) -> float:
         for row in self.cells:
@@ -80,8 +86,9 @@ class _Piecewise:
         inside = (self.cells[0].lo <= x) & (x < self.cells[-1].hi)
         if not inside.all():
             raise _outside(float(x[np.flatnonzero(~inside)[0]]))
-        i = np.searchsorted(self._cuts, x, side="right")
-        return self._slopes.take(i) * x + self._offsets.take(i)
+        cuts, slopes, offsets = self._arrays
+        i = np.searchsorted(cuts, x, side="right")
+        return slopes.take(i) * x + offsets.take(i)
 
 
 def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:

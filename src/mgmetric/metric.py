@@ -15,12 +15,34 @@ witnesses, never raised.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, asdict, fields
 from functools import partial
 from typing import Callable
 
-import numpy as np
+
+def _lazy_numpy():
+    # Importing numpy is most of a fresh process's start-up, and the
+    # scalar commands (solve, reproduce) never use it.  The module loads
+    # on its first attribute access, and is numpy itself when numpy was
+    # imported before this package.
+    loaded = sys.modules.get("numpy")
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The package's one handle on numpy, which the other modules import
+#: from here: on Python 3.11 a plain ``import numpy`` of the lazy module
+#: reads its ``__spec__`` and so loads it.
+np = _lazy_numpy()
 
 # Absolute slack for inequality checks in log-domain.  Must sit far
 # below any quantity of interest (the smallest fixture scale is ~1/3).
@@ -173,29 +195,17 @@ def _in_ball(g: GMetric, ball: ClosedBall, rho) -> np.ndarray:
 # Constructions
 
 
-def _canonical_pair_sum(pairfn: Callable[[float, float], float],
-                        x: float, y: float, z: float) -> float:
-    # Evaluate each unordered pair in canonical argument order and add
-    # the three terms smallest-first, so every permutation of (x, y, z)
-    # produces the bitwise-identical float.
-    a = pairfn(x, y) if x <= y else pairfn(y, x)
-    b = pairfn(y, z) if y <= z else pairfn(z, y)
-    c = pairfn(z, x) if z <= x else pairfn(x, z)
-    t0, t1, t2 = sorted((a, b, c))
-    return t0 + t1 + t2
-
-
 def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A swap, not minimum/maximum: the pair keeps its exact floats, signed
-    # zeros included, so the sum below matches the scalar sorted() sum.
+    # zeros included, so the sum below matches the scalar one.
     swap = b < a
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def _canonical_pair_sum_batch(pairfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                               x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # _canonical_pair_sum over arrays: the same pair order and the same
-    # smallest-first sum, hence the same floats.
+    # The scalar g of _pair_sum_metric over arrays: the same pair order
+    # and the same compare-and-swaps, hence the same floats.
     def pair(u, v):
         first = u <= v
         return pairfn(np.where(first, u, v), np.where(first, v, u))
@@ -210,7 +220,20 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
                      pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                      description: str) -> GMetric:
     def g(x: Point, y: Point, z: Point) -> LogDistance:
-        return _canonical_pair_sum(pairfn, x, y, z)
+        # Evaluate each unordered pair in canonical argument order and add
+        # the three terms smallest-first, so every permutation of (x, y, z)
+        # produces the bitwise-identical float.  The swaps on strict < are
+        # a stable sort: ties and signed zeros keep their order.
+        a = pairfn(x, y) if x <= y else pairfn(y, x)
+        b = pairfn(y, z) if y <= z else pairfn(z, y)
+        c = pairfn(z, x) if z <= x else pairfn(x, z)
+        if b < a:
+            a, b = b, a
+        if c < b:
+            b, c = c, b
+            if b < a:
+                a, b = b, a
+        return a + b + c
 
     batch = None if pair_batch is None else partial(_canonical_pair_sum_batch, pair_batch)
     return GMetric(g=g, description=description, batch=batch)

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .metric import ClosedBall, GMetric, LogDistance, Point, _fields_dict, _in_ball
+from .metric import ClosedBall, GMetric, LogDistance, Point, _fields_dict
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
                           seed_condition_holds)
 
@@ -34,6 +34,19 @@ class DomainExit(RuntimeError):
         super().__init__(f"iterate {index} = {point} left the map's domain")
         self.index = index
         self.point = point
+
+
+class NonFiniteStep(RuntimeError):
+    """A step between two iterates of the domain has a non-finite
+    log-distance g(x_j, x_{j+1}, x_{j+1}): the step length overflowed,
+    or the metric gave NaN."""
+
+    def __init__(self, index: int, point: float, step_log: float):
+        super().__init__(f"step {index} from iterate {point} has non-finite "
+                         f"log-distance {step_log}")
+        self.index = index
+        self.point = point
+        self.step_log = step_log
 
 
 class SeedConditionViolated(RuntimeError):
@@ -141,33 +154,47 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
            steps: int, tol: float | None) -> tuple[PicardTrace, LogDistance | None]:
     """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace.
 
-    Every iterate must lie in F's domain, else DomainExit.  With ``tol``
-    None the loop makes exactly ``steps`` transitions.  Otherwise it
-    stops at the first iterate whose residual g(x, Fx, Fx) is <= tol,
-    and iterate ``steps`` above tol raises MaxIterationsExceeded.
-    Returns the trace and the last residual computed (None if none was).
+    Every iterate must lie in F's domain, else DomainExit, and every
+    step between two of them must have a finite log-distance, else
+    NonFiniteStep.  With ``tol`` None the loop makes exactly ``steps``
+    transitions.  Otherwise it stops at the first iterate whose residual
+    g(x, Fx, Fx) is <= tol, and iterate ``steps`` above tol raises
+    MaxIterationsExceeded.  Returns the trace and the last residual
+    computed (None if none was).
     """
     iterates = [x0]
     step_logs: list[float] = []
+    # F and g are called through their objects, so that wrappers of
+    # SelfMap.__call__ and GMetric.__call__ see every evaluation.
+    contains, leq, isfinite = F.domain.contains, order.leq, math.isfinite
+    push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
     x = x0
     residual = None
     for j in range(steps + 1):
-        if not F.domain.contains(x):
+        if not contains(x):
             raise DomainExit(j, x)
         if tol is None and j == steps:
             break
         nxt = F(x)
         residual = g(x, nxt, nxt)
+        # a next iterate outside the domain is reported as DomainExit
+        if not isfinite(residual) and contains(nxt):
+            raise NonFiniteStep(j, x, residual)
         if tol is not None and residual <= tol:
             break
         if j == steps:
             raise MaxIterationsExceeded(j, x, residual)
-        step_logs.append(residual)
-        monotone = monotone and order(nxt, x)
-        iterates.append(nxt)
+        push_step(residual)
+        monotone = monotone and leq(nxt, x)
+        push_iterate(nxt)
         x = nxt
-    flags = tuple(_in_ball(g, ball, iterates).tolist())
+    # ball_contains of each iterate from the scalar kernel, without numpy:
+    # by the batch contract, bitwise the flags g.many gives.  float() is
+    # g.many's float64 conversion, so each flag is a bool whatever real
+    # type g returns.
+    g_scalar, center, log_radius = g.g, ball.center, ball.log_radius
+    flags = tuple([float(g_scalar(center, rho, rho)) <= log_radius for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
@@ -175,7 +202,8 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
                  ball: ClosedBall, order: OrderRelation) -> PicardTrace:
     """Roll the orbit forward a fixed number of steps (no stopping rule).
 
-    Raises DomainExit as soon as an iterate leaves F's domain.
+    Raises DomainExit as soon as an iterate leaves F's domain, and
+    NonFiniteStep at a step with a non-finite log-distance.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -183,9 +211,9 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
 
 
 def _check_epsilon(epsilon: float) -> None:
-    # written so that NaN fails too
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    # written so that NaN fails too; an infinite tolerance certifies nothing
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
 
 
 def step_bound(log_g01: LogDistance, eta: float, j: int) -> LogDistance:
@@ -260,8 +288,9 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     ``certified_bound`` = None and ``rate_certified`` = False, or raises
     RateOutOfRange when ``require_certified`` is set.
 
-    Raises DomainExit if the orbit leaves F's domain and
-    MaxIterationsExceeded if the residual never reaches tolerance.
+    Raises DomainExit if the orbit leaves F's domain, NonFiniteStep if a
+    step's log-distance is infinite or NaN, and MaxIterationsExceeded if
+    the residual never reaches tolerance.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")

@@ -242,6 +242,38 @@ def test_solve_overflowing_orbit_is_domain_exit(capsys, tmp_path):
     assert "DomainExit" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_infinite_epsilon_is_usage_error(capsys, fmt):
+    # an infinite tolerance certifies nothing: rejected before any work
+    code, out, err = run_cli(capsys, "solve", "--fixture", "ex33", "--epsilon", "inf",
+                             "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_non_finite_step_is_reported(capsys, tmp_path, fmt):
+    # 1.5 -> 1e308 -> 0.5: both steps overflow to a residual of inf, then
+    # the orbit converges; the first such step ends the solve
+    cfg = tmp_path / "overflowing-step.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, 1], "slope": 0.5, "offset": 0},
+                {"interval": [1, 2], "slope": 0, "offset": 1e308},
+                {"interval": [2, 10], "slope": 0, "offset": 1.5},
+                {"interval": [10, None], "slope": 0, "offset": 0.5}],
+        "params": {"eta": 0.5, "gamma": 1e3, "x0": 3},
+    }))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg), "--format", fmt)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "NonFiniteStep",
+        "message": "step 1 from iterate 1.5 has non-finite log-distance inf"}
+    assert err == ("solve config: NonFiniteStep: step 1 from iterate 1.5 has non-finite "
+                   "log-distance inf\n")
+
+
 def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
     # (1 - eta) * gamma underflows to 0 for the smallest positive gamma
     code, doc, _ = run_json(capsys, "solve", "--fixture", "ex33", "--gamma", "5e-324")

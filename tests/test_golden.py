@@ -12,12 +12,17 @@ sweep-orbit solves pin the long JSON and CSV orbit reports.
 import hashlib
 import importlib.util
 import json
+import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mgmetric.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
 
 # The README commands, by their label in golden.json.
@@ -44,6 +49,37 @@ def test_readme_commands_match_golden_digests(capsys):
         main(argv)
         digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == recorded
+
+
+# The README commands that never need numpy: scalar solves and reproduce.
+SCALAR_COMMANDS = {"solve-ex33-root", "solve-ex37-implicit", "solve-ex37-csv", "reproduce"}
+
+
+@pytest.mark.parametrize("label", README_COMMANDS)
+def test_readme_command_in_a_fresh_process(label):
+    """What a user runs: ``python -m mgmetric`` in a new interpreter.  Its
+    stdout matches the recorded digest, and the scalar commands finish
+    without importing numpy (``-X importtime`` lists every module the
+    process imports, on stderr)."""
+    recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mgmetric",
+                           *README_COMMANDS[label]],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == (1 if label == "certify-ex33-root-violated" else 0)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "mgmetric.cli" in imported
+    assert ("numpy._core" in imported) == (label not in SCALAR_COMMANDS)
+
+
+def test_no_module_imports_numpy_directly():
+    # metric.np is the package's one handle on numpy; an ``import numpy``
+    # elsewhere would load it eagerly for every command
+    pattern = re.compile(r"^\s*(import numpy|from numpy\b)", re.MULTILINE)
+    offenders = [path.name for path in sorted((ROOT / "src" / "mgmetric").glob("*.py"))
+                 if pattern.search(path.read_text())]
+    assert offenders == []
 
 
 def _load_workloads():

@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
@@ -17,6 +19,7 @@ from mgmetric import (
     gm_from_product,
     usual_metric,
     EXP_ABS_METRIC,
+    load_fixture_config,
 )
 
 DOMAIN = Interval(0.0, 10.0)
@@ -72,6 +75,70 @@ def test_permutation_invariance_is_bitwise():
     for pts in rng.random((1000, 3)) * 10.0:
         vals = {g(pts[i], pts[j], pts[k]) for i, j, k in perms}
         assert len(vals) == 1
+
+
+def _sorted_pair_sum(pairfn, x, y, z):
+    # the scalar g before its sort became compare-and-swaps
+    a = pairfn(x, y) if x <= y else pairfn(y, x)
+    b = pairfn(y, z) if y <= z else pairfn(z, y)
+    c = pairfn(z, x) if z <= x else pairfn(x, z)
+    t0, t1, t2 = sorted((a, b, c))
+    return t0 + t1 + t2
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+# Carrier points, weighted toward the cases a sort can get wrong: signed
+# zeros, subnormals, and (below) ties between the three points.
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308]),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+)
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                          st.floats(min_value=-1e3, max_value=1e3),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _triples(draw):
+    """Three points drawn from a pool of one to three, so ties and equal
+    points are common."""
+    pool = draw(st.lists(_POINTS, min_size=1, max_size=3))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(3))
+
+
+@st.composite
+def _spaces(draw):
+    """A ternary metric and the pair function it sums: exp-usual,
+    product-exp, or a product-pl space with random rows over the signed
+    difference, which is not symmetric."""
+    kind = draw(st.sampled_from(["exp-usual", "product-exp", "product-pl"]))
+    if kind == "exp-usual":
+        return gm_from_exp(usual_metric), usual_metric
+    if kind == "product-exp":
+        return gm_from_product(EXP_ABS_METRIC), EXP_ABS_METRIC.dist
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=3))))
+    edges = [None] + cuts + [None]
+    rows = [{"interval": [lo, hi], "slope": draw(_COEFFICIENTS), "offset": draw(_COEFFICIENTS)}
+            for lo, hi in zip(edges, edges[1:])]
+    fx = load_fixture_config({"space": {"kind": "product-pl", "rows": rows}})
+    return fx.gmetric, fx.mult.dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces(), _triples())
+def test_scalar_g_is_the_sorted_sum_and_permutation_symmetric_bitwise(space, xyz):
+    g, pairfn = space
+    x, y, z = xyz
+    value = g(x, y, z)
+    assert _bits(value) == _bits(_sorted_pair_sum(pairfn, x, y, z))
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    for i, j, k in perms:
+        assert _bits(g(xyz[i], xyz[j], xyz[k])) == _bits(value)
 
 
 def test_log_floor_on_samples():

@@ -13,6 +13,7 @@ from mgmetric import (
     GMetric,
     Interval,
     MaxIterationsExceeded,
+    NonFiniteStep,
     RateOutOfRange,
     SeedConditionViolated,
     SelfMap,
@@ -29,6 +30,7 @@ from mgmetric import (
     step_bound,
     usual_metric,
 )
+from mgmetric._jsonutil import dumps
 
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
@@ -93,6 +95,17 @@ def test_trace_overflow_is_domain_exit():
         picard_trace(F, 1.0, 600, G, BALL, NUMERIC_ORDER)
     assert err.value.index == 512
     assert err.value.point == math.inf
+
+
+def test_ball_flags_are_bools_for_a_metric_of_numpy_scalars():
+    # the flags come from the scalar kernel; a g returning numpy floats
+    # still gives bool flags, which a report can render
+    g = GMetric(g=lambda x, y, z: np.float64(G(x, y, z)))
+    trace = picard_trace(EX37.map, 3.0, 6, g, BALL, NUMERIC_ORDER)
+    assert trace.in_ball == picard_trace(EX37.map, 3.0, 6, G, BALL, NUMERIC_ORDER).in_ball
+    assert {type(flag) for flag in trace.in_ball} == {bool}
+    assert False in trace.in_ball
+    assert '"in_ball": [' in dumps(trace.to_dict())
 
 
 def test_trace_csv_round_trip():
@@ -270,6 +283,35 @@ def test_solve_validates_arguments():
             a_priori_iterations(1.0, 0.5, epsilon)
     with pytest.raises(ValueError):
         solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, max_iter=-1)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf])
+def test_non_finite_epsilon_is_rejected(epsilon):
+    # an infinite tolerance would "converge" at once and certify nothing
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        converged(G, 0.0, 0.0, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        a_priori_iterations(1.0, 0.5, epsilon)
+
+
+def test_non_finite_step_ends_the_orbit():
+    # 3 -> 1.5 -> 1e308: the second step has log-distance inf between two
+    # iterates of the domain; the orbit would go on to 0.5 and converge
+    F = load_fixture_config({"space": "exp-usual", "map": [
+        {"interval": [0, 1], "slope": 0.5, "offset": 0},
+        {"interval": [1, 2], "slope": 0, "offset": 1e308},
+        {"interval": [2, 10], "slope": 0, "offset": 1.5},
+        {"interval": [10, None], "slope": 0, "offset": 0.5}]}).map
+    params = ContractionParams(eta=0.5, gamma=1e3, seed_point=3.0)
+    for run in (lambda: picard_trace(F, 3.0, 10, G, BALL, NUMERIC_ORDER),
+                lambda: solve_fixed_point(G, F, NUMERIC_ORDER, params, epsilon=TOL)):
+        with pytest.raises(NonFiniteStep) as err:
+            run()
+        assert (err.value.index, err.value.point, err.value.step_log) == (1, 1.5, math.inf)
+    # the steps before it are recorded as usual
+    assert picard_trace(F, 3.0, 1, G, BALL, NUMERIC_ORDER).step_logs == (3.0,)
 
 
 # ---------------------------------------------------------------------------

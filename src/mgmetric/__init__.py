@@ -5,119 +5,38 @@ argument symmetry, a rectangle inequality), audits their axioms by
 deterministic sampling, certifies contractive conditions for self-maps
 on closed balls, and locates fixed points by Picard iteration with
 residual and a-priori iteration certificates.  All distances are kept
-in log-domain internally.
+in log-domain internally.  Each public name is imported from its module
+on first access, so importing the package loads none of its modules.
 """
 
-from .metric import (
-    SLACK,
-    AxiomReport,
-    ClosedBall,
-    GMetric,
-    Interval,
-    LogDistance,
-    MultMetric,
-    Point,
-    Witness,
-    ball_contains,
-    check_gm_axioms,
-    check_gm_properties,
-    check_mult_axioms,
-    gm_from_exp,
-    gm_from_product,
-)
-from .contraction import (
-    CertificateReport,
-    ContractionParams,
-    EmptyRegion,
-    SelfMap,
-    certify_region,
-    implicit_bound,
-    implicit_contraction_holds,
-    root_contraction_holds,
-    seed_condition_holds,
-)
-from .solver import (
-    NUMERIC_ORDER,
-    DomainExit,
-    FixedPointResult,
-    MaxIterationsExceeded,
-    NonFiniteStep,
-    OrderRelation,
-    PicardTrace,
-    RateOutOfRange,
-    SeedConditionViolated,
-    a_priori_iterations,
-    converged,
-    mu_class,
-    mu_of,
-    picard_trace,
-    solve_fixed_point,
-    step_bound,
-)
-from .fixtures import (
-    EXP_ABS_METRIC,
-    NamedFixture,
-    PiecewiseRow,
-    get_fixture,
-    half_shift_map,
-    load_fixture_config,
-    piecewise_map,
-    quarter_shift_map,
-    registry,
-    usual_metric,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SLACK",
-    "AxiomReport",
-    "CertificateReport",
-    "ClosedBall",
-    "ContractionParams",
-    "DomainExit",
-    "EmptyRegion",
-    "EXP_ABS_METRIC",
-    "FixedPointResult",
-    "GMetric",
-    "Interval",
-    "LogDistance",
-    "MaxIterationsExceeded",
-    "MultMetric",
-    "NamedFixture",
-    "NonFiniteStep",
-    "NUMERIC_ORDER",
-    "OrderRelation",
-    "PicardTrace",
-    "PiecewiseRow",
-    "Point",
-    "RateOutOfRange",
-    "SeedConditionViolated",
-    "SelfMap",
-    "Witness",
-    "a_priori_iterations",
-    "ball_contains",
-    "certify_region",
-    "check_gm_axioms",
-    "check_gm_properties",
-    "check_mult_axioms",
-    "converged",
-    "get_fixture",
-    "gm_from_exp",
-    "gm_from_product",
-    "half_shift_map",
-    "implicit_bound",
-    "implicit_contraction_holds",
-    "load_fixture_config",
-    "mu_class",
-    "mu_of",
-    "picard_trace",
-    "piecewise_map",
-    "quarter_shift_map",
-    "registry",
-    "root_contraction_holds",
-    "seed_condition_holds",
-    "solve_fixed_point",
-    "step_bound",
-    "usual_metric",
-]
+# The public names, by module.
+_NAMES = {
+    "metric": "SLACK ClosedBall GMetric Interval LogDistance MultMetric Point Witness "
+              "ball_contains gm_from_exp gm_from_product",
+    "contraction": "ContractionParams SelfMap implicit_bound implicit_contraction_holds "
+                   "root_contraction_holds seed_condition_holds",
+    "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
+                "check_gm_properties check_mult_axioms",
+    "solver": "NUMERIC_ORDER BelowFloor DomainExit FixedPointResult MaxIterationsExceeded "
+              "NonFiniteStep OrderRelation PicardTrace RateOutOfRange SeedConditionViolated "
+              "a_priori_iterations converged mu_class mu_of picard_trace solve_fixed_point "
+              "step_bound",
+    "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseRow get_fixture half_shift_map "
+                "load_fixture_config piecewise_map quarter_shift_map registry usual_metric",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -10,20 +10,11 @@ are byte-identical for identical argument vectors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import _jsonutil
-from .metric import Interval, check_gm_axioms, check_gm_properties, check_mult_axioms
-from .contraction import ContractionParams, EmptyRegion, certify_region
-from .solver import (
-    NUMERIC_ORDER,
-    DomainExit,
-    MaxIterationsExceeded,
-    NonFiniteStep,
-    SeedConditionViolated,
-    solve_fixed_point,
-)
+from .metric import Interval
+from .contraction import ContractionParams
 from .fixtures import NamedFixture, get_fixture, load_fixture_config, registry
 
 EXIT_OK = 0
@@ -77,7 +68,7 @@ def _resolve_params(fx: NamedFixture, args) -> ContractionParams:
                  (("eta", args.eta), ("gamma", args.gamma), ("seed_point", args.x0))
                  if v is not None}
     if fx.params is not None:
-        return dataclasses.replace(fx.params, **overrides) if overrides else fx.params
+        return fx.params.replace(**overrides) if overrides else fx.params
     if {"eta", "gamma", "seed_point"} <= overrides.keys():
         return ContractionParams(**overrides)
     raise UsageError(
@@ -90,7 +81,12 @@ def _emit(doc: dict, summary_lines: list[str]) -> None:
         print(line, file=sys.stderr)
 
 
+# Each command imports only the modules it runs, so that a fresh process
+# compiles no sampling code for a solve and no solver for the rest.
+
 def cmd_axioms(args) -> int:
+    from .sampling import check_gm_axioms, check_gm_properties, check_mult_axioms
+
     fx = _resolve_fixture(args)
     region = _parse_region(args.region)
     if not isinstance(region, Interval) or not region.finite:
@@ -122,14 +118,19 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .sampling import EmptyRegion, certify_region
+
     fx = _resolve_fixture(args)
     if fx.map is None:
         raise UsageError(f"fixture {fx.id!r} has no self-map to certify")
     params = _resolve_params(fx, args)
     region = _parse_region(args.region)
 
-    report = certify_region(fx.gmetric, fx.map, params, args.condition,
-                            region, args.n, args.seed)
+    try:
+        report = certify_region(fx.gmetric, fx.map, params, args.condition,
+                                region, args.n, args.seed)
+    except EmptyRegion as exc:
+        raise UsageError(f"empty region: {exc}") from exc
     ok = report.holds and report.seed_condition_ok
     doc = {"command": "certify", "fixture": fx.id, **report.to_dict()}
     summary = [
@@ -146,6 +147,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import (NUMERIC_ORDER, BelowFloor, DomainExit, MaxIterationsExceeded,
+                         NonFiniteStep, SeedConditionViolated, solve_fixed_point)
+
     fx = _resolve_fixture(args)
     if fx.map is None:
         raise UsageError(f"fixture {fx.id!r} has no self-map to iterate")
@@ -155,7 +159,8 @@ def cmd_solve(args) -> int:
         result = solve_fixed_point(fx.gmetric, fx.map, NUMERIC_ORDER, params,
                                    mode=args.mode, epsilon=args.epsilon,
                                    max_iter=args.max_iter)
-    except (SeedConditionViolated, MaxIterationsExceeded, DomainExit, NonFiniteStep) as exc:
+    except (SeedConditionViolated, MaxIterationsExceeded, DomainExit, NonFiniteStep,
+            BelowFloor) as exc:
         doc = {
             "command": "solve",
             "fixture": fx.id,
@@ -284,13 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmptyRegion as exc:
-        print(f"error: empty region: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

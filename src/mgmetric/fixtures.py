@@ -10,14 +10,13 @@ contract toward 0 below the breakpoint and translate above it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .metric import GMetric, Interval, MultMetric, Point, gm_from_exp, gm_from_product, np
+from .metric import (GMetric, Interval, MultMetric, Point, Record, _Fresh, gm_from_exp,
+                     gm_from_product, np)
 from .contraction import ContractionParams, SelfMap
 
 
@@ -30,8 +29,7 @@ def usual_metric(x: Point, y: Point) -> float:
 EXP_ABS_METRIC = MultMetric(dist=usual_metric, description="e^|x-y|", batch=usual_metric)
 
 
-@dataclass(frozen=True)
-class PiecewiseRow:
+class PiecewiseRow(Record):
     """One linear piece slope * x + offset on the half-open cell [lo, hi)."""
 
     lo: float
@@ -119,8 +117,7 @@ half_shift_map = piecewise_map([
 ], description="x/2 below 1/2, x-1/4 above")
 
 
-@dataclass(frozen=True)
-class NamedFixture:
+class NamedFixture(Record):
     """A registered space, optionally with a self-map and its parameters."""
 
     id: str
@@ -128,7 +125,7 @@ class NamedFixture:
     mult: MultMetric | None = None
     map: SelfMap | None = None
     params: ContractionParams | None = None
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    metadata: Mapping[str, object] = _Fresh(dict)
 
 
 _STOCK_PARAMS = ContractionParams(eta=5.0 / 8.0, gamma=11.0 / 2.0, seed_point=1.0 / 3.0)
@@ -238,6 +235,7 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
     if isinstance(source, dict):
         doc = source
     else:
+        import json  # only a config file needs the parser
         doc = json.loads(Path(source).read_text())
 
     gmetric, mult = _parse_space(doc["space"])

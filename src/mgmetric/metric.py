@@ -7,10 +7,9 @@ maps a triple to ln(G) >= 0, and coincidence (distance exactly 1)
 becomes log value 0.  Exponentiation happens only at API boundaries
 (``GMetric.value``, reports, the CLI).
 
-Axiom checking is sampling-based: deterministic pseudo-random points
-given a seed, plus a fixed set of corner cases.  Each check runs on the
-whole sample array at once.  Failures are recorded as re-checkable
-witnesses, never raised.
+The records here and in the other modules are ``Record`` subclasses:
+frozen, compared and hashed by their fields.  The sampled axiom audits
+live in ``sampling``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, asdict, fields
 from functools import partial
 from typing import Callable
 
@@ -48,18 +46,87 @@ np = _lazy_numpy()
 # below any quantity of interest (the smallest fixture scale is ~1/3).
 SLACK = 1e-12
 
-# Sampled "distinct" points must be separated by at least this much,
-# so strict-positivity checks cannot trip over float coincidences.
-_MIN_SEPARATION = 1e-9
-# Draw rounds for such pairs; a normal domain needs one or two.
-_MAX_PAIR_ROUNDS = 100
+# The floor rule: a multiplicative distance is at least 1, so a log value
+# below LOG_FLOOR breaks it (a NaN fails the other checks).  The axiom
+# audit, the region sweep and the solver all test this one bound.
+LOG_FLOOR = -SLACK
 
 Point = float
 LogDistance = float
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Fresh:
+    """Default of a record field that is built anew for each record."""
+
+    def __init__(self, factory: Callable[[], object]):
+        self.factory = factory
+
+
+class Record:
+    """Base of the package's frozen records.
+
+    The fields are the names annotated in the class body, in order, after
+    those of a record base class; a class attribute of the same name is
+    the field's default (``_Fresh(factory)`` for one built per record).
+    A record is built from positional or keyword arguments, then
+    ``__post_init__`` validates it.  Its fields cannot be assigned, and
+    ``==``, ``hash`` and ``repr`` go by the fields.  Copying and pickling
+    restore the fields without validating again.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [n for n in cls.__dict__.get("__annotations__", ()) if n not in cls._fields]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got "
+                            f"{len(args)} positional and the keywords {sorted(kwargs)}")
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if len(values) < len(names):
+            raise TypeError(f"{cls.__name__}() missing {[n for n in names if n not in values]}")
+        for n in names:  # object.__setattr__: filling self.__dict__ slows every read
+            object.__setattr__(self, n, v.factory() if isinstance(v := values[n], _Fresh) else v)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in declaration order, not copied (a report's
+        ``to_dict`` copies the ones that are not immutable leaves)."""
+        return {n: getattr(self, n) for n in self._fields}
+
+    def replace(self, **changes) -> Record:
+        """A copy with some fields changed, validated as a new record."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in self._asdict().items())
+        return f"{type(self).__qualname__}({body})"
+
+
+class Interval(Record):
     """Closed interval [lo, hi] of carrier points; hi may be +inf.
 
     Carrier points are finite reals, so an infinite end bounds the
@@ -101,8 +168,7 @@ def _evaluate_many(scalar: Callable[..., float], batch: Callable[..., np.ndarray
     return np.fromiter(map(scalar, *columns), dtype=np.float64, count=len(columns[0]))
 
 
-@dataclass(frozen=True)
-class MultMetric:
+class MultMetric(Record):
     """Binary multiplicative metric candidate, evaluated in log-domain.
 
     ``dist(x, y)`` returns ln of the multiplicative distance; for a
@@ -129,8 +195,7 @@ class MultMetric:
         return _evaluate_many(self.dist, self.batch, x, y)
 
 
-@dataclass(frozen=True)
-class GMetric:
+class GMetric(Record):
     """Ternary multiplicative metric candidate, evaluated in log-domain.
 
     The optional ``batch`` is ``g`` over float64 arrays: it returns
@@ -154,8 +219,7 @@ class GMetric:
         return _evaluate_many(self.g, self.batch, x, y, z)
 
 
-@dataclass(frozen=True)
-class ClosedBall:
+class ClosedBall(Record):
     """Closed ball {rho : G(center, rho, rho) <= radius}.
 
     The radius is a multiplicative scale (gamma > 0).  Because
@@ -183,12 +247,6 @@ class ClosedBall:
 def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
     """Membership test for the closed ball, in log-domain."""
     return g(ball.center, rho, rho) <= ball.log_radius
-
-
-def _in_ball(g: GMetric, ball: ClosedBall, rho) -> np.ndarray:
-    """``ball_contains`` of each of a sequence of points."""
-    rho = np.asarray(rho, dtype=np.float64)
-    return g.many(np.full_like(rho, ball.center), rho, rho) <= ball.log_radius
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +315,6 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
     return _pair_sum_metric(d, batch, description or "exp of pairwise perimeter")
 
 
-# ---------------------------------------------------------------------------
-# Axiom reports
-
-
-def _fields_dict(report) -> dict:
-    """The fields of a frozen report dataclass by name, in declaration
-    order, for its ``to_dict``.  Values are not copied (unlike
-    ``dataclasses.asdict``): tuples of floats and bools go to the
-    renderer as they are, and each ``to_dict`` converts or copies the
-    fields that are not immutable leaves."""
-    return {f.name: getattr(report, f.name) for f in fields(report)}
-
-
 # Each required relation between lhs_log and rhs_log, for floats and
 # float64 arrays alike.  A NaN side fails every relation.
 _RELATIONS = {
@@ -290,8 +335,7 @@ def _relation_holds(relation: str, lhs, rhs, slack: float = SLACK):
     return test(lhs, rhs, slack)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One violated check: the points involved and both sides of the
     required relation, in log-domain.
 
@@ -308,249 +352,3 @@ class Witness:
     def holds(self, slack: float = SLACK) -> bool:
         """Re-evaluate the required relation from the stored sides."""
         return bool(_relation_holds(self.relation, self.lhs_log, self.rhs_log, slack))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of a sampled axiom suite.
-
-    ``axioms`` maps each rule name to "pass" or "fail"; every failing
-    rule carries at least one witness (capped at ``max_witnesses`` per
-    rule, with full counts in ``violations``).
-    """
-
-    subject: str
-    domain: str
-    axioms: dict[str, str]
-    witnesses: tuple[Witness, ...]
-    violations: dict[str, int]
-    samples: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(status == "pass" for status in self.axioms.values())
-
-    def to_dict(self) -> dict:
-        doc = _fields_dict(self)
-        # copies, so a caller editing the document cannot edit the report
-        doc["axioms"] = dict(self.axioms)
-        doc["witnesses"] = [asdict(w) for w in self.witnesses]
-        doc["violations"] = dict(self.violations)
-        doc["passed"] = self.passed
-        return doc
-
-
-class _Recorder:
-    """Collects the violations of checks run on whole sample arrays.
-
-    Witnesses come out in the order a per-sample loop would meet them:
-    by phase, then sample index, then the check's position in the phase
-    (the order of ``require`` calls).  Each rule keeps its first
-    ``max_witnesses``; ``counts`` has the full numbers.
-    """
-
-    def __init__(self, rules: tuple[str, ...], max_witnesses: int):
-        self.rules = rules
-        # a failing rule must keep at least one witness
-        self.max_witnesses = max(1, max_witnesses)
-        self.counts: dict[str, int] = {rule: 0 for rule in rules}
-        self._found: list[tuple[tuple[int, int, int], Witness]] = []
-        self._checks = 0
-
-    def require(self, phase: int, rule: str, points: tuple[np.ndarray, ...],
-                lhs: np.ndarray, rhs: np.ndarray | float, relation: str = "<=",
-                samples: np.ndarray | None = None) -> None:
-        """Check ``lhs relation rhs`` for every sample.  ``samples`` gives
-        the sample index of each element when the check covers only some
-        samples of its phase."""
-        rhs = np.broadcast_to(rhs, lhs.shape)
-        failing = np.flatnonzero(~_relation_holds(relation, lhs, rhs))
-        self.counts[rule] += failing.size
-        kept = failing[:self.max_witnesses]
-        index = (kept if samples is None else samples[kept]).tolist()
-        columns = [p[kept].tolist() for p in points]
-        for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs[kept].tolist()):
-            self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
-        self._checks += 1
-
-    def witnesses(self) -> tuple[Witness, ...]:
-        kept = {rule: 0 for rule in self.rules}
-        out = []
-        for _, w in sorted(self._found, key=lambda found: found[0]):
-            if kept[w.rule] < self.max_witnesses:
-                kept[w.rule] += 1
-                out.append(w)
-        return tuple(out)
-
-    def report(self, subject: str, domain: Interval, samples: int, seed: int) -> AxiomReport:
-        statuses = {rule: ("fail" if self.counts[rule] else "pass") for rule in self.rules}
-        return AxiomReport(
-            subject=subject,
-            domain=str(domain),
-            axioms=statuses,
-            witnesses=self.witnesses(),
-            violations=dict(self.counts),
-            samples=samples,
-            seed=seed,
-        )
-
-
-def _check_sample_count(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-
-
-def _check_sampling_args(domain: Interval, n: int) -> None:
-    _check_sample_count(n)
-    if not domain.finite:
-        raise ValueError(f"axiom checking needs a finite domain, got {domain}")
-    if not domain.hi - domain.lo > _MIN_SEPARATION:
-        raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
-                         f"got {domain}")
-
-
-def _uniform(rng: np.random.Generator, domain: Interval, n: int) -> np.ndarray:
-    return domain.lo + (domain.hi - domain.lo) * rng.random(n)
-
-
-def _distinct_pairs(rng: np.random.Generator, domain: Interval,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Rejection keeps pairs separated enough for strict-positivity checks.
-    # On a domain barely wider than the separation almost every draw is
-    # rejected, so the number of rounds is capped.
-    xs, ys = [], []
-    found = rounds = 0
-    while found < n:
-        if rounds == _MAX_PAIR_ROUNDS:
-            raise ValueError(f"found only {found} of {n} point pairs more than "
-                             f"{_MIN_SEPARATION} apart in {domain} after {rounds} rounds")
-        rounds += 1
-        x = _uniform(rng, domain, n)
-        y = _uniform(rng, domain, n)
-        apart = np.abs(x - y) > _MIN_SEPARATION
-        xs.append(x[apart])
-        ys.append(y[apart])
-        found += int(apart.sum())
-    return np.concatenate(xs)[:n], np.concatenate(ys)[:n]
-
-
-def _with_corners(corners: list[tuple[float, ...]],
-                  *columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sample columns, each preceded by its coordinates of the corner tuples."""
-    return tuple(np.concatenate((np.array(head, dtype=np.float64), col))
-                 for head, col in zip(zip(*corners), columns))
-
-
-def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
-                      max_witnesses: int = 32) -> AxiomReport:
-    """Sampled check of the multiplicative-metric axioms on ``domain``.
-
-    Rules reported: "floor" (distance >= 1), "identity" (equal points at
-    distance exactly 1), "separation" (distinct points strictly above 1),
-    "symmetry", and "triangle" (the multiplicative triangle inequality).
-    Deterministic given ``seed``; failures are data, not errors.
-    """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("floor", "identity", "separation", "symmetry", "triangle"), max_witnesses)
-
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
-
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p), d.many(p, p), 0.0, "==")
-
-    x, y = _with_corners([(lo, hi), (hi, lo), (lo, mid)], *_distinct_pairs(rng, domain, n))
-    dxy = d.many(x, y)
-    rec.require(1, "floor", (x, y), dxy, 0.0, ">=")
-    rec.require(1, "separation", (x, y), dxy, 0.0, ">")
-    rec.require(1, "symmetry", (x, y), dxy, d.many(y, x), "==")
-
-    x, y, z = _with_corners([(lo, hi, mid), (lo, lo, hi)],
-                            *(_uniform(rng, domain, n) for _ in range(3)))
-    rec.require(2, "triangle", (x, y, z), d.many(x, y), d.many(x, z) + d.many(z, y))
-
-    return rec.report(d.description or "multiplicative metric", domain, n, seed)
-
-
-_PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
-def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
-                    max_witnesses: int = 32) -> AxiomReport:
-    """Sampled check of the ternary multiplicative-metric axioms.
-
-    Rules reported: "identity" (G = 1 on the diagonal), "separation"
-    (1 < G(x,x,y) for x != y), "pair_dominance" (G(x,x,y) <= G(x,y,z)
-    whenever y != z), "permutation" (full symmetry in the arguments),
-    and "rectangle" (G(x,y,z) <= G(x,t,t) * G(t,y,z) for every t).
-    """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("identity", "separation", "pair_dominance", "permutation", "rectangle"),
-                    max_witnesses)
-
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
-
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
-
-    x, y = _with_corners([(lo, hi), (mid, hi)], *_distinct_pairs(rng, domain, n))
-    rec.require(1, "separation", (x, x, y), g.many(x, x, y), 0.0, ">")
-
-    base = _uniform(rng, domain, 3).tolist()
-    corners = [(lo, lo, hi), (lo, hi, hi), (lo, mid, hi), (hi, mid, lo)]
-    corners += [tuple(base[i] for i in perm) for perm in _PERMUTATIONS]
-    xyz = _with_corners(corners, *(_uniform(rng, domain, n) for _ in range(3)))
-    x, y, z = xyz
-    tvals = np.concatenate(([lo, hi, mid], _uniform(rng, domain, max(0, n - 3))))
-    t = tvals[np.arange(len(x)) % len(tvals)]
-
-    gxyz = g.many(x, y, z)
-    apart = np.flatnonzero(np.abs(y - z) > _MIN_SEPARATION)
-    xa, ya, za = x[apart], y[apart], z[apart]
-    rec.require(2, "pair_dominance", (xa, ya, za), g.many(xa, xa, ya), gxyz[apart],
-                samples=apart)
-    for perm in _PERMUTATIONS[1:]:
-        px, py, pz = (xyz[k] for k in perm)
-        rec.require(2, "permutation", (px, py, pz), g.many(px, py, pz), gxyz, "==")
-    rec.require(2, "rectangle", (x, y, z, t), gxyz, g.many(x, t, t) + g.many(t, y, z))
-
-    return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)
-
-
-def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int,
-                        max_witnesses: int = 32) -> AxiomReport:
-    """Sampled check of derived consequences of the ternary axioms.
-
-    Rules reported: "identity" (G = 1 on the diagonal), "star_bound"
-    (G(x,y,z) <= G(x,t,t) * G(y,t,t) * G(z,t,t)), "pair_split"
-    (G(x,y,z) <= G(x,x,y) * G(x,x,z)), and "swap_doubling"
-    (G(x,y,y) <= G(y,x,x)^2).  These hold in any valid space and make
-    useful smoke tests for user-supplied constructions.
-    """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("identity", "star_bound", "pair_split", "swap_doubling"), max_witnesses)
-
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
-
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
-
-    x, y, z = _with_corners([(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)],
-                            *(_uniform(rng, domain, n) for _ in range(3)))
-    tvals = np.concatenate(([mid, lo, hi], _uniform(rng, domain, max(0, n - 3))))
-    t = tvals[np.arange(len(x)) % len(tvals)]
-    gxyz = g.many(x, y, z)
-    rec.require(1, "star_bound", (x, y, z, t), gxyz,
-                g.many(x, t, t) + g.many(y, t, t) + g.many(z, t, t))
-    rec.require(1, "pair_split", (x, y, z), gxyz, g.many(x, x, y) + g.many(x, x, z))
-
-    x, y = _with_corners([(lo, hi), (hi, lo)], *_distinct_pairs(rng, domain, n))
-    rec.require(2, "swap_doubling", (x, y), g.many(x, y, y), 2.0 * g.many(y, x, x))
-
-    return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)

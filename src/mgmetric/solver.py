@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
-from .metric import ClosedBall, GMetric, LogDistance, Point, _fields_dict
+from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
                           seed_condition_holds)
 
@@ -49,6 +48,19 @@ class NonFiniteStep(RuntimeError):
         self.step_log = step_log
 
 
+class BelowFloor(RuntimeError):
+    """A step has a log-distance g(x_j, x_{j+1}, x_{j+1}) below the floor
+    LOG_FLOOR: the space is no multiplicative metric space there, so no
+    residual certifies anything."""
+
+    def __init__(self, index: int, point: float, step_log: float):
+        super().__init__(f"step {index} from iterate {point} has log-distance "
+                         f"{step_log} below the floor {LOG_FLOOR}")
+        self.index = index
+        self.point = point
+        self.step_log = step_log
+
+
 class SeedConditionViolated(RuntimeError):
     """The seed point fails the admissibility condition for its ball."""
 
@@ -69,8 +81,7 @@ class MaxIterationsExceeded(RuntimeError):
         self.last_residual_log = last_residual_log
 
 
-@dataclass(frozen=True)
-class OrderRelation:
+class OrderRelation(Record):
     """A partial-order predicate used to audit orbit monotonicity."""
 
     leq: Callable[[Point, Point], bool]
@@ -83,8 +94,7 @@ class OrderRelation:
 NUMERIC_ORDER = OrderRelation(leq=operator.le, description="numeric <=")
 
 
-@dataclass(frozen=True)
-class PicardTrace:
+class PicardTrace(Record):
     """Recorded orbit: iterates x_0..x_J, per-step log-distances
     g(x_j, x_{j+1}, x_{j+1}), a ball flag per iterate, and whether the
     orbit was non-increasing under the order relation."""
@@ -101,7 +111,7 @@ class PicardTrace:
             raise ValueError("trace needs exactly one ball flag per iterate")
 
     def to_dict(self) -> dict:
-        return _fields_dict(self)
+        return self._asdict()
 
     def to_csv(self) -> str:
         """Rows of (index, value, step_log, in_ball); the final row has
@@ -114,8 +124,7 @@ class PicardTrace:
                 + f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(Record):
     """A located fixed point with its residual certificate.
 
     ``certified_bound`` is the a-priori iteration count, or None when
@@ -143,7 +152,7 @@ class FixedPointResult:
         return self.trace.monotone
 
     def to_dict(self) -> dict:
-        doc = _fields_dict(self)
+        doc = self._asdict()
         doc["trace"] = self.trace.to_dict()
         doc["ball_exited"] = self.ball_exited
         doc["order_monotone"] = self.order_monotone
@@ -154,8 +163,9 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
            steps: int, tol: float | None) -> tuple[PicardTrace, LogDistance | None]:
     """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace.
 
-    Every iterate must lie in F's domain, else DomainExit, and every
-    step between two of them must have a finite log-distance, else
+    Every iterate must lie in F's domain, else DomainExit.  Every step
+    must have a log-distance on the floor or above, else BelowFloor, and
+    a step between two iterates of the domain a finite one, else
     NonFiniteStep.  With ``tol`` None the loop makes exactly ``steps``
     transitions.  Otherwise it stops at the first iterate whose residual
     g(x, Fx, Fx) is <= tol, and iterate ``steps`` above tol raises
@@ -166,7 +176,7 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
     step_logs: list[float] = []
     # F and g are called through their objects, so that wrappers of
     # SelfMap.__call__ and GMetric.__call__ see every evaluation.
-    contains, leq, isfinite = F.domain.contains, order.leq, math.isfinite
+    contains, leq, floor, inf = F.domain.contains, order.leq, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
     x = x0
@@ -178,9 +188,13 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
             break
         nxt = F(x)
         residual = g(x, nxt, nxt)
-        # a next iterate outside the domain is reported as DomainExit
-        if not isfinite(residual) and contains(nxt):
-            raise NonFiniteStep(j, x, residual)
+        # the floor rule, and finiteness; NaN fails both comparisons
+        if not floor <= residual < inf:
+            if residual < floor:
+                raise BelowFloor(j, x, residual)
+            # a next iterate outside the domain is reported as DomainExit
+            if contains(nxt):
+                raise NonFiniteStep(j, x, residual)
         if tol is not None and residual <= tol:
             break
         if j == steps:
@@ -202,8 +216,9 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
                  ball: ClosedBall, order: OrderRelation) -> PicardTrace:
     """Roll the orbit forward a fixed number of steps (no stopping rule).
 
-    Raises DomainExit as soon as an iterate leaves F's domain, and
-    NonFiniteStep at a step with a non-finite log-distance.
+    Raises DomainExit as soon as an iterate leaves F's domain, BelowFloor
+    at a step with a log-distance below the floor, and NonFiniteStep at a
+    step with a non-finite one.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -288,9 +303,10 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     ``certified_bound`` = None and ``rate_certified`` = False, or raises
     RateOutOfRange when ``require_certified`` is set.
 
-    Raises DomainExit if the orbit leaves F's domain, NonFiniteStep if a
-    step's log-distance is infinite or NaN, and MaxIterationsExceeded if
-    the residual never reaches tolerance.
+    Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
+    step's log-distance is below the floor, NonFiniteStep if it is
+    infinite or NaN, and MaxIterationsExceeded if the residual never
+    reaches tolerance.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")
@@ -315,7 +331,8 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
             "rerun with require_certified=False for a best-effort solve")
 
     trace, residual = _orbit(F, g, order, params.ball, x0, max_iter, math.log1p(epsilon))
-    log_g01 = trace.step_logs[0] if trace.step_logs else residual
+    # a first step on the floor may lie up to SLACK below 0
+    log_g01 = max(0.0, trace.step_logs[0] if trace.step_logs else residual)
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(

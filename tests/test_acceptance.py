@@ -6,7 +6,6 @@ failed assert is the FAIL line.  Run with ``pytest tests/test_acceptance.py -v``
 (add ``-s`` to see the PASS lines).
 """
 
-import dataclasses
 import math
 import time
 
@@ -189,7 +188,7 @@ def test_10_uniqueness_surrogate():
         points = []
         for s in seeds:
             assert G(fx.params.seed_point, s, s) <= ball_log
-            params = dataclasses.replace(fx.params, seed_point=float(s))
+            params = fx.params.replace(seed_point=float(s))
             assert seed_condition_holds(G, fx.map, params)
             r = solve_fixed_point(G, fx.map, NUMERIC_ORDER, params, epsilon=EPS)
             points.append(r.point)

@@ -274,6 +274,47 @@ def test_solve_non_finite_step_is_reported(capsys, tmp_path, fmt):
                    "log-distance inf\n")
 
 
+# A product-pl space whose pair log-distance is -1 everywhere, so
+# ln G = -3 on every triple: below the floor ln 1 = 0.
+BELOW_FLOOR_CONFIG = {
+    "space": {"kind": "product-pl",
+              "rows": [{"interval": [None, None], "slope": 0, "offset": -1}]},
+    "map": [{"interval": [0, None], "slope": 1, "offset": 5}],
+    "params": {"eta": 0.5, "gamma": 10, "x0": 3},
+}
+
+
+@pytest.mark.parametrize("mode", ["root", "implicit"])
+def test_solve_below_floor_residual_is_reported(capsys, tmp_path, mode):
+    # F(3) = 8, yet the residual g(3, 8, 8) = -3 is below any tolerance
+    cfg = tmp_path / "below-floor.json"
+    cfg.write_text(json.dumps(BELOW_FLOOR_CONFIG))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg), "--mode", mode,
+                              "--eta", "0.6")
+    assert code == 1
+    assert "point" not in doc
+    assert doc["error"] == {
+        "type": "BelowFloor",
+        "message": "step 0 from iterate 3.0 has log-distance -3.0 below the floor -1e-12"}
+    assert err.startswith("solve config: BelowFloor: ")
+
+
+@pytest.mark.parametrize("condition", ["root", "implicit"])
+def test_certify_below_floor_metric_is_violated(capsys, tmp_path, condition):
+    # both sides of the condition are negative and the condition holds;
+    # every metric value it used is below the floor
+    cfg = tmp_path / "below-floor.json"
+    cfg.write_text(json.dumps(BELOW_FLOOR_CONFIG))
+    code, doc, _ = run_json(capsys, "certify", "--config", str(cfg), "--condition", condition,
+                            "--region", "0:10", "--n", "100")
+    assert code == 1
+    assert doc["verdict"] == "violated"
+    assert doc["violations"] > 0
+    assert {w["rule"] for w in doc["witnesses"]} == {"floor"}
+    for w in doc["witnesses"]:
+        assert (w["lhs_log"], w["rhs_log"], w["relation"]) == (-3.0, 0.0, ">=")
+
+
 def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
     # (1 - eta) * gamma underflows to 0 for the smallest positive gamma
     code, doc, _ = run_json(capsys, "solve", "--fixture", "ex33", "--gamma", "5e-324")

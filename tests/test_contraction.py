@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -254,13 +253,13 @@ def test_certify_ball_mode_finds_translation_violation():
 
 
 def test_certify_ball_empty_below_floor():
-    params = dataclasses.replace(EX33.params, gamma=0.5)
+    params = EX33.params.replace(gamma=0.5)
     with pytest.raises(EmptyRegion):
         certify_region(G, EX33.map, params, "root", "ball", 100, seed=7)
 
 
 def test_certify_ball_degenerate_single_point():
-    params = dataclasses.replace(EX33.params, gamma=1.0)
+    params = EX33.params.replace(gamma=1.0)
     report = certify_region(G, EX33.map, params, "root", "ball", 200, seed=7)
     assert report.holds  # only the center is in the ball
     assert not report.seed_condition_ok  # budget (1-eta)*1 < 1
@@ -290,6 +289,22 @@ def test_implicit_nan_reference_term_is_a_violation():
                             Interval(0.001, 0.499), 200, seed=7)
     assert report.verdict == "violated"
     assert all(not w.holds() for w in report.witnesses)
+
+
+@pytest.mark.parametrize("condition", ["root", "implicit"])
+def test_certify_reports_metric_values_below_the_floor(condition):
+    # the perimeter less 1/2: the condition holds on every sample, but the
+    # metric is below its floor on every triple of perimeter under 1/2
+    g = GMetric(g=lambda x, y, z: perimeter(x, y, z) - 0.5, description="shifted perimeter")
+    halving = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    report = certify_region(g, halving, EX37.params, condition,
+                            Interval(0.001, 0.499), 200, seed=7)
+    assert report.verdict == "violated" and not report.holds
+    assert report.violations > 0
+    assert {w.rule for w in report.witnesses} == {"floor"}
+    for w in report.witnesses:
+        assert w.lhs_log == g(*w.points) < -SLACK
+        assert not w.holds()
 
 
 def test_certify_is_deterministic():

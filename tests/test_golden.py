@@ -55,22 +55,41 @@ def test_readme_commands_match_golden_digests(capsys):
 SCALAR_COMMANDS = {"solve-ex33-root", "solve-ex37-implicit", "solve-ex37-csv", "reproduce"}
 
 
+def _imported_modules(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -X importtime *args`` in a fresh interpreter: the
+    process, and the modules it imported (``-X importtime`` lists each
+    one on stderr)."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60)
+    return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("label", README_COMMANDS)
 def test_readme_command_in_a_fresh_process(label):
     """What a user runs: ``python -m mgmetric`` in a new interpreter.  Its
-    stdout matches the recorded digest, and the scalar commands finish
-    without importing numpy (``-X importtime`` lists every module the
-    process imports, on stderr)."""
+    stdout matches the recorded digest, and it imports only what its
+    command needs: no ``dataclasses`` for any command, no numpy, no
+    ``inspect`` and no sampling module for the scalar commands, and no
+    solver for ``reproduce``."""
     recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mgmetric",
-                           *README_COMMANDS[label]],
-                          capture_output=True, text=True, timeout=60)
+    proc, imported = _imported_modules("-m", "mgmetric", *README_COMMANDS[label])
     assert proc.returncode == (1 if label == "certify-ex33-root-violated" else 0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert "mgmetric.cli" in imported
     assert ("numpy._core" in imported) == (label not in SCALAR_COMMANDS)
+    assert "dataclasses" not in imported
+    assert ("mgmetric.sampling" in imported) == (label not in SCALAR_COMMANDS)
+    if label in SCALAR_COMMANDS:
+        assert "inspect" not in imported
+    assert ("mgmetric.solver" in imported) == label.startswith("solve")
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    proc, imported = _imported_modules("-c", "import mgmetric")
+    assert proc.returncode == 0
+    assert "mgmetric" in imported
+    assert {name for name in imported if name.startswith("mgmetric.")} == set()
 
 
 def test_no_module_imports_numpy_directly():

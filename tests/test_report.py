@@ -2,13 +2,13 @@
 
 Each is held to a copy of the implementation it replaced, kept here as
 the reference: the recursive renderer with one call per leaf, the
-``dataclasses.asdict`` documents, and the ``csv.writer`` rows.  The
+recursive-copy documents ``dataclasses.asdict`` made of the reports when
+they were dataclasses, and the ``csv.writer`` rows.  The
 rendered bytes must be identical, since the CLI's reports are.
 """
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgmetric import AxiomReport, CertificateReport, FixedPointResult, PicardTrace, Witness
 from mgmetric._jsonutil import dumps
+from mgmetric.metric import Record
 
 
 def reference_render(obj, indent: int = 2, level: int = 0) -> str:
@@ -50,16 +51,29 @@ def reference_render(obj, indent: int = 2, level: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
+def reference_asdict(obj):
+    # dataclasses.asdict over the record fields: every record becomes a
+    # dict and every container a new one, recursively; leaves are deep
+    # copies
+    if isinstance(obj, Record):
+        return {name: reference_asdict(getattr(obj, name)) for name in type(obj)._fields}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(reference_asdict(v) for v in obj)
+    if isinstance(obj, dict):
+        return type(obj)((reference_asdict(k), reference_asdict(v)) for k, v in obj.items())
+    return copy.deepcopy(obj)
+
+
 def reference_to_dict(report) -> dict:
-    doc = dataclasses.asdict(report)
+    doc = reference_asdict(report)
     if isinstance(report, FixedPointResult):
         doc["ball_exited"] = report.ball_exited
         doc["order_monotone"] = report.order_monotone
     if isinstance(report, AxiomReport):
-        doc["witnesses"] = [dataclasses.asdict(w) for w in report.witnesses]
+        doc["witnesses"] = [reference_asdict(w) for w in report.witnesses]
         doc["passed"] = report.passed
     if isinstance(report, CertificateReport):
-        doc["witnesses"] = [dataclasses.asdict(w) for w in report.witnesses]
+        doc["witnesses"] = [reference_asdict(w) for w in report.witnesses]
         doc["holds"] = report.holds
     return doc
 

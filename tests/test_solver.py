@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mgmetric import (
     NUMERIC_ORDER,
+    SLACK,
+    BelowFloor,
     ClosedBall,
     ContractionParams,
     DomainExit,
@@ -212,7 +213,7 @@ def test_solve_implicit_uncertified_rate_still_converges():
 
 def test_solve_implicit_certified_when_rate_below_one():
     # eta = 0.34 gives mu ~ 0.515, certifiable and above the halving factor
-    params = dataclasses.replace(EX37.params, eta=0.34)
+    params = EX37.params.replace(eta=0.34)
     r = solve_fixed_point(G, EX37.map, NUMERIC_ORDER, params, mode="implicit",
                           epsilon=TOL)
     assert r.mu_class == "below_one"
@@ -222,7 +223,7 @@ def test_solve_implicit_certified_when_rate_below_one():
 
 def test_solve_implicit_below_half_class():
     # quarter-shift orbit contracts steps by 1/4 <= mu = 1/3
-    params = dataclasses.replace(EX33.params, eta=0.25, seed_point=0.25)
+    params = EX33.params.replace(eta=0.25, seed_point=0.25)
     r = solve_fixed_point(G, EX33.map, NUMERIC_ORDER, params, mode="implicit",
                           epsilon=TOL)
     assert r.mu == pytest.approx(1 / 3)
@@ -264,7 +265,7 @@ def test_solve_domain_exit():
 
 
 def test_solve_idempotent_on_fixed_seed():
-    params = dataclasses.replace(EX33.params, seed_point=0.0)
+    params = EX33.params.replace(seed_point=0.0)
     r = solve_fixed_point(G, EX33.map, NUMERIC_ORDER, params, epsilon=TOL)
     assert r.point == 0.0
     assert r.iterations_used == 0
@@ -314,6 +315,31 @@ def test_non_finite_step_ends_the_orbit():
     assert picard_trace(F, 3.0, 1, G, BALL, NUMERIC_ORDER).step_logs == (3.0,)
 
 
+def test_below_floor_step_ends_the_orbit():
+    # ln G = -1.5 on every triple off the diagonal: the first step is below
+    # the floor, and its residual below any tolerance
+    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1.5, description="negative")
+    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
+    for run in (lambda: picard_trace(F, 3.0, 10, g, BALL, NUMERIC_ORDER),
+                lambda: solve_fixed_point(g, F, NUMERIC_ORDER, params, epsilon=TOL)):
+        with pytest.raises(BelowFloor) as err:
+            run()
+        assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
+
+
+def test_step_on_the_floor_within_slack_is_accepted():
+    # -SLACK itself is on the floor: the steps are recorded, and a solve
+    # converges at once with the a-priori bound of a first step of 0
+    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1e-12, description="slack")
+    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    trace = picard_trace(F, 3.0, 2, g, BALL, NUMERIC_ORDER)
+    assert trace.step_logs == (-1e-12, -1e-12)
+    params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
+    r = solve_fixed_point(g, F, NUMERIC_ORDER, params, epsilon=TOL)
+    assert (r.point, r.residual_log, r.iterations_used, r.certified_bound) == (3.0, -1e-12, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # solve: certified properties
 
@@ -341,7 +367,7 @@ def test_uniqueness_surrogate_across_admissible_seeds(fixture):
     assert len(seeds) == 10
     points = []
     for s in seeds:
-        params = dataclasses.replace(fx.params, seed_point=float(s))
+        params = fx.params.replace(seed_point=float(s))
         assert G(params.seed_point, fx.map(params.seed_point),
                  fx.map(params.seed_point)) <= math.log((1 - params.eta) * params.gamma)
         points.append(solve_fixed_point(G, fx.map, NUMERIC_ORDER, params,
@@ -355,7 +381,7 @@ def test_uniqueness_surrogate_across_admissible_seeds(fixture):
                                           ("ex37", 0.3), ("ex37", 0.45)])
 def test_monotone_trace_on_contraction_branch(fixture, seed):
     fx = get_fixture(fixture)
-    params = dataclasses.replace(fx.params, seed_point=seed)
+    params = fx.params.replace(seed_point=seed)
     r = solve_fixed_point(G, fx.map, NUMERIC_ORDER, params, epsilon=TOL)
     assert r.order_monotone
 
@@ -405,3 +431,34 @@ def test_solve_trace_is_the_fixed_step_trace(config, slack, mode, batched):
     assert r.trace == trace
     for x, flag in zip(trace.iterates, trace.in_ball):
         assert flag == ball_contains(g, params.ball, x)
+
+
+@st.composite
+def signed_pl_spaces(draw):
+    """A product-pl space whose log-distance is linear in x - y on each
+    side of 0, with slopes and offsets of either sign, so that ln G may
+    lie below the floor; a map s * x + t on [0, inf); and a seed."""
+    def row(lo, hi):
+        return {"interval": [lo, hi], "slope": draw(st.floats(min_value=-2.0, max_value=2.0)),
+                "offset": draw(st.floats(min_value=-1.0, max_value=1.0))}
+    space = {"kind": "product-pl", "rows": [row(None, 0.0), row(0.0, None)]}
+    F = [{"interval": [0.0, None], "slope": draw(st.floats(min_value=0.0, max_value=0.95)),
+          "offset": draw(st.floats(min_value=0.0, max_value=5.0))}]
+    return {"space": space, "map": F}, draw(st.floats(min_value=0.0, max_value=10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_pl_spaces(), st.sampled_from(["root", "implicit"]))
+def test_solve_never_accepts_a_step_below_the_floor(config, mode):
+    # implicit mode with eta 0.6 is uncertified, so no a-priori bound
+    # looks at the first step either
+    doc, x0 = config
+    fx = load_fixture_config(doc)
+    params = ContractionParams(eta=0.4 if mode == "root" else 0.6, gamma=1e6, seed_point=x0)
+    try:
+        r = solve_fixed_point(fx.gmetric, fx.map, NUMERIC_ORDER, params, mode=mode,
+                              epsilon=TOL, max_iter=200)
+    except (BelowFloor, SeedConditionViolated, MaxIterationsExceeded, NonFiniteStep):
+        return
+    assert min(r.trace.step_logs, default=0.0) >= -SLACK
+    assert r.residual_log >= -SLACK

@@ -7,8 +7,14 @@ relies on.  Only the primitive shapes reports actually use are handled.
 
 from __future__ import annotations
 
-import json
 import math
+
+# The C function json.dumps quotes a str with, so strings render as
+# json.dumps renders them without importing json.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter built without the accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 _BOOLS = ("false", "true")
 
@@ -25,7 +31,7 @@ def _render(obj, indent: int, level: int) -> str:
             raise ValueError(f"non-finite float {obj} is not representable in a report")
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if not isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"cannot render {type(obj).__name__} in a report")
     if not obj:
@@ -34,7 +40,7 @@ def _render(obj, indent: int, level: int) -> str:
     close_pad = " " * (indent * level)
     sep = ",\n" + pad
     if isinstance(obj, dict):
-        items = sep.join(f"{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+        items = sep.join(f"{_quote(str(k))}: {_render(v, indent, level + 1)}"
                          for k, v in obj.items())
         return "{\n" + pad + items + "\n" + close_pad + "}"
     # A sequence of finite floats only, or of bools only (a trace's

@@ -281,10 +281,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of ``main`` and reused by every later one:
+# building it costs several times what parsing with it does.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

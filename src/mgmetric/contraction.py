@@ -19,7 +19,7 @@ import functools
 import math
 from typing import Callable
 
-from .metric import (SLACK, ClosedBall, GMetric, Interval, LogDistance, Point, Record,
+from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, Interval, LogDistance, Point, Record,
                      _evaluate_many, _relation_holds, np)
 
 
@@ -130,14 +130,15 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     """Seed admissibility: g(x0, Fx0, Fx0) <= ln((1 - eta) * gamma).
 
     Returns False (not an error) when x0 is outside F's domain, where it
-    has no image, and when (1 - eta) * gamma < 1, where the budget is
-    below the metric's floor and nothing can satisfy it; that includes a
-    budget that underflows to 0.
+    has no image, when (1 - eta) * gamma < 1, where the budget is below
+    the metric's floor and nothing can satisfy it (that includes a
+    budget that underflows to 0), and when g(x0, Fx0, Fx0) is itself
+    below the floor, where the space is no multiplicative metric space.
     """
     x0 = params.seed_point
     budget = (1.0 - params.eta) * params.gamma
     return (F.domain.contains(x0) and budget > 0.0
-            and g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK)
+            and LOG_FLOOR <= g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK)
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,

@@ -75,8 +75,7 @@ class _Recorder:
                 samples: np.ndarray | None = None) -> None:
         """Check ``lhs relation rhs`` for every sample.  ``samples`` gives
         the sample index of each element when the check covers only some
-        samples of its phase."""
-        rhs = np.broadcast_to(rhs, lhs.shape)
+        samples of its phase.  A float ``rhs`` applies to every sample."""
         self._record(phase, rule, points, lhs, rhs, relation, samples,
                      np.flatnonzero(~_relation_holds(relation, lhs, rhs)))
 
@@ -85,15 +84,18 @@ class _Recorder:
         """The "floor" rule on evaluated log values: each must be >= 0
         within SLACK, so one below LOG_FLOOR is a witness.  A NaN value
         is not below the floor; the other checks of a sample report it."""
-        self._record(phase, "floor", points, values, np.broadcast_to(0.0, values.shape), ">=",
-                     None, np.flatnonzero(values < LOG_FLOOR))
+        self._record(phase, "floor", points, values, 0.0, ">=", None,
+                     np.flatnonzero(values < LOG_FLOOR))
 
     def _record(self, phase, rule, points, lhs, rhs, relation, samples, failing) -> None:
         self.counts[rule] += failing.size
         kept = failing[:self.max_witnesses]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
-        for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs[kept].tolist()):
+        # a float rhs is expanded only for the kept witnesses
+        rhs_log = (rhs[kept].tolist() if isinstance(rhs, np.ndarray)
+                   else [float(rhs)] * kept.size)
+        for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs_log):
             self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
         self._checks += 1
 

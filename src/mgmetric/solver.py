@@ -297,11 +297,12 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     fixed point.
 
     The seed condition is checked first and SeedConditionViolated raised
-    on failure (DomainExit when the seed is outside F's domain).  ``mode`` selects the rate for the a-priori bound: eta
-    for "root", mu = eta / (1 - eta) for "implicit".  A rate >= 1 cannot
-    be certified; by default the solver then runs best-effort with
-    ``certified_bound`` = None and ``rate_certified`` = False, or raises
-    RateOutOfRange when ``require_certified`` is set.
+    on failure (DomainExit when the seed is outside F's domain, BelowFloor
+    when its step is below the floor).  ``mode`` selects the rate for the
+    a-priori bound: eta for "root", mu = eta / (1 - eta) for "implicit".
+    A rate >= 1 cannot be certified; by default the solver then runs
+    best-effort with ``certified_bound`` = None and ``rate_certified`` =
+    False, or raises RateOutOfRange when ``require_certified`` is set.
 
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
@@ -315,12 +316,15 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
     x0 = params.seed_point
-    # a seed outside F's domain has no image; the orbit raises DomainExit
+    # a seed outside F's domain has no image, and a seed step below the
+    # floor breaks the space: the orbit raises DomainExit or BelowFloor
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
-        budget = (1.0 - params.eta) * params.gamma
-        raise SeedConditionViolated(
-            f"seed {x0} has log-distance {g(x0, F(x0), F(x0))} "
-            f"to its image, above the budget ln({budget})")
+        seed_log = g(x0, F(x0), F(x0))
+        if not seed_log < LOG_FLOOR:
+            budget = (1.0 - params.eta) * params.gamma
+            raise SeedConditionViolated(
+                f"seed {x0} has log-distance {seed_log} "
+                f"to its image, above the budget ln({budget})")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from mgmetric import cli
 from mgmetric.cli import main
+from test_golden import GOLDEN, README_COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +316,8 @@ def test_certify_below_floor_metric_is_violated(capsys, tmp_path, condition):
     assert {w["rule"] for w in doc["witnesses"]} == {"floor"}
     for w in doc["witnesses"]:
         assert (w["lhs_log"], w["rhs_log"], w["relation"]) == (-3.0, 0.0, ">=")
+    # g(3, 8, 8) = -3 is below the floor too, not within the seed budget
+    assert doc["seed_condition_ok"] is False
 
 
 def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
@@ -418,3 +423,42 @@ def test_usage_error_on_bad_region(capsys):
                            "--condition", "root", "--region", "oops")
     assert code == 2
     assert "bad region" in err
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    """Repeated in-process calls share one parser, also after a usage
+    error and ``--help``, and print the recorded bytes every time.  The
+    builder is wrapped as perfbench's tracer wraps it, with a wrapper
+    over the built parser's ``parse_args``: were it called again, such
+    wrappers would pile up."""
+    recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"]
+    build = cli._build_parser
+    builds = parses = 0
+
+    def counting_build():
+        nonlocal builds
+        builds += 1
+        parser = build()
+        parse = parser.parse_args
+
+        def counting_parse(*args, **kwargs):
+            nonlocal parses
+            parses += 1
+            return parse(*args, **kwargs)
+
+        parser.parse_args = counting_parse
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    for round_ in range(2):
+        for label, argv in README_COMMANDS.items():
+            main(list(argv))
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert digest == recorded[label], (round_, label)
+        if round_ == 0:
+            assert main(["certify", "--fixture", "ex33"]) == 2  # no --condition
+            assert main(["--help"]) == 0
+            capsys.readouterr()
+    assert builds == 1
+    assert parses == 2 * len(README_COMMANDS) + 2

@@ -105,6 +105,14 @@ def test_seed_condition_false_outside_map_domain():
     assert not seed_condition_holds(G, F, params)
 
 
+@pytest.mark.parametrize("seed_log,holds", [(-0.5, False), (-SLACK / 2, True), (0.0, True)])
+def test_seed_condition_false_below_the_floor(seed_log, holds):
+    # every seed_log here is within the budget ln(2.0625); one below the
+    # floor is no multiplicative distance, one within SLACK of it is
+    g = GMetric(g=lambda x, y, z: seed_log, description="constant")
+    assert seed_condition_holds(g, EX33.map, EX33.params) is holds
+
+
 def test_seed_condition_monotone_in_gamma():
     rng = np.random.default_rng(17)
     for _ in range(200):

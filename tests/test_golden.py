@@ -69,9 +69,9 @@ def _imported_modules(*args: str) -> tuple[subprocess.CompletedProcess, set[str]
 def test_readme_command_in_a_fresh_process(label):
     """What a user runs: ``python -m mgmetric`` in a new interpreter.  Its
     stdout matches the recorded digest, and it imports only what its
-    command needs: no ``dataclasses`` for any command, no numpy, no
-    ``inspect`` and no sampling module for the scalar commands, and no
-    solver for ``reproduce``."""
+    command needs: no ``dataclasses`` and no ``json`` for any command, no
+    numpy, no ``inspect`` and no sampling module for the scalar
+    commands, and no solver for ``reproduce``."""
     recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
     proc, imported = _imported_modules("-m", "mgmetric", *README_COMMANDS[label])
     assert proc.returncode == (1 if label == "certify-ex33-root-violated" else 0)
@@ -79,6 +79,7 @@ def test_readme_command_in_a_fresh_process(label):
     assert "mgmetric.cli" in imported
     assert ("numpy._core" in imported) == (label not in SCALAR_COMMANDS)
     assert "dataclasses" not in imported
+    assert "json" not in imported
     assert ("mgmetric.sampling" in imported) == (label not in SCALAR_COMMANDS)
     if label in SCALAR_COMMANDS:
         assert "inspect" not in imported

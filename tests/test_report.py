@@ -1,10 +1,13 @@
-"""The report path: shallow ``to_dict``, the JSON renderer, the trace CSV.
+"""The report path: shallow ``to_dict``, the JSON renderer and its
+string quoting, the trace CSV, and the witnesses a recorder keeps.
 
 Each is held to a copy of the implementation it replaced, kept here as
-the reference: the recursive renderer with one call per leaf, the
-recursive-copy documents ``dataclasses.asdict`` made of the reports when
-they were dataclasses, and the ``csv.writer`` rows.  The
-rendered bytes must be identical, since the CLI's reports are.
+the reference: the recursive renderer with one call per leaf,
+``json.dumps`` for strings, the recursive-copy documents
+``dataclasses.asdict`` made of the reports when they were dataclasses,
+the ``csv.writer`` rows, and a right-hand side broadcast to a full
+array.  The rendered bytes must be identical, since the CLI's reports
+are.
 """
 
 import copy
@@ -13,12 +16,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgmetric import AxiomReport, CertificateReport, FixedPointResult, PicardTrace, Witness
 from mgmetric._jsonutil import dumps
 from mgmetric.metric import Record
+from mgmetric.sampling import _Recorder
 
 
 def reference_render(obj, indent: int = 2, level: int = 0) -> str:
@@ -201,3 +206,35 @@ def test_editing_to_dict_leaves_report_unchanged(report):
     _scramble(report.to_dict())
     assert report == snapshot
     assert dumps(report.to_dict()) == before
+
+
+# Any code point, lone surrogates included, and the characters JSON
+# escapes: quotes, backslashes, control characters.
+ANY_TEXT = st.text(st.characters(exclude_categories=())
+                   | st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u2028\ud800\udfff\U0001f600'))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_TEXT, st.dictionaries(ANY_TEXT, ANY_TEXT, max_size=4))
+def test_strings_render_as_json_dumps_renders_them(text, doc):
+    assert dumps(text) == json.dumps(text)
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ANY_FLOATS, max_size=40), ANY_FLOATS,
+       st.sampled_from(["<=", ">=", ">", "=="]), st.integers(min_value=0, max_value=4))
+def test_scalar_rhs_records_as_a_full_array_does(lhs, rhs, relation, max_witnesses):
+    lhs = np.array(lhs, dtype=np.float64)
+    points = (np.arange(lhs.size, dtype=np.float64), lhs)
+    recorders = []
+    for side in (rhs, np.full(lhs.shape, rhs)):
+        rec = _Recorder(("rule",), max_witnesses)
+        with np.errstate(invalid="ignore", over="ignore"):  # "==" subtracts
+            rec.require(0, "rule", points, lhs, side, relation)
+        recorders.append(rec)
+    scalar, full = recorders
+    assert scalar.counts == full.counts
+    # repr, so that NaN fields compare equal
+    assert repr(scalar.witnesses()) == repr(full.witnesses())
+    assert all(type(w.rhs_log) is float for w in scalar.witnesses())

@@ -11,10 +11,7 @@ import math
 
 # The C function json.dumps quotes a str with, so strings render as
 # json.dumps renders them without importing json.
-try:
-    from _json import encode_basestring_ascii as _quote
-except ImportError:  # an interpreter built without the accelerator
-    from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 _BOOLS = ("false", "true")
 

@@ -92,9 +92,7 @@ class _Recorder:
         kept = failing[:self.max_witnesses]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
-        # a float rhs is expanded only for the kept witnesses
-        rhs_log = (rhs[kept].tolist() if isinstance(rhs, np.ndarray)
-                   else [float(rhs)] * kept.size)
+        rhs_log = np.broadcast_to(rhs, lhs.shape)[kept].tolist()
         for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs_log):
             self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
         self._checks += 1

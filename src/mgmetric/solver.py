@@ -316,15 +316,15 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
     x0 = params.seed_point
-    # a seed outside F's domain has no image, and a seed step below the
-    # floor breaks the space: the orbit raises DomainExit or BelowFloor
+    # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
         seed_log = g(x0, F(x0), F(x0))
-        if not seed_log < LOG_FLOOR:
-            budget = (1.0 - params.eta) * params.gamma
-            raise SeedConditionViolated(
-                f"seed {x0} has log-distance {seed_log} "
-                f"to its image, above the budget ln({budget})")
+        if seed_log < LOG_FLOOR:
+            raise BelowFloor(0, x0, seed_log)
+        budget = (1.0 - params.eta) * params.gamma
+        raise SeedConditionViolated(
+            f"seed {x0} has log-distance {seed_log} "
+            f"to its image, above the budget ln({budget})")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu

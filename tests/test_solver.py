@@ -328,6 +328,19 @@ def test_below_floor_step_ends_the_orbit():
         assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
 
 
+@pytest.mark.parametrize("eta,gamma", [(0.6, 10.0), (0.99, 1.0)])
+def test_seed_step_below_the_floor_is_reported_before_the_rate(eta, gamma):
+    # implicit mode with eta >= 0.5 has rate mu >= 1, and the budget of the
+    # second case is below the floor: BelowFloor comes first either way
+    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1.5, description="negative")
+    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    params = ContractionParams(eta=eta, gamma=gamma, seed_point=3.0)
+    with pytest.raises(BelowFloor) as err:
+        solve_fixed_point(g, F, NUMERIC_ORDER, params, mode="implicit", epsilon=TOL,
+                          require_certified=True)
+    assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
+
+
 def test_step_on_the_floor_within_slack_is_accepted():
     # -SLACK itself is on the floor: the steps are recorded, and a solve
     # converges at once with the a-priori bound of a first step of 0

@@ -21,10 +21,9 @@ _NAMES = {
                    "root_contraction_holds seed_condition_holds",
     "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
                 "check_gm_properties check_mult_axioms",
-    "solver": "NUMERIC_ORDER BelowFloor DomainExit FixedPointResult MaxIterationsExceeded "
-              "NonFiniteStep OrderRelation PicardTrace RateOutOfRange SeedConditionViolated "
-              "a_priori_iterations converged mu_class mu_of picard_trace solve_fixed_point "
-              "step_bound",
+    "solver": "BelowFloor DomainExit FixedPointResult MaxIterationsExceeded NonFiniteStep "
+              "PicardTrace RateOutOfRange SeedConditionViolated SolveError a_priori_iterations "
+              "converged mu_class mu_of picard_trace solve_fixed_point step_bound",
     "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseRow get_fixture half_shift_map "
                 "load_fixture_config piecewise_map quarter_shift_map registry usual_metric",
 }

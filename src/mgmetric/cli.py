@@ -147,8 +147,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .solver import (NUMERIC_ORDER, BelowFloor, DomainExit, MaxIterationsExceeded,
-                         NonFiniteStep, SeedConditionViolated, solve_fixed_point)
+    from .solver import SolveError, solve_fixed_point
 
     fx = _resolve_fixture(args)
     if fx.map is None:
@@ -156,11 +155,9 @@ def cmd_solve(args) -> int:
     params = _resolve_params(fx, args)
 
     try:
-        result = solve_fixed_point(fx.gmetric, fx.map, NUMERIC_ORDER, params,
-                                   mode=args.mode, epsilon=args.epsilon,
-                                   max_iter=args.max_iter)
-    except (SeedConditionViolated, MaxIterationsExceeded, DomainExit, NonFiniteStep,
-            BelowFloor) as exc:
+        result = solve_fixed_point(fx.gmetric, fx.map, params, mode=args.mode,
+                                   epsilon=args.epsilon, max_iter=args.max_iter)
+    except SolveError as exc:
         doc = {
             "command": "solve",
             "fixture": fx.id,

@@ -34,10 +34,7 @@ class ContractionParams(Record):
 
     def __post_init__(self) -> None:
         _validate_eta_m(self.eta, self.m)
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
-        if not (math.isfinite(self.seed_point) and self.seed_point >= 0.0):
-            raise ValueError(f"seed point must be a nonnegative finite real, got {self.seed_point}")
+        self.ball  # the ball rule checks gamma and the seed point
 
     @property
     def ball(self) -> ClosedBall:

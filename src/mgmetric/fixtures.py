@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
-from .metric import (GMetric, Interval, MultMetric, Point, Record, _Fresh, gm_from_exp,
+from .metric import (GMetric, Interval, MultMetric, Point, Record, gm_from_exp,
                      gm_from_product, np)
 from .contraction import ContractionParams, SelfMap
 
@@ -125,7 +126,7 @@ class NamedFixture(Record):
     mult: MultMetric | None = None
     map: SelfMap | None = None
     params: ContractionParams | None = None
-    metadata: Mapping[str, object] = _Fresh(dict)
+    metadata: Mapping[str, object] = MappingProxyType({})
 
 
 _STOCK_PARAMS = ContractionParams(eta=5.0 / 8.0, gamma=11.0 / 2.0, seed_point=1.0 / 3.0)

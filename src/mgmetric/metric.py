@@ -55,33 +55,25 @@ Point = float
 LogDistance = float
 
 
-class _Fresh:
-    """Default of a record field that is built anew for each record."""
-
-    def __init__(self, factory: Callable[[], object]):
-        self.factory = factory
-
-
 class Record:
     """Base of the package's frozen records.
 
-    The fields are the names annotated in the class body, in order, after
-    those of a record base class; a class attribute of the same name is
-    the field's default (``_Fresh(factory)`` for one built per record).
+    The fields are the names annotated in the class body, in order; a
+    class attribute of the same name is the field's default, shared by
+    every record that takes it, so a default must be immutable.
     A record is built from positional or keyword arguments, then
     ``__post_init__`` validates it.  Its fields cannot be assigned, and
     ``==``, ``hash`` and ``repr`` go by the fields.  Copying and pickling
     restore the fields without validating again.
     """
 
-    _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
+    _fields: tuple[str, ...]
+    _defaults: dict[str, object]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = [n for n in cls.__dict__.get("__annotations__", ()) if n not in cls._fields]
-        cls._fields += tuple(own)
-        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         cls, names = type(self), self._fields
@@ -92,7 +84,7 @@ class Record:
         if len(values) < len(names):
             raise TypeError(f"{cls.__name__}() missing {[n for n in names if n not in values]}")
         for n in names:  # object.__setattr__: filling self.__dict__ slows every read
-            object.__setattr__(self, n, v.factory() if isinstance(v := values[n], _Fresh) else v)
+            object.__setattr__(self, n, values[n])
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -186,10 +178,6 @@ class MultMetric(Record):
     def __call__(self, x: Point, y: Point) -> LogDistance:
         return self.dist(x, y)
 
-    def value(self, x: Point, y: Point) -> float:
-        """Multiplicative (exponentiated) distance."""
-        return math.exp(self.dist(x, y))
-
     def many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``dist`` of each pair of elements of two float64 arrays."""
         return _evaluate_many(self.dist, self.batch, x, y)
@@ -232,9 +220,11 @@ class ClosedBall(Record):
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.center) and self.center >= 0.0):
-            raise ValueError(f"ball center must be a nonnegative finite real, got {self.center}")
+            raise ValueError("ball center (seed point) must be a nonnegative finite real, "
+                             f"got {self.center}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"ball radius must be a positive finite real, got {self.radius}")
+            raise ValueError("ball radius (gamma) must be a positive finite real, "
+                             f"got {self.radius}")
 
     @property
     def log_radius(self) -> float:
@@ -318,21 +308,21 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
 # Each required relation between lhs_log and rhs_log, for floats and
 # float64 arrays alike.  A NaN side fails every relation.
 _RELATIONS = {
-    "<=": lambda lhs, rhs, slack: lhs <= rhs + slack,
-    ">=": lambda lhs, rhs, slack: lhs >= rhs - slack,
-    ">": lambda lhs, rhs, slack: lhs > rhs + slack,
-    "==": lambda lhs, rhs, slack: abs(lhs - rhs) <= slack,
+    "<=": lambda lhs, rhs: lhs <= rhs + SLACK,
+    ">=": lambda lhs, rhs: lhs >= rhs - SLACK,
+    ">": lambda lhs, rhs: lhs > rhs + SLACK,
+    "==": lambda lhs, rhs: abs(lhs - rhs) <= SLACK,
 }
 
 
-def _relation_holds(relation: str, lhs, rhs, slack: float = SLACK):
-    """Whether ``lhs relation rhs`` holds within ``slack``; elementwise
-    on float64 arrays."""
+def _relation_holds(relation: str, lhs, rhs):
+    """Whether ``lhs relation rhs`` holds within SLACK; elementwise on
+    float64 arrays."""
     try:
         test = _RELATIONS[relation]
     except KeyError:
         raise ValueError(f"unknown relation {relation!r}") from None
-    return test(lhs, rhs, slack)
+    return test(lhs, rhs)
 
 
 class Witness(Record):
@@ -349,6 +339,6 @@ class Witness(Record):
     rhs_log: float
     relation: str = "<="
 
-    def holds(self, slack: float = SLACK) -> bool:
+    def holds(self) -> bool:
         """Re-evaluate the required relation from the stored sides."""
-        return bool(_relation_holds(self.relation, self.lhs_log, self.rhs_log, slack))
+        return bool(_relation_holds(self.relation, self.lhs_log, self.rhs_log))

@@ -10,22 +10,27 @@ a-priori iteration bound from the geometric tail:
 
 with rate = eta for the root condition.  For the implicit condition the
 per-step factor telescopes to mu = eta / (1 - eta); the bound is only
-certifiable when mu < 1, i.e. eta < 1/2.  For larger eta the solver
-still runs best-effort and flags the rate as uncertified.
+certifiable when mu < 1, i.e. eta < 1/2.  The rate is certified only
+when every recorded step also contracts by it, so the bound never
+rests on an eta the map does not meet; otherwise the solver still runs
+best-effort and flags the rate as uncertified.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import Callable
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
                           seed_condition_holds)
 
 
-class DomainExit(RuntimeError):
+class SolveError(RuntimeError):
+    """A solve that ends without a certified fixed point: the base of the
+    errors a solve report names."""
+
+
+class DomainExit(SolveError):
     """An iterate left the self-map's declared domain (an infinite or
     NaN iterate is in no domain)."""
 
@@ -35,7 +40,7 @@ class DomainExit(RuntimeError):
         self.point = point
 
 
-class NonFiniteStep(RuntimeError):
+class NonFiniteStep(SolveError):
     """A step between two iterates of the domain has a non-finite
     log-distance g(x_j, x_{j+1}, x_{j+1}): the step length overflowed,
     or the metric gave NaN."""
@@ -48,7 +53,7 @@ class NonFiniteStep(RuntimeError):
         self.step_log = step_log
 
 
-class BelowFloor(RuntimeError):
+class BelowFloor(SolveError):
     """A step has a log-distance g(x_j, x_{j+1}, x_{j+1}) below the floor
     LOG_FLOOR: the space is no multiplicative metric space there, so no
     residual certifies anything."""
@@ -61,7 +66,7 @@ class BelowFloor(RuntimeError):
         self.step_log = step_log
 
 
-class SeedConditionViolated(RuntimeError):
+class SeedConditionViolated(SolveError):
     """The seed point fails the admissibility condition for its ball."""
 
 
@@ -69,7 +74,7 @@ class RateOutOfRange(ValueError):
     """A geometric rate >= 1 cannot certify an iteration bound."""
 
 
-class MaxIterationsExceeded(RuntimeError):
+class MaxIterationsExceeded(SolveError):
     """The residual did not reach tolerance within the iteration budget."""
 
     def __init__(self, iterations: int, last_point: float, last_residual_log: float):
@@ -81,23 +86,10 @@ class MaxIterationsExceeded(RuntimeError):
         self.last_residual_log = last_residual_log
 
 
-class OrderRelation(Record):
-    """A partial-order predicate used to audit orbit monotonicity."""
-
-    leq: Callable[[Point, Point], bool]
-    description: str = ""
-
-    def __call__(self, a: Point, b: Point) -> bool:
-        return self.leq(a, b)
-
-
-NUMERIC_ORDER = OrderRelation(leq=operator.le, description="numeric <=")
-
-
 class PicardTrace(Record):
     """Recorded orbit: iterates x_0..x_J, per-step log-distances
     g(x_j, x_{j+1}, x_{j+1}), a ball flag per iterate, and whether the
-    orbit was non-increasing under the order relation."""
+    orbit was non-increasing."""
 
     iterates: tuple[float, ...]
     step_logs: tuple[float, ...]
@@ -128,7 +120,8 @@ class FixedPointResult(Record):
     """A located fixed point with its residual certificate.
 
     ``certified_bound`` is the a-priori iteration count, or None when
-    the geometric rate was >= 1 (uncertified best-effort run).  ``mu``
+    the rate is not certified (uncertified best-effort run): when it is
+    >= 1, or when a recorded step does not contract by it.  ``mu``
     and ``mu_class`` are filled in implicit mode only; ``mu_class`` is
     "below_half", "below_one", or "at_least_one".
     """
@@ -159,7 +152,7 @@ class FixedPointResult(Record):
         return doc
 
 
-def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: Point,
+def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
            steps: int, tol: float | None) -> tuple[PicardTrace, LogDistance | None]:
     """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace.
 
@@ -176,7 +169,7 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
     step_logs: list[float] = []
     # F and g are called through their objects, so that wrappers of
     # SelfMap.__call__ and GMetric.__call__ see every evaluation.
-    contains, leq, floor, inf = F.domain.contains, order.leq, LOG_FLOOR, math.inf
+    contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
     x = x0
@@ -200,7 +193,7 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
         if j == steps:
             raise MaxIterationsExceeded(j, x, residual)
         push_step(residual)
-        monotone = monotone and leq(nxt, x)
+        monotone = monotone and nxt <= x
         push_iterate(nxt)
         x = nxt
     # ball_contains of each iterate from the scalar kernel, without numpy:
@@ -213,7 +206,7 @@ def _orbit(F: SelfMap, g: GMetric, order: OrderRelation, ball: ClosedBall, x0: P
 
 
 def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
-                 ball: ClosedBall, order: OrderRelation) -> PicardTrace:
+                 ball: ClosedBall) -> PicardTrace:
     """Roll the orbit forward a fixed number of steps (no stopping rule).
 
     Raises DomainExit as soon as an iterate leaves F's domain, BelowFloor
@@ -222,7 +215,7 @@ def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    return _orbit(F, g, order, ball, x0, steps, None)[0]
+    return _orbit(F, g, ball, x0, steps, None)[0]
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -289,10 +282,9 @@ def mu_class(mu: float) -> str:
     return "at_least_one"
 
 
-def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
-                      params: ContractionParams, mode: str = "root",
-                      epsilon: float = 1e-6, max_iter: int = 10_000,
-                      require_certified: bool = False) -> FixedPointResult:
+def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
+                      mode: str = "root", epsilon: float = 1e-6,
+                      max_iter: int = 10_000) -> FixedPointResult:
     """Run Picard iteration from the seed until the residual certifies a
     fixed point.
 
@@ -300,9 +292,12 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
     on failure (DomainExit when the seed is outside F's domain, BelowFloor
     when its step is below the floor).  ``mode`` selects the rate for the
     a-priori bound: eta for "root", mu = eta / (1 - eta) for "implicit".
-    A rate >= 1 cannot be certified; by default the solver then runs
-    best-effort with ``certified_bound`` = None and ``rate_certified`` =
-    False, or raises RateOutOfRange when ``require_certified`` is set.
+    The rate is certified when it is < 1 and every recorded step
+    contracts by it, step_logs[j+1] <= rate * step_logs[j]: along the
+    orbit, the root condition on (x_j, x_{j+1}, x_{j+1}) without the
+    slack, and the per-step form of the implicit mode's telescoped rate.
+    An uncertified rate gives a best-effort run with ``certified_bound``
+    = None and ``rate_certified`` = False.
 
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
@@ -328,21 +323,22 @@ def solve_fixed_point(g: GMetric, F: SelfMap, order: OrderRelation,
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu
-    rate_certified = rate < 1.0
-    if not rate_certified and require_certified:
-        raise RateOutOfRange(
-            f"implicit mode with eta = {params.eta} gives rate mu = {mu} >= 1; "
-            "rerun with require_certified=False for a best-effort solve")
-
-    trace, residual = _orbit(F, g, order, params.ball, x0, max_iter, math.log1p(epsilon))
+    trace, residual = _orbit(F, g, params.ball, x0, max_iter, math.log1p(epsilon))
+    steps = trace.step_logs
     # a first step on the floor may lie up to SLACK below 0
-    log_g01 = max(0.0, trace.step_logs[0] if trace.step_logs else residual)
+    log_g01 = max(0.0, steps[0] if steps else residual)
+    # The one rate check.  The bound trusts the rate only if every
+    # recorded step contracts by it, and with no slack: steps that may
+    # exceed rate * before by SLACK can hover near SLACK / (1 - rate),
+    # past the bound, when the tolerance is that small.
+    rate_certified = rate < 1.0 and all(after <= rate * before
+                                        for before, after in zip(steps, steps[1:]))
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(
         point=trace.iterates[-1],
         residual_log=residual,
-        iterations_used=len(trace.step_logs),
+        iterations_used=len(steps),
         certified_bound=bound,
         trace=trace,
         rate=rate,

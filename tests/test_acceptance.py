@@ -16,7 +16,6 @@ from mgmetric import (
     Interval,
     MultMetric,
     GMetric,
-    NUMERIC_ORDER,
     SLACK,
     a_priori_iterations,
     certify_region,
@@ -107,7 +106,7 @@ def test_04_implicit_region_scan():
 
 
 def test_05_solver_quarter_shift_exact():
-    r = solve_fixed_point(G, EX33.map, NUMERIC_ORDER, EX33.params, epsilon=EPS)
+    r = solve_fixed_point(G, EX33.map, EX33.params, epsilon=EPS)
     assert r.point == 0.0
     assert r.iterations_used == 1
     assert r.residual_log == 0.0
@@ -115,7 +114,7 @@ def test_05_solver_quarter_shift_exact():
 
 
 def test_06_solver_half_shift_certified_bound():
-    r = solve_fixed_point(G, EX37.map, NUMERIC_ORDER, EX37.params, epsilon=EPS)
+    r = solve_fixed_point(G, EX37.map, EX37.params, epsilon=EPS)
     assert r.residual_log <= math.log1p(EPS)
     assert r.certified_bound == 30
     assert r.iterations_used <= r.certified_bound
@@ -129,7 +128,7 @@ def test_06_solver_half_shift_certified_bound():
 
 
 def test_07_step_bound_soundness():
-    r = solve_fixed_point(G, EX37.map, NUMERIC_ORDER, EX37.params, epsilon=EPS)
+    r = solve_fixed_point(G, EX37.map, EX37.params, epsilon=EPS)
     first = r.trace.step_logs[0]
     for j, step in enumerate(r.trace.step_logs):
         assert step <= (0.625 ** j) * first + 1e-12
@@ -190,7 +189,7 @@ def test_10_uniqueness_surrogate():
             assert G(fx.params.seed_point, s, s) <= ball_log
             params = fx.params.replace(seed_point=float(s))
             assert seed_condition_holds(G, fx.map, params)
-            r = solve_fixed_point(G, fx.map, NUMERIC_ORDER, params, epsilon=EPS)
+            r = solve_fixed_point(G, fx.map, params, epsilon=EPS)
             points.append(r.point)
         for p in points:
             for q in points:

@@ -320,6 +320,34 @@ def test_certify_below_floor_metric_is_violated(capsys, tmp_path, condition):
     assert doc["seed_condition_ok"] is False
 
 
+def test_solve_does_not_certify_a_rate_the_map_breaks(capsys, tmp_path):
+    # x -> 0.9x contracts each step by 0.9, not by eta = 0.5: the bound 19
+    # computed from eta is wrong, since the orbit needs 116 steps
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, None], "slope": 0.9, "offset": 0}],
+        "params": {"eta": 0.5, "gamma": 10, "x0": 1},
+    }))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg))
+    assert code == 0
+    assert doc["iterations_used"] == 116
+    assert (doc["rate"], doc["rate_certified"], doc["certified_bound"]) == (0.5, False, None)
+    assert "certified bound: none (uncertified rate 0.5)" in err
+
+
+@pytest.mark.parametrize("flag,value,name", [("--gamma", "-1", "gamma"),
+                                             ("--gamma", "nan", "gamma"),
+                                             ("--x0", "-0.5", "seed point"),
+                                             ("--x0", "inf", "seed point")])
+@pytest.mark.parametrize("command", [["solve"], ["certify", "--condition", "root"]])
+def test_bad_ball_override_is_usage_error(capsys, command, flag, value, name):
+    code, out, err = run_cli(capsys, *command, "--fixture", "ex33", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ball ") and name in err
+
+
 def test_solve_underflowing_seed_budget_is_seed_violation(capsys):
     # (1 - eta) * gamma underflows to 0 for the smallest positive gamma
     code, doc, _ = run_json(capsys, "solve", "--fixture", "ex33", "--gamma", "5e-324")

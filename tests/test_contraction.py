@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
@@ -191,6 +192,32 @@ def test_m_independence_of_both_predicates(fixture):
         impl = [implicit_contraction_holds(G, fx.map, ETA, x, y, z, m=m) for m in (1, 2, 3)]
         assert root[0] == root[1] == root[2]
         assert impl[0] == impl[1] == impl[2]
+
+
+@st.composite
+def pl_configs_and_triples(draw):
+    """A PL map on [0, inf) with slopes in [0, 2] and offsets in [0, 3], so
+    both outcomes of each condition occur, an eta and a triple."""
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=0.01, max_value=10.0), max_size=3))))
+    edges = [0.0] + cuts + [None]
+    rows = [{"interval": [lo, hi], "slope": draw(st.floats(min_value=0.0, max_value=2.0)),
+             "offset": draw(st.floats(min_value=0.0, max_value=3.0))}
+            for lo, hi in zip(edges, edges[1:])]
+    space = draw(st.sampled_from(["exp-usual", "product-exp"]))
+    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    triple = draw(st.tuples(*[st.floats(min_value=0.0, max_value=12.0)] * 3))
+    return {"space": space, "map": rows}, eta, triple
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_configs_and_triples())
+def test_m_independence_of_both_predicates_on_random_maps(config):
+    doc, eta, (x, y, z) = config
+    fx = load_fixture_config(doc)
+    for holds in (root_contraction_holds, implicit_contraction_holds):
+        first = holds(fx.gmetric, fx.map, eta, x, y, z)
+        assert all(holds(fx.gmetric, fx.map, eta, x, y, z, m=m) == first
+                   for m in range(1, 11))
 
 
 @pytest.mark.parametrize("fixture", ["ex33", "ex37"])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mgmetric import (
-    NUMERIC_ORDER,
     PiecewiseRow,
     check_mult_axioms,
     get_fixture,
@@ -180,7 +179,7 @@ def test_config_clone_matches_stock_fixture(tmp_path):
     stock = get_fixture("ex33")
     for x in (0.0, 0.2, 1 / 3, 1.0, 5.5):
         assert fx.map(x) == pytest.approx(stock.map(x), abs=1e-15)
-    r = solve_fixed_point(fx.gmetric, fx.map, NUMERIC_ORDER, fx.params)
+    r = solve_fixed_point(fx.gmetric, fx.map, fx.params)
     assert r.point == 0.0 and r.iterations_used == 1
 
 

@@ -49,7 +49,10 @@ def test_each_fixture_gets_a_fresh_metadata_mapping():
     a = NamedFixture(id="a", gmetric=get_fixture("exp-usual").gmetric)
     b = NamedFixture(id="b", gmetric=a.gmetric)
     assert a.metadata == {} and b.metadata == {}
-    assert a.metadata is not b.metadata
+    # the default is shared, so it must not be writable
+    with pytest.raises(TypeError):
+        a.metadata["k"] = 1
+    assert b.metadata == {}
 
 
 @pytest.mark.parametrize("build", [

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # The public names, by module.
 _NAMES = {
     "metric": "SLACK ClosedBall GMetric Interval LogDistance MultMetric Point Witness "
-              "ball_contains gm_from_exp gm_from_product",
+              "ball_contains gm_from_exp gm_from_product usual_metric",
     "contraction": "ContractionParams SelfMap implicit_bound implicit_contraction_holds "
                    "root_contraction_holds seed_condition_holds",
     "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
@@ -25,7 +25,7 @@ _NAMES = {
               "PicardTrace RateOutOfRange SeedConditionViolated SolveError a_priori_iterations "
               "converged mu_class mu_of picard_trace solve_fixed_point step_bound",
     "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseRow get_fixture half_shift_map "
-                "load_fixture_config piecewise_map quarter_shift_map registry usual_metric",
+                "load_fixture_config piecewise_map quarter_shift_map registry",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

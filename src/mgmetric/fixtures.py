@@ -3,7 +3,8 @@
 The two stock spaces live on the nonnegative reals: "exp-usual" is the
 exponential of the pairwise perimeter of the usual distance, and
 "product-exp" is the pairwise product of the multiplicative distance
-e^{|x - y|} (the same ternary values, built along the other route).
+e^{|x - y|}: the same ternary values along the other route, and both
+run the one perimeter kernel that ``metric`` gives ``usual_metric``.
 The two stock maps are piecewise linear with one breakpoint each; both
 contract toward 0 below the breakpoint and translate above it.
 """
@@ -16,14 +17,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .metric import (GMetric, Interval, MultMetric, Point, Record, gm_from_exp,
-                     gm_from_product, np)
+from .metric import (GMetric, Interval, MultMetric, Record, gm_from_exp, gm_from_product, np,
+                     usual_metric)
 from .contraction import ContractionParams, SelfMap
-
-
-def usual_metric(x: Point, y: Point) -> float:
-    """Ordinary distance |x - y|; elementwise on float64 arrays too."""
-    return abs(x - y)
 
 
 #: Multiplicative metric e^{|x - y|}, held in log-domain.
@@ -131,7 +127,7 @@ class NamedFixture(Record):
 
 _STOCK_PARAMS = ContractionParams(eta=5.0 / 8.0, gamma=11.0 / 2.0, seed_point=1.0 / 3.0)
 
-_EXP_USUAL = gm_from_exp(usual_metric, description="exp-usual", batch=usual_metric)
+_EXP_USUAL = gm_from_exp(usual_metric, description="exp-usual")
 _PRODUCT_EXP = gm_from_product(EXP_ABS_METRIC, description="product-exp")
 
 _REGISTRY = (
@@ -142,24 +138,24 @@ _REGISTRY = (
         gmetric=_EXP_USUAL,
         map=quarter_shift_map,
         params=_STOCK_PARAMS,
-        metadata={
+        metadata=MappingProxyType({
             "breakpoint": 1.0 / 3.0,
             "continuous_at_breakpoint": False,
             "left_limit": 1.0 / 12.0,
             "value_at_breakpoint": 0.0,
-        },
+        }),
     ),
     NamedFixture(
         id="ex37",
         gmetric=_EXP_USUAL,
         map=half_shift_map,
         params=_STOCK_PARAMS,
-        metadata={
+        metadata=MappingProxyType({
             "breakpoint": 0.5,
             "continuous_at_breakpoint": True,
             "left_limit": 0.25,
             "value_at_breakpoint": 0.25,
-        },
+        }),
     ),
 )
 

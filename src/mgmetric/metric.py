@@ -18,6 +18,7 @@ import importlib.util
 import math
 import sys
 from functools import partial
+from types import MappingProxyType
 from typing import Callable
 
 
@@ -64,7 +65,8 @@ class Record:
     A record is built from positional or keyword arguments, then
     ``__post_init__`` validates it.  Its fields cannot be assigned, and
     ``==``, ``hash`` and ``repr`` go by the fields.  Copying and pickling
-    restore the fields without validating again.
+    restore the fields without validating again, and keep a read-only
+    mapping field read-only.
     """
 
     _fields: tuple[str, ...]
@@ -105,6 +107,15 @@ class Record:
         """A copy with some fields changed, validated as a new record."""
         return type(self)(**{**self._asdict(), **changes})
 
+    def __reduce__(self):
+        # copy and pickle cannot take a mappingproxy apart, so a read-only
+        # mapping field travels as a dict and is made read-only again.
+        fields = dict(vars(self))
+        proxies = tuple(n for n, v in fields.items() if isinstance(v, MappingProxyType))
+        for n in proxies:
+            fields[n] = dict(fields[n])
+        return _restore, (type(self), fields, proxies)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -116,6 +127,13 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={v!r}" for n, v in self._asdict().items())
         return f"{type(self).__qualname__}({body})"
+
+
+def _restore(cls: type[Record], fields: dict, proxies: tuple[str, ...]) -> Record:
+    record = object.__new__(cls)
+    for n, v in fields.items():
+        object.__setattr__(record, n, MappingProxyType(v) if n in proxies else v)
+    return record
 
 
 class Interval(Record):
@@ -250,28 +268,63 @@ def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
+def _ascending_sum(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    # The scalar g's compare-and-swaps and sum over arrays, hence its floats.
+    t0, t1 = _sort2(t0, t1)
+    t1, t2 = _sort2(t1, t2)
+    t0, t1 = _sort2(t0, t1)
+    return (t0 + t1) + t2
+
+
 def _canonical_pair_sum_batch(pairfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                               x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # The scalar g of _pair_sum_metric over arrays: the same pair order
-    # and the same compare-and-swaps, hence the same floats.
+    # The scalar g of _pair_sum_metric over arrays: the same pair order.
     def pair(u, v):
         first = u <= v
         return pairfn(np.where(first, u, v), np.where(first, v, u))
 
-    t0, t1 = _sort2(pair(x, y), pair(y, z))
-    t1, t2 = _sort2(t1, pair(z, x))
-    t0, t1 = _sort2(t0, t1)
-    return (t0 + t1) + t2
+    return _ascending_sum(pair(x, y), pair(y, z), pair(z, x))
+
+
+def usual_metric(x: Point, y: Point) -> float:
+    """Ordinary distance |x - y|; elementwise on float64 arrays too."""
+    return abs(x - y)
+
+
+# The perimeter |x - y| + |y - z| + |z - x|, the g of both stock spaces.
+# It needs no canonical pair order: under round-to-nearest x - y is
+# exactly -(y - x), signed zeros included, so abs gives the float the
+# ordered call gives, and the sort and the sum below are those of the
+# generic g.
+def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
+    a = abs(x - y)
+    b = abs(y - z)
+    c = abs(z - x)
+    if b < a:
+        a, b = b, a
+    if c < b:
+        b, c = c, b
+        if b < a:
+            a, b = b, a
+    return a + b + c
+
+
+def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return _ascending_sum(np.abs(x - y), np.abs(y - z), np.abs(z - x))
 
 
 def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
                      pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                      description: str) -> GMetric:
+    if pairfn is usual_metric:
+        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch)
+
     def g(x: Point, y: Point, z: Point) -> LogDistance:
-        # Evaluate each unordered pair in canonical argument order and add
-        # the three terms smallest-first, so every permutation of (x, y, z)
-        # produces the bitwise-identical float.  The swaps on strict < are
-        # a stable sort: ties and signed zeros keep their order.
+        # Evaluate each unordered pair in canonical argument order, since
+        # a pair function may be asymmetric, and add the three terms
+        # smallest-first, so every permutation of (x, y, z) produces the
+        # bitwise-identical float.  The swaps on strict < are a stable
+        # sort: ties and signed zeros keep their order.
         a = pairfn(x, y) if x <= y else pairfn(y, x)
         b = pairfn(y, z) if y <= z else pairfn(z, y)
         c = pairfn(z, x) if z <= x else pairfn(x, z)
@@ -301,7 +354,8 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
     """Ternary metric from an ordinary metric: exp of the perimeter
     d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, so the returned
     callable is just the perimeter itself.  ``batch`` is ``d`` over
-    float64 arrays, if there is one."""
+    float64 arrays, if there is one.  ``usual_metric`` gets the dedicated
+    perimeter kernel, batch form included."""
     return _pair_sum_metric(d, batch, description or "exp of pairwise perimeter")
 
 

@@ -19,6 +19,7 @@ best-effort and flags the rate as uncertified.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
@@ -109,10 +110,10 @@ class PicardTrace(Record):
         """Rows of (index, value, step_log, in_ball); the final row has
         no step log.  Values are float reprs and the flags True/False,
         so no field needs CSV quoting."""
-        rows = [f"{j},{x!r},{step!r},{flag}\n" for j, (x, step, flag)
-                in enumerate(zip(self.iterates, self.step_logs, self.in_ball))]
         last = len(self.step_logs)
-        return ("index,value,step_log,in_ball\n" + "".join(rows)
+        rows = ("%d,%r,%r,%s\n" * last) % tuple(chain.from_iterable(
+            zip(range(last), self.iterates, self.step_logs, self.in_ball)))
+        return ("index,value,step_log,in_ball\n" + rows
                 + f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
 
 

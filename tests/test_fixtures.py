@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -100,6 +101,37 @@ def test_registry_metadata_continuity_flags():
     ex37 = get_fixture("ex37")
     assert ex37.metadata["continuous_at_breakpoint"] is True
     assert ex37.metadata["left_limit"] == ex37.metadata["value_at_breakpoint"] == 0.25
+
+
+_PL_CONFIG = {
+    "id": "pl",
+    "space": {"kind": "product-pl",
+              "rows": [{"interval": [None, 0.0], "slope": -1.0, "offset": 0.0},
+                       {"interval": [0.0, None], "slope": 1.0, "offset": 0.0}]},
+    "map": [{"interval": [0.0, None], "slope": 0.5, "offset": 0.0}],
+    "params": {"eta": 0.625, "gamma": 5.5, "x0": 1.0},
+}
+
+
+def test_stock_metadata_is_read_only():
+    with pytest.raises(TypeError):
+        get_fixture("ex33").metadata["breakpoint"] = 99.0
+    assert get_fixture("ex33").metadata["breakpoint"] == 1 / 3
+
+
+@pytest.mark.parametrize("fx", [*registry(),
+                                load_fixture_config({"space": "exp-usual"}),
+                                load_fixture_config(_PL_CONFIG)], ids=lambda fx: fx.id)
+def test_every_fixture_deep_copies(fx):
+    clone = copy.deepcopy(fx)
+    assert clone.metadata == fx.metadata and clone.metadata is not fx.metadata
+    with pytest.raises(TypeError):
+        clone.metadata["breakpoint"] = 99.0
+    assert (clone.id, clone.mult, clone.params) == (fx.id, fx.mult, fx.params)
+    x, y, z = np.array([0.0, 2.0]), np.array([0.25, -0.0]), np.array([1 / 3, 0.5])
+    assert clone.gmetric.many(x, y, z).tolist() == fx.gmetric.many(x, y, z).tolist()
+    if fx.map is not None:
+        assert [clone.map(x) for x in (0.0, 0.4, 3.0)] == [fx.map(x) for x in (0.0, 0.4, 3.0)]
 
 
 def test_spaces_only_fixtures_have_no_map():

@@ -20,7 +20,9 @@ from mgmetric import (
     usual_metric,
     EXP_ABS_METRIC,
     load_fixture_config,
+    get_fixture,
 )
+from mgmetric.metric import _perimeter, _perimeter_batch
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -104,21 +106,29 @@ _COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0
 
 
 @st.composite
-def _triples(draw):
+def _triples(draw, points=_POINTS):
     """Three points drawn from a pool of one to three, so ties and equal
     points are common."""
-    pool = draw(st.lists(_POINTS, min_size=1, max_size=3))
+    pool = draw(st.lists(points, min_size=1, max_size=3))
     return tuple(draw(st.sampled_from(pool)) for _ in range(3))
+
+
+def _abs_pair(x, y):
+    return abs(x - y)
 
 
 @st.composite
 def _spaces(draw):
-    """A ternary metric and the pair function it sums: exp-usual,
-    product-exp, or a product-pl space with random rows over the signed
-    difference, which is not symmetric."""
-    kind = draw(st.sampled_from(["exp-usual", "product-exp", "product-pl"]))
+    """A ternary metric and the pair function it sums: exp-usual, exp of
+    a symmetric pair function that is not ``usual_metric``, product-exp,
+    or a product-pl space with random rows over the signed difference,
+    which is not symmetric."""
+    kind = draw(st.sampled_from(["exp-usual", "exp-abs", "product-exp", "product-pl"]))
     if kind == "exp-usual":
         return gm_from_exp(usual_metric), usual_metric
+    if kind == "exp-abs":
+        # |x - y| as a new function takes the generic canonical route
+        return gm_from_exp(_abs_pair), _abs_pair
     if kind == "product-exp":
         return gm_from_product(EXP_ABS_METRIC), EXP_ABS_METRIC.dist
     cuts = sorted(set(draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=3))))
@@ -139,6 +149,37 @@ def test_scalar_g_is_the_sorted_sum_and_permutation_symmetric_bitwise(space, xyz
     perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     for i, j, k in perms:
         assert _bits(g(xyz[i], xyz[j], xyz[k])) == _bits(value)
+
+
+def test_stock_spaces_carry_the_perimeter_kernel():
+    spaces = [get_fixture(fx).gmetric for fx in ("exp-usual", "product-exp", "ex33", "ex37")]
+    spaces += [gm_from_exp(usual_metric), gm_from_product(EXP_ABS_METRIC)]
+    for g in spaces:
+        assert (g.g, g.batch) == (_perimeter, _perimeter_batch)
+    generic = [gm_from_exp(_abs_pair, batch=_abs_pair),
+               load_fixture_config({"space": {"kind": "product-pl", "rows": [
+                   {"interval": [None, None], "slope": 1.0, "offset": 0.0}]}}).gmetric]
+    for g in generic:
+        assert g.g is not _perimeter and g.batch is not None
+        assert g.batch is not _perimeter_batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_triples(st.one_of(_POINTS, st.just(math.inf))), min_size=1, max_size=20))
+def test_perimeter_kernel_is_bitwise_the_generic_route(triples):
+    # the generic route of the same |x - y|: canonical pair order, then
+    # the same sort and sum; the points include inf, so inf - inf and
+    # overflowing differences give NaN and inf
+    generic = gm_from_exp(_abs_pair, batch=_abs_pair)
+    x, y, z = (np.array(col, dtype=np.float64) for col in zip(*triples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        batches = _perimeter_batch(x, y, z), generic.many(x, y, z)
+    scalars = [_perimeter(*t) for t in triples], [generic(*t) for t in triples]
+    for kernel, reference in (batches, scalars):
+        kernel, reference = np.asarray(kernel), np.asarray(reference)
+        nan = np.isnan(reference)
+        assert np.array_equal(np.isnan(kernel), nan)
+        assert np.array_equal(kernel[~nan].view(np.uint64), reference[~nan].view(np.uint64))
 
 
 def test_log_floor_on_samples():

@@ -122,11 +122,15 @@ def _report() -> CertificateReport:
     Interval(0.0, math.inf),
     PicardTrace((1.0, 0.5), (0.5,), (True, True), True),
     _report(),
+    get_fixture("exp-usual"),
+    get_fixture("ex33").replace(map=None),
 ])
 def test_copy_and_pickle_round_trip(record):
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is type(record)
         assert clone == record
         assert clone._asdict() == record._asdict()
+        # a read-only metadata mapping stays read-only
+        assert type(getattr(clone, "metadata", None)) is type(getattr(record, "metadata", None))
     with pytest.raises(AttributeError):
         copy.deepcopy(record).seed = 1

@@ -69,6 +69,12 @@ class _Piecewise:
         offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
         return cuts, slopes, offsets
 
+    def __deepcopy__(self, memo) -> _Piecewise:
+        # The rows are frozen and _arrays only caches them, so a copy is
+        # this object: the bound at and batch of a copied SelfMap keep
+        # their __self__ and the copy stays == to its source.
+        return self
+
     def at(self, x: float) -> float:
         for row in self.cells:
             if row.lo <= x < row.hi:

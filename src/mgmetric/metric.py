@@ -17,7 +17,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from functools import partial
 from types import MappingProxyType
 from typing import Callable
 
@@ -122,7 +121,9 @@ class Record:
         return self._asdict() == other._asdict()
 
     def __hash__(self) -> int:
-        return hash(tuple(self._asdict().values()))
+        # a mapping field hashes by its items, as == compares it
+        return hash(tuple(frozenset(v.items()) if isinstance(v, (dict, MappingProxyType)) else v
+                          for v in self._asdict().values()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={v!r}" for n, v in self._asdict().items())
@@ -263,7 +264,8 @@ def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
 
 def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A swap, not minimum/maximum: the pair keeps its exact floats, signed
-    # zeros included, so the sum below matches the scalar one.
+    # zeros included, so the sum below matches the scalar one.  numpy's
+    # minimum and maximum of 0.0 and -0.0 both return -0.0.
     swap = b < a
     return np.where(swap, b, a), np.where(swap, a, b)
 
@@ -294,8 +296,8 @@ def usual_metric(x: Point, y: Point) -> float:
 # The perimeter |x - y| + |y - z| + |z - x|, the g of both stock spaces.
 # It needs no canonical pair order: under round-to-nearest x - y is
 # exactly -(y - x), signed zeros included, so abs gives the float the
-# ordered call gives, and the sort and the sum below are those of the
-# generic g.
+# ordered call gives, and both kernels below sort and add as the generic
+# g does.
 def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
     a = abs(x - y)
     b = abs(y - z)
@@ -310,7 +312,25 @@ def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
 
 
 def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _ascending_sum(np.abs(x - y), np.abs(y - z), np.abs(z - x))
+    # The sort is a minimum/maximum network, not _sort2's swaps: an abs
+    # is >= 0 or NaN and never -0.0, so each minimum or maximum returns
+    # the one float a swap would (equal floats are then the same bits),
+    # and a NaN makes the sum NaN either way.  The four arrays are the
+    # kernel's own; x, y and z are never written.
+    a = np.subtract(x, y)
+    b = np.subtract(y, z)
+    c = np.subtract(z, x)
+    np.abs(a, out=a)
+    np.abs(b, out=b)
+    np.abs(c, out=c)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b, out=a)
+    mid = np.minimum(hi, c, out=b)
+    np.maximum(lo, mid, out=mid)
+    top = np.maximum(hi, c, out=hi)
+    bottom = np.minimum(lo, c, out=c)
+    np.add(bottom, mid, out=bottom)
+    return np.add(bottom, top, out=bottom)
 
 
 def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
@@ -336,8 +356,12 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
                 a, b = b, a
         return a + b + c
 
-    batch = None if pair_batch is None else partial(_canonical_pair_sum_batch, pair_batch)
-    return GMetric(g=g, description=description, batch=batch)
+    # A closure, not a functools.partial: a copied partial is a new object,
+    # and a function is copied as itself, so a copied GMetric stays ==.
+    def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return _canonical_pair_sum_batch(pair_batch, x, y, z)
+
+    return GMetric(g=g, description=description, batch=None if pair_batch is None else batch)
 
 
 def gm_from_product(d: MultMetric, description: str = "") -> GMetric:

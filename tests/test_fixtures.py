@@ -124,6 +124,7 @@ def test_stock_metadata_is_read_only():
                                 load_fixture_config(_PL_CONFIG)], ids=lambda fx: fx.id)
 def test_every_fixture_deep_copies(fx):
     clone = copy.deepcopy(fx)
+    assert clone == fx
     assert clone.metadata == fx.metadata and clone.metadata is not fx.metadata
     with pytest.raises(TypeError):
         clone.metadata["breakpoint"] = 99.0

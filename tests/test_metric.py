@@ -164,22 +164,49 @@ def test_stock_spaces_carry_the_perimeter_kernel():
         assert g.batch is not _perimeter_batch
 
 
+def _assert_same_floats(kernel, reference):
+    # NaN by isnan, whatever its payload; every other float by its bits
+    kernel, reference = np.asarray(kernel), np.asarray(reference)
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(kernel), nan)
+    assert np.array_equal(kernel[~nan].view(np.uint64), reference[~nan].view(np.uint64))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_triples(st.one_of(_POINTS, st.just(math.inf))), min_size=1, max_size=20))
-def test_perimeter_kernel_is_bitwise_the_generic_route(triples):
+@given(st.lists(_triples(st.one_of(_POINTS, st.just(math.inf))), min_size=1, max_size=20),
+       st.one_of(st.none(), st.integers(min_value=64, max_value=300)))
+def test_perimeter_kernel_is_bitwise_the_generic_route(triples, length):
     # the generic route of the same |x - y|: canonical pair order, then
     # the same sort and sum; the points include inf, so inf - inf and
-    # overflowing differences give NaN and inf
+    # overflowing differences give NaN and inf.  numpy's vectorised
+    # minimum and maximum run their unrolled loops only on longer arrays,
+    # so a drawn length tiles the triples to 64-300 of them.
+    if length is not None:
+        triples = (triples * (length // len(triples) + 1))[:length]
     generic = gm_from_exp(_abs_pair, batch=_abs_pair)
     x, y, z = (np.array(col, dtype=np.float64) for col in zip(*triples))
     with np.errstate(over="ignore", invalid="ignore"):
-        batches = _perimeter_batch(x, y, z), generic.many(x, y, z)
-    scalars = [_perimeter(*t) for t in triples], [generic(*t) for t in triples]
-    for kernel, reference in (batches, scalars):
-        kernel, reference = np.asarray(kernel), np.asarray(reference)
-        nan = np.isnan(reference)
-        assert np.array_equal(np.isnan(kernel), nan)
-        assert np.array_equal(kernel[~nan].view(np.uint64), reference[~nan].view(np.uint64))
+        _assert_same_floats(_perimeter_batch(x, y, z), generic.many(x, y, z))
+    _assert_same_floats([_perimeter(*t) for t in triples], [generic(*t) for t in triples])
+
+
+def test_perimeter_batch_is_the_scalar_kernel_on_a_seeded_sample():
+    # 10^4 triples: uniform points, with a tenth of each coordinate
+    # replaced by a special value and a tenth of z tied to x or y
+    rng = np.random.default_rng(20261018)
+    n = 10_000
+    special = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0, 1e308, math.inf])
+    x, y, z = (np.where(rng.random(n) < 0.1, rng.choice(special, n), rng.uniform(0.0, 10.0, n))
+               for _ in range(3))
+    z = np.where(rng.random(n) < 0.1, np.where(rng.random(n) < 0.5, x, y), z)
+    inputs = x.copy(), y.copy(), z.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = _perimeter_batch(x, y, z)
+    _assert_same_floats(batch, list(map(_perimeter, x.tolist(), y.tolist(), z.tolist())))
+    assert np.isnan(batch).any() and np.isinf(batch).any()
+    # the kernel writes only into arrays of its own
+    for before, after in zip(inputs, (x, y, z)):
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
 
 
 def test_log_floor_on_samples():

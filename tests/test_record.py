@@ -4,6 +4,7 @@ defaults, validation, immutability, equality, copying and ``replace``."""
 import copy
 import math
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
@@ -17,7 +18,9 @@ from mgmetric import (
     NamedFixture,
     PicardTrace,
     Witness,
+    check_gm_axioms,
     get_fixture,
+    registry,
 )
 
 PARAMS = ContractionParams(eta=0.625, gamma=5.5, seed_point=1 / 3)
@@ -92,6 +95,18 @@ def test_equality_and_hash_go_by_the_fields():
     # a record of another class with the same values is not equal
     assert Interval(0.0, 1.0) != ClosedBall(0.0, 1.0)
     assert len({Interval(0.0, 1.0), Interval(0.0, 1.0), Interval(0.0, 2.0)}) == 2
+
+
+@pytest.mark.parametrize("record", [
+    *registry(), check_gm_axioms(get_fixture("ex33").gmetric, Interval(0.0, 2.0), n=50, seed=3)],
+                         ids=lambda r: getattr(r, "id", type(r).__name__))
+def test_records_with_a_mapping_field_hash_by_its_items(record):
+    assert hash(copy.copy(record)) == hash(record)
+    assert hash(copy.deepcopy(record)) == hash(record)
+    # == compares mappings by their items, whatever the insertion order
+    name = next(n for n, v in record._asdict().items() if isinstance(v, Mapping))
+    reordered = record.replace(**{name: dict(reversed(getattr(record, name).items()))})
+    assert reordered == record and hash(reordered) == hash(record)
 
 
 def test_repr_lists_the_fields():

@@ -3,7 +3,8 @@ fixed-point solves, and the reference-value regression report.
 
 Every command prints a JSON report to stdout and a short human summary
 to stderr.  Exit codes: 0 when everything holds, 1 when a condition is
-violated or convergence fails, 2 on usage or config errors.  Reports
+violated or convergence fails, 2 on usage or config errors and when a
+command that samples (axioms, certify) finds numpy missing.  Reports
 are byte-identical for identical argument vectors.
 """
 
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from . import _jsonutil
-from .metric import Interval
+from .metric import Interval, NumpyMissing
 from .contraction import ContractionParams
 from .fixtures import NamedFixture, get_fixture, load_fixture_config, registry
 
@@ -293,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, NumpyMissing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

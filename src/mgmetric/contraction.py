@@ -69,28 +69,29 @@ def _validate_eta_m(eta: float, m: int = 1) -> None:
         raise ValueError(f"root index m must be an integer >= 1, got {m}")
 
 
-def _root_majorant(g, x, y, z, fx, fy):
+def _root_majorant(g, pair, x, y, z, fx, fy):
     return g(x, y, z)
 
 
-def _implicit_majorant(g, x, y, z, fx, fy):
+def _implicit_majorant(g, pair, x, y, z, fx, fy):
+    # pair(a, b) is g(a, b, b)
     terms = (
         g(x, y, z),
-        g(x, fx, fx),
-        g(y, fy, fy),
-        g(x, fy, fy),
+        pair(x, fx),
+        pair(y, fy),
+        pair(x, fy),
         # np.minimum and np.maximum return their second argument on ties,
         # so the earlier term goes second: ties keep it, as Python's min
         # and max do.  Unlike those, they propagate a NaN term.
-        np.minimum(g(x, z, z), g(z, fx, fx)),
+        np.minimum(pair(x, z), pair(z, fx)),
     )
     return functools.reduce(lambda acc, term: np.maximum(term, acc), terms)
 
 
 # The majorant M of each condition, which must satisfy
-# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, the triple and the
-# images Fx, Fy, either as scalars with the scalar metric or as arrays
-# with the metric's batch evaluation.
+# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, its pair kernel, the
+# triple and the images Fx, Fy, either as scalars with the scalar
+# kernels or as arrays with the batch ones.
 _MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
 
 
@@ -99,18 +100,19 @@ def _check_condition(name: str, label: str) -> None:
         raise ValueError(f"{label} must be 'root' or 'implicit', got {name!r}")
 
 
-def _condition_sides(condition: str, g, F, eta: float, x, y, z):
+def _condition_sides(condition: str, g, pair, F, eta: float, x, y, z):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, for
-    scalars (``g`` a GMetric, ``F`` a SelfMap) or arrays (their
-    ``many``)."""
+    scalars (``g`` a GMetric, ``pair`` its pair kernel, ``F`` a SelfMap)
+    or arrays (their ``many`` and ``pair_many``)."""
     fx, fy, fz = F(x), F(y), F(z)
-    return g(fx, fy, fz), eta * _MAJORANTS[condition](g, x, y, z, fx, fy)
+    return g(fx, fy, fz), eta * _MAJORANTS[condition](g, pair, x, y, z, fx, fy)
 
 
 def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point, m: int) -> bool:
     _validate_eta_m(eta, m)
-    return bool(_relation_holds("<=", *_condition_sides(condition, g, F, eta, x, y, z)))
+    return bool(_relation_holds("<=", *_condition_sides(condition, g, g.pair_kernel(), F,
+                                                        eta, x, y, z)))
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
@@ -135,7 +137,7 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     x0 = params.seed_point
     budget = (1.0 - params.eta) * params.gamma
     return (F.domain.contains(x0) and budget > 0.0
-            and LOG_FLOOR <= g(x0, F(x0), F(x0)) <= math.log(budget) + SLACK)
+            and LOG_FLOOR <= g.pair_kernel()(x0, F(x0)) <= math.log(budget) + SLACK)
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,
@@ -143,7 +145,7 @@ def implicit_bound(g: GMetric, F: SelfMap, eta: float,
     """Log-domain value of the implicit majorant: eta/m times the max of
     the five reference distances at (x, y, z)."""
     _validate_eta_m(eta, m)
-    return float(eta * _implicit_majorant(g, x, y, z, F(x), F(y)) / m)
+    return float(eta * _implicit_majorant(g, g.pair_kernel(), x, y, z, F(x), F(y)) / m)
 
 
 def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,

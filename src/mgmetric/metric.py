@@ -21,6 +21,19 @@ from types import MappingProxyType
 from typing import Callable
 
 
+class NumpyMissing(ModuleNotFoundError):
+    """numpy is not installed, and an array evaluation needs it."""
+
+
+class _MissingNumpy:
+    """Stands in for numpy when it is not installed: the scalar commands
+    run without it, and the first array use raises NumpyMissing."""
+
+    def __getattr__(self, name: str):
+        raise NumpyMissing("numpy is not installed; sampled audits and sweeps need it",
+                           name="numpy")
+
+
 def _lazy_numpy():
     # Importing numpy is most of a fresh process's start-up, and the
     # scalar commands (solve, reproduce) never use it.  The module loads
@@ -30,6 +43,8 @@ def _lazy_numpy():
     if loaded is not None:
         return loaded
     spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        return _MissingNumpy()
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module
@@ -208,11 +223,21 @@ class GMetric(Record):
     The optional ``batch`` is ``g`` over float64 arrays: it returns
     bitwise the floats ``g`` returns, and ``many`` calls ``g`` once per
     triple when it is missing.
+
+    The optional ``pair`` and ``pair_batch`` are the pair kernel
+    (x, y) -> G(x, y, y), scalar and over float64 arrays.  Each returns
+    bitwise the floats ``g(x, y, y)`` returns; without them the pair
+    kernel is ``g(x, y, y)`` and ``many(x, y, y)``.  The ball, the seed
+    condition, the solver's residual and the implicit majorant's
+    (a, b, b) terms use it.  The axiom audits never do: it rests on the
+    symmetry they test.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
     description: str = ""
     batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    pair: Callable[[Point, Point], LogDistance] | None = None
+    pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Point, y: Point, z: Point) -> LogDistance:
         return self.g(x, y, z)
@@ -224,6 +249,19 @@ class GMetric(Record):
     def many(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """``g`` of each triple of elements of three float64 arrays."""
         return _evaluate_many(self.g, self.batch, x, y, z)
+
+    def pair_kernel(self) -> Callable[[Point, Point], LogDistance]:
+        """The scalar pair kernel: ``pair``, or a call of ``g(x, y, y)``."""
+        if self.pair is not None:
+            return self.pair
+        g = self.g
+        return lambda x, y: g(x, y, y)
+
+    def pair_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """G(x, y, y) of each pair of elements of two float64 arrays."""
+        if self.pair_batch is None:
+            return self.many(x, y, y)
+        return np.asarray(self.pair_batch(x, y), dtype=np.float64)
 
 
 class ClosedBall(Record):
@@ -255,7 +293,7 @@ class ClosedBall(Record):
 
 def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
     """Membership test for the closed ball, in log-domain."""
-    return g(ball.center, rho, rho) <= ball.log_radius
+    return g.pair_kernel()(ball.center, rho) <= ball.log_radius
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +371,28 @@ def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.add(bottom, top, out=bottom)
 
 
+def _perimeter_pair(x: Point, y: Point) -> LogDistance:
+    # _perimeter(x, y, y): its distances are a, |y - y| and a again, and
+    # sort to 0, a, a, so its sum is (0 + a) + a, which is a + a.  Adding
+    # y - y keeps the NaN that |y - y| gives when y is infinite.
+    a = abs(x - y)
+    return a + a + (y - y)
+
+
+def _perimeter_pair_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # _perimeter_pair over arrays, in two arrays of the kernel's own
+    a = np.subtract(x, y)
+    np.abs(a, out=a)
+    np.add(a, a, out=a)
+    return np.add(a, np.subtract(y, y), out=a)
+
+
 def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
-                     pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+                     pairfn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                      description: str) -> GMetric:
     if pairfn is usual_metric:
-        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch)
+        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch,
+                       pair=_perimeter_pair, pair_batch=_perimeter_pair_batch)
 
     def g(x: Point, y: Point, z: Point) -> LogDistance:
         # Evaluate each unordered pair in canonical argument order, since
@@ -359,9 +414,9 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
     # A closure, not a functools.partial: a copied partial is a new object,
     # and a function is copied as itself, so a copied GMetric stays ==.
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return _canonical_pair_sum_batch(pair_batch, x, y, z)
+        return _canonical_pair_sum_batch(pairfn_batch, x, y, z)
 
-    return GMetric(g=g, description=description, batch=None if pair_batch is None else batch)
+    return GMetric(g=g, description=description, batch=None if pairfn_batch is None else batch)
 
 
 def gm_from_product(d: MultMetric, description: str = "") -> GMetric:

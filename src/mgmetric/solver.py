@@ -1,10 +1,12 @@
 """Picard iteration with certified geometric error bounds.
 
 The solver iterates x_{j+1} = F(x_j) and stops on the computable
-residual g(x_j, Fx_j, Fx_j) <= ln(1 + epsilon), which by the ternary
-convergence criterion pins x_j to within epsilon (multiplicatively) of
-a fixed point.  When the contraction factor is known it also reports an
-a-priori iteration bound from the geometric tail:
+residual g(x_j, Fx_j, Fx_j) <= ln(1 + epsilon).  The residual bounds
+the last step only: G(x_j, Fx_j, Fx_j) <= 1 + epsilon.  It does not
+bound the distance from x_j to the fixed point, which on a slow
+contraction can be hundreds of times larger.  When the contraction
+factor is known the solver also reports an a-priori iteration bound
+from the geometric tail:
 
     rate**j * g(x0, Fx0, Fx0) / (1 - rate) <= ln(1 + epsilon),
 
@@ -19,7 +21,8 @@ best-effort and flags the rate as uncertified.
 from __future__ import annotations
 
 import math
-from itertools import chain
+import operator
+from itertools import chain, repeat
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
@@ -168,8 +171,8 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     """
     iterates = [x0]
     step_logs: list[float] = []
-    # F and g are called through their objects, so that wrappers of
-    # SelfMap.__call__ and GMetric.__call__ see every evaluation.
+    # the kernels themselves, bound once: pair(x, y) is g(x, y, y)
+    apply, pair = F.apply, g.pair_kernel()
     contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
@@ -180,8 +183,8 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
             raise DomainExit(j, x)
         if tol is None and j == steps:
             break
-        nxt = F(x)
-        residual = g(x, nxt, nxt)
+        nxt = apply(x)
+        residual = pair(x, nxt)
         # the floor rule, and finiteness; NaN fails both comparisons
         if not floor <= residual < inf:
             if residual < floor:
@@ -198,11 +201,11 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
         push_iterate(nxt)
         x = nxt
     # ball_contains of each iterate from the scalar kernel, without numpy:
-    # by the batch contract, bitwise the flags g.many gives.  float() is
-    # g.many's float64 conversion, so each flag is a bool whatever real
-    # type g returns.
-    g_scalar, center, log_radius = g.g, ball.center, ball.log_radius
-    flags = tuple([float(g_scalar(center, rho, rho)) <= log_radius for rho in iterates])
+    # by the batch contract, bitwise the flags g.pair_many gives.  float()
+    # is pair_many's float64 conversion, so each flag is a bool whatever
+    # real type g returns.
+    center, log_radius = ball.center, ball.log_radius
+    flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
@@ -264,7 +267,7 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
 def converged(g: GMetric, x: Point, p: Point, epsilon: float) -> bool:
     """Multiplicative convergence test: g(x, p, p) <= ln(1 + epsilon)."""
     _check_epsilon(epsilon)
-    return g(x, p, p) <= math.log1p(epsilon)
+    return g.pair_kernel()(x, p) <= math.log1p(epsilon)
 
 
 def mu_of(eta: float) -> float:
@@ -314,7 +317,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     x0 = params.seed_point
     # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
-        seed_log = g(x0, F(x0), F(x0))
+        seed_log = g.pair_kernel()(x0, F(x0))
         if seed_log < LOG_FLOOR:
             raise BelowFloor(0, x0, seed_log)
         budget = (1.0 - params.eta) * params.gamma
@@ -332,8 +335,8 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     # recorded step contracts by it, and with no slack: steps that may
     # exceed rate * before by SLACK can hover near SLACK / (1 - rate),
     # past the bound, when the tolerance is that small.
-    rate_certified = rate < 1.0 and all(after <= rate * before
-                                        for before, after in zip(steps, steps[1:]))
+    rate_certified = rate < 1.0 and all(map(operator.le, steps[1:],
+                                            map(operator.mul, repeat(rate), steps)))
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(

@@ -12,7 +12,9 @@ sweep-orbit solves pin the long JSON and CSV orbit reports.
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +86,60 @@ def test_readme_command_in_a_fresh_process(label):
     if label in SCALAR_COMMANDS:
         assert "inspect" not in imported
     assert ("mgmetric.solver" in imported) == label.startswith("solve")
+
+
+# Runs the CLI as if numpy were not installed: a None entry in
+# sys.modules makes every import of numpy fail.
+_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                  "from mgmetric.cli import entrypoint; entrypoint()")
+
+
+@pytest.mark.parametrize("label", README_COMMANDS)
+def test_readme_command_without_numpy(label):
+    """The scalar commands print their recorded bytes without numpy; the
+    array commands exit 2 with a one-line error and no traceback."""
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *README_COMMANDS[label]],
+                          capture_output=True, text=True, timeout=60)
+    if label in SCALAR_COMMANDS:
+        recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
+    else:
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: numpy is not installed[^\n]*\n", proc.stderr)
+
+
+def _other_interpreters() -> list[str]:
+    """Each ``python3.X`` on PATH that pyproject.toml supports (3.10 and
+    later), for X other than this interpreter's minor version, and that
+    starts: a version manager's shim may exist and still fail."""
+    found = []
+    for minor in range(10, 20):
+        path = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or path is None:
+            continue
+        probe = subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60)
+        if probe.returncode == 0:
+            found.append(path)
+    return found
+
+
+def test_scalar_readme_commands_under_other_interpreters():
+    """The numpy-free README commands print their recorded bytes under
+    every other Python 3 on PATH, with or without numpy there."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.X on PATH starts")
+    recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for python in interpreters:
+        for label in sorted(SCALAR_COMMANDS):
+            proc = subprocess.run([python, "-m", "mgmetric", *README_COMMANDS[label]],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == 0, (python, label, proc.stderr)
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded[label], \
+                (python, label)
 
 
 def test_importing_the_package_loads_no_module_of_it():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -22,7 +24,7 @@ from mgmetric import (
     load_fixture_config,
     get_fixture,
 )
-from mgmetric.metric import _perimeter, _perimeter_batch
+from mgmetric.metric import _perimeter, _perimeter_batch, _perimeter_pair, _perimeter_pair_batch
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -156,12 +158,14 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     spaces += [gm_from_exp(usual_metric), gm_from_product(EXP_ABS_METRIC)]
     for g in spaces:
         assert (g.g, g.batch) == (_perimeter, _perimeter_batch)
+        assert (g.pair, g.pair_batch) == (_perimeter_pair, _perimeter_pair_batch)
     generic = [gm_from_exp(_abs_pair, batch=_abs_pair),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
                    {"interval": [None, None], "slope": 1.0, "offset": 0.0}]}}).gmetric]
     for g in generic:
         assert g.g is not _perimeter and g.batch is not None
         assert g.batch is not _perimeter_batch
+        assert (g.pair, g.pair_batch) == (None, None)
 
 
 def _assert_same_floats(kernel, reference):
@@ -207,6 +211,110 @@ def test_perimeter_batch_is_the_scalar_kernel_on_a_seeded_sample():
     # the kernel writes only into arrays of its own
     for before, after in zip(inputs, (x, y, z)):
         assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the pair kernel G(x, y, y)
+
+# Both arguments may be any float: signed zeros, subnormals, overflowing
+# differences, infinities and NaN.
+_PAIR_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1 / 3, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(),
+)
+
+
+@st.composite
+def _pairs(draw, points=_PAIR_POINTS):
+    """(x, y) drawn from a pool of one or two points, so x == y is common."""
+    pool = draw(st.lists(points, min_size=1, max_size=2))
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pairs(), min_size=1, max_size=20), st.integers(min_value=64, max_value=300))
+def test_perimeter_pair_kernel_is_bitwise_g_of_x_y_y(pairs, length):
+    # tiled to 64-300 pairs, so numpy runs its vectorised loops
+    pairs = (pairs * (length // len(pairs) + 1))[:length]
+    g = gm_from_exp(usual_metric)
+    x, y = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+    inputs = x.copy(), y.copy()
+    reference = [g.g(a, b, b) for a, b in pairs]
+    pair = g.pair_kernel()
+    assert pair is _perimeter_pair
+    _assert_same_floats([pair(a, b) for a, b in pairs], reference)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_floats(g.pair_many(x, y), reference)
+        _assert_same_floats(g.pair_many(x, y), g.many(x, y, y))
+    # the batch kernel writes only into arrays of its own
+    for before, after in zip(inputs, (x, y)):
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+
+
+def _lopsided(x, y, z):
+    # asymmetric, so g(x, y, y), g(y, x, x) and g(x, x, y) all differ
+    return x - 2.0 * y + 0.5 * z * z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PAIR_POINTS, _PAIR_POINTS), min_size=1, max_size=40),
+       st.booleans())
+def test_default_pair_kernel_calls_g_of_x_y_y(pairs, batched):
+    calls = []
+
+    def g(*args):
+        calls.append(args)
+        return _lopsided(*args)
+
+    def hexes(triples):
+        # NaN compares by its text; everything else by its bits
+        return [tuple(map(float.hex, t)) for t in triples]
+
+    metric = GMetric(g=g, batch=g if batched else None)
+    pair = metric.pair_kernel()
+    with np.errstate(all="ignore"):
+        values = [pair(a, b) for a, b in pairs]
+        assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
+        _assert_same_floats(values, [_lopsided(a, b, b) for a, b in pairs])
+        calls.clear()
+        x, y = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+        _assert_same_floats(metric.pair_many(x, y), [_lopsided(a, b, b) for a, b in pairs])
+    if batched:
+        # one batch call, with y itself as its second and third argument
+        (args,) = calls
+        assert args[0] is x and args[1] is y and args[2] is y
+    else:
+        assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
+
+
+def _no_pair(*args):
+    raise AssertionError("the pair kernel was called")
+
+
+@pytest.mark.parametrize("build", [lambda: gm_from_exp(usual_metric),
+                                   lambda: GMetric(g=_lopsided, batch=_lopsided)])
+def test_axiom_audits_never_call_the_pair_kernel(build):
+    g = build()
+    trap = g.replace(pair=_no_pair, pair_batch=_no_pair)
+    for check in (check_gm_axioms, check_gm_properties):
+        assert check(trap, DOMAIN, 500, seed=5) == check(g, DOMAIN, 500, seed=5)
+    # the trap is armed: the ball goes through the pair kernel
+    with pytest.raises(AssertionError, match="pair kernel"):
+        ball_contains(trap, ClosedBall(center=1.0, radius=2.0), 1.5)
+
+
+def test_pair_kernel_fields_copy_pickle_and_compare():
+    stock = gm_from_exp(usual_metric, description="stock")
+    assert stock == GMetric(_perimeter, "stock", _perimeter_batch, _perimeter_pair,
+                            _perimeter_pair_batch)
+    assert stock != stock.replace(pair=None)
+    assert GMetric(g=_lopsided).pair is None and GMetric(g=_lopsided).pair_batch is None
+    for g in (stock, stock.replace(pair_batch=None)):
+        for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert clone == g and hash(clone) == hash(g)
+            assert (clone.pair, clone.pair_batch) == (g.pair, g.pair_batch)
 
 
 def test_log_floor_on_samples():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from mgmetric import (
     usual_metric,
 )
 from mgmetric._jsonutil import dumps
+from test_golden import _load_workloads
 
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
@@ -484,6 +486,35 @@ def test_solve_trace_is_the_fixed_step_trace(config, slack, mode, batched):
     assert r.trace == trace
     for x, flag in zip(trace.iterates, trace.in_ball):
         assert flag == ball_contains(g, params.ball, x)
+
+
+def _trace_bits(trace):
+    # the floats by their bits, so that -0.0 and 0.0 differ
+    return (tuple(map(float.hex, trace.iterates)), tuple(map(float.hex, trace.step_logs)),
+            trace.in_ball, trace.monotone)
+
+
+@pytest.mark.parametrize("mode", ["root", "implicit"])
+def test_pair_kernel_solves_bitwise_like_the_generic_route(mode):
+    # The stock fixtures at the README's epsilon, and the benchmark's
+    # slow orbit configs (about 6,500 steps) at its 1e-9.  The generic
+    # metric has the same g and neither batch nor pair kernel, so its
+    # residuals and ball flags are g(x, y, y) itself.
+    orbit_config = _load_workloads().orbit_config
+    cases = [(EX33, 1e-6), (EX37, 1e-6)]
+    for seed in range(2):
+        rng = random.Random(f"orbits:{seed}")
+        for space in ("exp-usual", "product-exp"):
+            cases.append((load_fixture_config(orbit_config(rng, space, False)), 1e-9))
+    for fx, epsilon in cases:
+        generic = GMetric(g=fx.gmetric.g)
+        stock, plain = (solve_fixed_point(g, fx.map, fx.params, mode=mode, epsilon=epsilon,
+                                          max_iter=1_000_000) for g in (fx.gmetric, generic))
+        assert fx.gmetric.pair is not None and generic.pair is None
+        assert _trace_bits(stock.trace) == _trace_bits(plain.trace)
+        assert stock.residual_log.hex() == plain.residual_log.hex()
+        assert stock.certified_bound == plain.certified_bound
+        assert stock == plain
 
 
 @settings(max_examples=300, deadline=None)

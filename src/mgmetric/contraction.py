@@ -103,7 +103,7 @@ def _check_condition(name: str, label: str) -> None:
 def _condition_sides(condition: str, g, pair, F, eta: float, x, y, z):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, for
     scalars (``g`` a GMetric, ``pair`` its pair kernel, ``F`` a SelfMap)
-    or arrays (their ``many`` and ``pair_many``)."""
+    or arrays (their ``many``, and ``pair(a, b)`` is ``many(a, b, b)``)."""
     fx, fy, fz = F(x), F(y), F(z)
     return g(fx, fy, fz), eta * _MAJORANTS[condition](g, pair, x, y, z, fx, fy)
 

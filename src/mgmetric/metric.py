@@ -224,20 +224,16 @@ class GMetric(Record):
     bitwise the floats ``g`` returns, and ``many`` calls ``g`` once per
     triple when it is missing.
 
-    The optional ``pair`` and ``pair_batch`` are the pair kernel
-    (x, y) -> G(x, y, y), scalar and over float64 arrays.  Each returns
-    bitwise the floats ``g(x, y, y)`` returns; without them the pair
-    kernel is ``g(x, y, y)`` and ``many(x, y, y)``.  The ball, the seed
-    condition, the solver's residual and the implicit majorant's
-    (a, b, b) terms use it.  The axiom audits never do: it rests on the
-    symmetry they test.
+    ``pair_kernel()`` is the scalar (x, y) -> G(x, y, y): bitwise
+    ``g(x, y, y)``, and for the ``|x - y|`` perimeter a faster form of
+    it.  The ball, the seed condition, the solver's residual and the
+    implicit majorant's (a, b, b) terms use it.  The axiom audits never
+    do: it rests on the symmetry they test.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
     description: str = ""
     batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-    pair: Callable[[Point, Point], LogDistance] | None = None
-    pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Point, y: Point, z: Point) -> LogDistance:
         return self.g(x, y, z)
@@ -251,17 +247,11 @@ class GMetric(Record):
         return _evaluate_many(self.g, self.batch, x, y, z)
 
     def pair_kernel(self) -> Callable[[Point, Point], LogDistance]:
-        """The scalar pair kernel: ``pair``, or a call of ``g(x, y, y)``."""
-        if self.pair is not None:
-            return self.pair
+        """The scalar pair kernel (x, y) -> ``g(x, y, y)``."""
         g = self.g
+        if g is _perimeter:
+            return _perimeter_pair
         return lambda x, y: g(x, y, y)
-
-    def pair_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """G(x, y, y) of each pair of elements of two float64 arrays."""
-        if self.pair_batch is None:
-            return self.many(x, y, y)
-        return np.asarray(self.pair_batch(x, y), dtype=np.float64)
 
 
 class ClosedBall(Record):
@@ -379,20 +369,11 @@ def _perimeter_pair(x: Point, y: Point) -> LogDistance:
     return a + a + (y - y)
 
 
-def _perimeter_pair_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # _perimeter_pair over arrays, in two arrays of the kernel's own
-    a = np.subtract(x, y)
-    np.abs(a, out=a)
-    np.add(a, a, out=a)
-    return np.add(a, np.subtract(y, y), out=a)
-
-
 def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
-                     pairfn_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+                     pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                      description: str) -> GMetric:
     if pairfn is usual_metric:
-        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch,
-                       pair=_perimeter_pair, pair_batch=_perimeter_pair_batch)
+        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch)
 
     def g(x: Point, y: Point, z: Point) -> LogDistance:
         # Evaluate each unordered pair in canonical argument order, since
@@ -414,9 +395,9 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
     # A closure, not a functools.partial: a copied partial is a new object,
     # and a function is copied as itself, so a copied GMetric stays ==.
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return _canonical_pair_sum_batch(pairfn_batch, x, y, z)
+        return _canonical_pair_sum_batch(pair_batch, x, y, z)
 
-    return GMetric(g=g, description=description, batch=None if pairfn_batch is None else batch)
+    return GMetric(g=g, description=description, batch=None if pair_batch is None else batch)
 
 
 def gm_from_product(d: MultMetric, description: str = "") -> GMetric:

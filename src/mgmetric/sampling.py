@@ -321,7 +321,7 @@ def _stratified(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.nd
 
 def _in_ball(g: GMetric, ball: ClosedBall, rho: np.ndarray) -> np.ndarray:
     """``ball_contains`` of each element of a float64 array."""
-    return g.pair_many(np.full_like(rho, ball.center), rho) <= ball.log_radius
+    return g.many(np.full_like(rho, ball.center), rho, rho) <= ball.log_radius
 
 
 def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Interval:
@@ -405,12 +405,8 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
         evaluated.append((triple, values))
         return values
 
-    def pair_many(a, b):
-        values = g.pair_many(a, b)
-        evaluated.append(((a, b, b), values))
-        return values
-
-    lhs, rhs = _condition_sides(condition, g_many, pair_many, F.many, params.eta, x, y, z)
+    lhs, rhs = _condition_sides(condition, g_many, lambda a, b: g_many(a, b, b), F.many,
+                                params.eta, x, y, z)
     rec = _Recorder((condition, "floor"), max_witnesses)
     rec.require(0, condition, (x, y, z), lhs, rhs)
     # a metric value below the floor voids the condition's evidence

@@ -21,8 +21,7 @@ best-effort and flags the rate as uncertified.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import chain, repeat
+from itertools import chain
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
@@ -201,9 +200,9 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
         push_iterate(nxt)
         x = nxt
     # ball_contains of each iterate from the scalar kernel, without numpy:
-    # by the batch contract, bitwise the flags g.pair_many gives.  float()
-    # is pair_many's float64 conversion, so each flag is a bool whatever
-    # real type g returns.
+    # by the batch contract, bitwise the flags g.many gives.  float() is
+    # g.many's float64 conversion, so each flag is a bool whatever real
+    # type g returns.
     center, log_radius = ball.center, ball.log_radius
     flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
@@ -335,8 +334,8 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     # recorded step contracts by it, and with no slack: steps that may
     # exceed rate * before by SLACK can hover near SLACK / (1 - rate),
     # past the bound, when the tolerance is that small.
-    rate_certified = rate < 1.0 and all(map(operator.le, steps[1:],
-                                            map(operator.mul, repeat(rate), steps)))
+    rate_certified = rate < 1.0 and all(after <= rate * before
+                                        for before, after in zip(steps, steps[1:]))
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(

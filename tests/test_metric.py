@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 import struct
 
 import numpy as np
@@ -24,7 +22,7 @@ from mgmetric import (
     load_fixture_config,
     get_fixture,
 )
-from mgmetric.metric import _perimeter, _perimeter_batch, _perimeter_pair, _perimeter_pair_batch
+from mgmetric.metric import _perimeter, _perimeter_batch, _perimeter_pair
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -158,14 +156,14 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     spaces += [gm_from_exp(usual_metric), gm_from_product(EXP_ABS_METRIC)]
     for g in spaces:
         assert (g.g, g.batch) == (_perimeter, _perimeter_batch)
-        assert (g.pair, g.pair_batch) == (_perimeter_pair, _perimeter_pair_batch)
+        assert g.pair_kernel() is _perimeter_pair
     generic = [gm_from_exp(_abs_pair, batch=_abs_pair),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
                    {"interval": [None, None], "slope": 1.0, "offset": 0.0}]}}).gmetric]
     for g in generic:
         assert g.g is not _perimeter and g.batch is not None
         assert g.batch is not _perimeter_batch
-        assert (g.pair, g.pair_batch) == (None, None)
+        assert g.pair_kernel() is not _perimeter_pair
 
 
 def _assert_same_floats(kernel, reference):
@@ -234,23 +232,12 @@ def _pairs(draw, points=_PAIR_POINTS):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_pairs(), min_size=1, max_size=20), st.integers(min_value=64, max_value=300))
-def test_perimeter_pair_kernel_is_bitwise_g_of_x_y_y(pairs, length):
-    # tiled to 64-300 pairs, so numpy runs its vectorised loops
-    pairs = (pairs * (length // len(pairs) + 1))[:length]
+@given(st.lists(_pairs(), min_size=1, max_size=300))
+def test_perimeter_pair_kernel_is_bitwise_g_of_x_y_y(pairs):
     g = gm_from_exp(usual_metric)
-    x, y = (np.array(col, dtype=np.float64) for col in zip(*pairs))
-    inputs = x.copy(), y.copy()
-    reference = [g.g(a, b, b) for a, b in pairs]
     pair = g.pair_kernel()
     assert pair is _perimeter_pair
-    _assert_same_floats([pair(a, b) for a, b in pairs], reference)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_floats(g.pair_many(x, y), reference)
-        _assert_same_floats(g.pair_many(x, y), g.many(x, y, y))
-    # the batch kernel writes only into arrays of its own
-    for before, after in zip(inputs, (x, y)):
-        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+    _assert_same_floats([pair(a, b) for a, b in pairs], [g.g(a, b, b) for a, b in pairs])
 
 
 def _lopsided(x, y, z):
@@ -259,9 +246,8 @@ def _lopsided(x, y, z):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_PAIR_POINTS, _PAIR_POINTS), min_size=1, max_size=40),
-       st.booleans())
-def test_default_pair_kernel_calls_g_of_x_y_y(pairs, batched):
+@given(st.lists(st.tuples(_PAIR_POINTS, _PAIR_POINTS), min_size=1, max_size=40))
+def test_default_pair_kernel_calls_g_of_x_y_y(pairs):
     calls = []
 
     def g(*args):
@@ -272,49 +258,27 @@ def test_default_pair_kernel_calls_g_of_x_y_y(pairs, batched):
         # NaN compares by its text; everything else by its bits
         return [tuple(map(float.hex, t)) for t in triples]
 
-    metric = GMetric(g=g, batch=g if batched else None)
-    pair = metric.pair_kernel()
-    with np.errstate(all="ignore"):
-        values = [pair(a, b) for a, b in pairs]
-        assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
-        _assert_same_floats(values, [_lopsided(a, b, b) for a, b in pairs])
-        calls.clear()
-        x, y = (np.array(col, dtype=np.float64) for col in zip(*pairs))
-        _assert_same_floats(metric.pair_many(x, y), [_lopsided(a, b, b) for a, b in pairs])
-    if batched:
-        # one batch call, with y itself as its second and third argument
-        (args,) = calls
-        assert args[0] is x and args[1] is y and args[2] is y
-    else:
-        assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
+    pair = GMetric(g=g).pair_kernel()
+    values = [pair(a, b) for a, b in pairs]
+    assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
+    _assert_same_floats(values, [_lopsided(a, b, b) for a, b in pairs])
 
 
-def _no_pair(*args):
+def _no_pair(self):
     raise AssertionError("the pair kernel was called")
 
 
 @pytest.mark.parametrize("build", [lambda: gm_from_exp(usual_metric),
                                    lambda: GMetric(g=_lopsided, batch=_lopsided)])
-def test_axiom_audits_never_call_the_pair_kernel(build):
+def test_axiom_audits_never_call_the_pair_kernel(build, monkeypatch):
     g = build()
-    trap = g.replace(pair=_no_pair, pair_batch=_no_pair)
-    for check in (check_gm_axioms, check_gm_properties):
-        assert check(trap, DOMAIN, 500, seed=5) == check(g, DOMAIN, 500, seed=5)
+    reports = [check(g, DOMAIN, 500, seed=5) for check in (check_gm_axioms, check_gm_properties)]
+    monkeypatch.setattr(GMetric, "pair_kernel", _no_pair)
+    assert [check(g, DOMAIN, 500, seed=5)
+            for check in (check_gm_axioms, check_gm_properties)] == reports
     # the trap is armed: the ball goes through the pair kernel
     with pytest.raises(AssertionError, match="pair kernel"):
-        ball_contains(trap, ClosedBall(center=1.0, radius=2.0), 1.5)
-
-
-def test_pair_kernel_fields_copy_pickle_and_compare():
-    stock = gm_from_exp(usual_metric, description="stock")
-    assert stock == GMetric(_perimeter, "stock", _perimeter_batch, _perimeter_pair,
-                            _perimeter_pair_batch)
-    assert stock != stock.replace(pair=None)
-    assert GMetric(g=_lopsided).pair is None and GMetric(g=_lopsided).pair_batch is None
-    for g in (stock, stock.replace(pair_batch=None)):
-        for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-            assert clone == g and hash(clone) == hash(g)
-            assert (clone.pair, clone.pair_batch) == (g.pair, g.pair_batch)
+        ball_contains(g, ClosedBall(center=1.0, radius=2.0), 1.5)
 
 
 def test_log_floor_on_samples():

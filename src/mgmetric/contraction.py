@@ -7,15 +7,14 @@ Two pointwise conditions are supported, both evaluated in log-domain:
 * "implicit": the image triple is bounded by eta times the largest of
   five reference distances (one of them a min of two terms).
 
-Both come with an m-th-root variant; since t -> t**(1/m) is strictly
-increasing, the truth value never depends on m, and the predicates here
-evaluate the m = 1 form.  ``sampling.certify_region`` sweeps a condition
-over a sampled region.
+The paper states both with an m-th root; since t -> t**(1/m) is
+strictly increasing, the truth value never depends on m, and the
+predicates here evaluate the m = 1 form.  ``sampling.certify_region``
+sweeps a condition over a sampled region.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -25,15 +24,14 @@ from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, Interval, LogDistanc
 
 class ContractionParams(Record):
     """Parameter bundle certifying a contraction on a ball: factor eta,
-    multiplicative ball radius gamma, the seed point, and the root index m."""
+    multiplicative ball radius gamma, and the seed point."""
 
     eta: float
     gamma: float
     seed_point: Point
-    m: int = 1
 
     def __post_init__(self) -> None:
-        _validate_eta_m(self.eta, self.m)
+        _validate_eta(self.eta)
         self.ball  # the ball rule checks gamma and the seed point
 
     @property
@@ -62,30 +60,38 @@ class SelfMap(Record):
         return _evaluate_many(self.apply, self.batch, x)
 
 
-def _validate_eta_m(eta: float, m: int = 1) -> None:
+def _validate_eta(eta: float) -> None:
     if not (0.0 <= eta < 1.0):
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"root index m must be an integer >= 1, got {m}")
 
 
 def _root_majorant(g, pair, x, y, z, fx, fy):
     return g(x, y, z)
 
 
+# np.maximum and np.minimum on two floats, without numpy: the first
+# argument if it is NaN or strictly wins, else the second, so a NaN
+# propagates and a tie (0.0 against -0.0 included) returns the second.
+def _maximum(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a > b or a != a else b
+    return np.maximum(a, b)
+
+
+def _minimum(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return a if a < b or a != a else b
+    return np.minimum(a, b)
+
+
 def _implicit_majorant(g, pair, x, y, z, fx, fy):
-    # pair(a, b) is g(a, b, b)
-    terms = (
-        g(x, y, z),
-        pair(x, fx),
-        pair(y, fy),
-        pair(x, fy),
-        # np.minimum and np.maximum return their second argument on ties,
-        # so the earlier term goes second: ties keep it, as Python's min
-        # and max do.  Unlike those, they propagate a NaN term.
-        np.minimum(pair(x, z), pair(z, fx)),
-    )
-    return functools.reduce(lambda acc, term: np.maximum(term, acc), terms)
+    # pair(a, b) is g(a, b, b).  The maximum and minimum return their
+    # second argument on ties, so the earlier term goes second: ties keep
+    # it, as Python's min and max do.  Unlike those, they propagate a NaN.
+    acc = g(x, y, z)
+    for term in (pair(x, fx), pair(y, fy), pair(x, fy), _minimum(pair(x, z), pair(z, fx))):
+        acc = _maximum(term, acc)
+    return acc
 
 
 # The majorant M of each condition, which must satisfy
@@ -109,20 +115,16 @@ def _condition_sides(condition: str, g, pair, F, eta: float, x, y, z):
 
 
 def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
-                     x: Point, y: Point, z: Point, m: int) -> bool:
-    _validate_eta_m(eta, m)
+                     x: Point, y: Point, z: Point) -> bool:
+    _validate_eta(eta)
     return bool(_relation_holds("<=", *_condition_sides(condition, g, g.pair_kernel(), F,
                                                         eta, x, y, z)))
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
-                           x: Point, y: Point, z: Point, *, m: int = 1) -> bool:
-    """Pointwise contraction test g(Fx,Fy,Fz) <= eta * g(x,y,z).
-
-    Independent of ``m``: taking m-th roots rescales both sides by the
-    same strictly monotone map.
-    """
-    return _condition_holds("root", g, F, eta, x, y, z, m)
+                           x: Point, y: Point, z: Point) -> bool:
+    """Pointwise contraction test g(Fx,Fy,Fz) <= eta * g(x,y,z)."""
+    return _condition_holds("root", g, F, eta, x, y, z)
 
 
 def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:
@@ -141,17 +143,14 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,
-                   x: Point, y: Point, z: Point, *, m: int = 1) -> LogDistance:
-    """Log-domain value of the implicit majorant: eta/m times the max of
+                   x: Point, y: Point, z: Point) -> LogDistance:
+    """Log-domain value of the implicit majorant: eta times the max of
     the five reference distances at (x, y, z)."""
-    _validate_eta_m(eta, m)
-    return float(eta * _implicit_majorant(g, g.pair_kernel(), x, y, z, F(x), F(y)) / m)
+    _validate_eta(eta)
+    return float(eta * _implicit_majorant(g, g.pair_kernel(), x, y, z, F(x), F(y)))
 
 
 def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,
-                               x: Point, y: Point, z: Point, *, m: int = 1) -> bool:
-    """Pointwise implicit test g(Fx,Fy,Fz) <= eta * max-term.
-
-    Independent of ``m`` for the same reason as the root condition.
-    """
-    return _condition_holds("implicit", g, F, eta, x, y, z, m)
+                               x: Point, y: Point, z: Point) -> bool:
+    """Pointwise implicit test g(Fx,Fy,Fz) <= eta * max-term."""
+    return _condition_holds("implicit", g, F, eta, x, y, z)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 from .metric import (GMetric, Interval, MultMetric, Record, gm_from_exp, gm_from_product, np,
                      usual_metric)
@@ -128,7 +126,6 @@ class NamedFixture(Record):
     mult: MultMetric | None = None
     map: SelfMap | None = None
     params: ContractionParams | None = None
-    metadata: Mapping[str, object] = MappingProxyType({})
 
 
 _STOCK_PARAMS = ContractionParams(eta=5.0 / 8.0, gamma=11.0 / 2.0, seed_point=1.0 / 3.0)
@@ -139,30 +136,8 @@ _PRODUCT_EXP = gm_from_product(EXP_ABS_METRIC, description="product-exp")
 _REGISTRY = (
     NamedFixture(id="exp-usual", gmetric=_EXP_USUAL),
     NamedFixture(id="product-exp", gmetric=_PRODUCT_EXP, mult=EXP_ABS_METRIC),
-    NamedFixture(
-        id="ex33",
-        gmetric=_EXP_USUAL,
-        map=quarter_shift_map,
-        params=_STOCK_PARAMS,
-        metadata=MappingProxyType({
-            "breakpoint": 1.0 / 3.0,
-            "continuous_at_breakpoint": False,
-            "left_limit": 1.0 / 12.0,
-            "value_at_breakpoint": 0.0,
-        }),
-    ),
-    NamedFixture(
-        id="ex37",
-        gmetric=_EXP_USUAL,
-        map=half_shift_map,
-        params=_STOCK_PARAMS,
-        metadata=MappingProxyType({
-            "breakpoint": 0.5,
-            "continuous_at_breakpoint": True,
-            "left_limit": 0.25,
-            "value_at_breakpoint": 0.25,
-        }),
-    ),
+    NamedFixture(id="ex33", gmetric=_EXP_USUAL, map=quarter_shift_map, params=_STOCK_PARAMS),
+    NamedFixture(id="ex37", gmetric=_EXP_USUAL, map=half_shift_map, params=_STOCK_PARAMS),
 )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from types import MappingProxyType
 from typing import Callable
 
 
@@ -79,8 +78,7 @@ class Record:
     A record is built from positional or keyword arguments, then
     ``__post_init__`` validates it.  Its fields cannot be assigned, and
     ``==``, ``hash`` and ``repr`` go by the fields.  Copying and pickling
-    restore the fields without validating again, and keep a read-only
-    mapping field read-only.
+    restore the fields through ``__dict__``, without validating again.
     """
 
     _fields: tuple[str, ...]
@@ -121,35 +119,19 @@ class Record:
         """A copy with some fields changed, validated as a new record."""
         return type(self)(**{**self._asdict(), **changes})
 
-    def __reduce__(self):
-        # copy and pickle cannot take a mappingproxy apart, so a read-only
-        # mapping field travels as a dict and is made read-only again.
-        fields = dict(vars(self))
-        proxies = tuple(n for n, v in fields.items() if isinstance(v, MappingProxyType))
-        for n in proxies:
-            fields[n] = dict(fields[n])
-        return _restore, (type(self), fields, proxies)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._asdict() == other._asdict()
 
     def __hash__(self) -> int:
-        # a mapping field hashes by its items, as == compares it
-        return hash(tuple(frozenset(v.items()) if isinstance(v, (dict, MappingProxyType)) else v
+        # a dict field hashes by its items, as == compares it
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v
                           for v in self._asdict().values()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={v!r}" for n, v in self._asdict().items())
         return f"{type(self).__qualname__}({body})"
-
-
-def _restore(cls: type[Record], fields: dict, proxies: tuple[str, ...]) -> Record:
-    record = object.__new__(cls)
-    for n, v in fields.items():
-        object.__setattr__(record, n, MappingProxyType(v) if n in proxies else v)
-    return record
 
 
 class Interval(Record):
@@ -420,18 +402,21 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
 
 
 # Each required relation between lhs_log and rhs_log, for floats and
-# float64 arrays alike.  A NaN side fails every relation.
+# float64 arrays alike, and only between finite sides: a NaN fails every
+# comparison, and each relation also rules out the infinite sides that
+# would pass its comparison (an infinite side makes "==" compare NaN or
+# inf).  The scalar path calls no numpy.
 _RELATIONS = {
-    "<=": lambda lhs, rhs: lhs <= rhs + SLACK,
-    ">=": lambda lhs, rhs: lhs >= rhs - SLACK,
-    ">": lambda lhs, rhs: lhs > rhs + SLACK,
+    "<=": lambda lhs, rhs: (lhs <= rhs + SLACK) & (lhs > -math.inf) & (rhs < math.inf),
+    ">=": lambda lhs, rhs: (lhs >= rhs - SLACK) & (lhs < math.inf) & (rhs > -math.inf),
+    ">": lambda lhs, rhs: (lhs > rhs + SLACK) & (lhs < math.inf) & (rhs > -math.inf),
     "==": lambda lhs, rhs: abs(lhs - rhs) <= SLACK,
 }
 
 
 def _relation_holds(relation: str, lhs, rhs):
-    """Whether ``lhs relation rhs`` holds within SLACK; elementwise on
-    float64 arrays."""
+    """Whether ``lhs relation rhs`` holds within SLACK, both sides finite;
+    elementwise on float64 arrays."""
     try:
         test = _RELATIONS[relation]
     except KeyError:

@@ -283,10 +283,11 @@ class CertificateReport(Record):
     """Outcome of sweeping a contractive condition over a sampled region.
 
     ``verdict`` is "holds-on-sample" or "violated"; every violation, of
-    the condition or of the floor rule by a metric value it used, is a
-    re-checkable witness (capped at ``max_witnesses`` per rule, full
-    count in ``violations``).  The seed condition is checked once per
-    report.
+    the condition, of a ball's invariance or of the floor rule by a
+    metric value they used, is a re-checkable witness (capped at
+    ``max_witnesses`` per rule, full count in ``violations``).  The seed
+    condition is checked once per report.  ``to_dict`` prints the root
+    index ``"m": 1`` of the form the conditions are evaluated in.
     """
 
     condition: str
@@ -300,7 +301,6 @@ class CertificateReport(Record):
     eta: float
     gamma: float
     seed_point: float
-    m: int
 
     @property
     def holds(self) -> bool:
@@ -309,6 +309,7 @@ class CertificateReport(Record):
     def to_dict(self) -> dict:
         doc = self._asdict()
         doc["witnesses"] = [w._asdict() for w in self.witnesses]
+        doc["m"] = 1
         doc["holds"] = self.holds
         return doc
 
@@ -344,8 +345,10 @@ def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Inte
 
 
 def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
-                    region: Interval | str, n: int,
-                    rng: np.random.Generator) -> tuple[tuple[np.ndarray, ...], str]:
+                    region: Interval | str, n: int, rng: np.random.Generator
+                    ) -> tuple[tuple[np.ndarray, ...], str, np.ndarray | None]:
+    """The sampled triples, the region's label, and for a ball the pool
+    of its points the triples are drawn from (None for an interval)."""
     if isinstance(region, str):
         if region != "ball":
             raise ValueError(f"region must be an Interval or 'ball', got {region!r}")
@@ -363,7 +366,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         idx = rng.integers(len(pool), size=(n, 3))
         a, b = pool[0], pool[-1]
         corners = [(a, a, a), (a, a, b), (a, b, b), (b, a, b)]
-        return _with_corners(corners, *(pool[idx[:, k]] for k in range(3))), str(ball)
+        return _with_corners(corners, *(pool[idx[:, k]] for k in range(3))), str(ball), pool
 
     if not region.finite:
         raise ValueError(f"region interval must be finite, got {region}")
@@ -375,7 +378,8 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
     a = float(lo + (hi - lo) * rng.random())
     b = float(lo + (hi - lo) * rng.random())
     corners += [(a, a, b), (a, b, b), (a, a, a)]
-    return _with_corners(corners, *(_stratified(rng, lo, hi, n) for _ in range(3))), str(region)
+    triples = _with_corners(corners, *(_stratified(rng, lo, hi, n) for _ in range(3)))
+    return triples, str(region), None
 
 
 def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
@@ -387,9 +391,11 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
     literal string "ball" for the closed ball named by ``params``.
     Sampling is stratified uniform plus forced corner cases (region
     endpoints, the seed point when inside, degenerate triples), and is
-    deterministic given ``seed``.  Every metric value the condition uses
-    must also respect the floor.  The seed condition is checked once and
-    reported alongside.
+    deterministic given ``seed``.  A ball must also map into itself: the
+    "invariance" rule requires g(x0, F rho, F rho) <= ln gamma for every
+    point rho of the pool the triples are drawn from.  Every metric value
+    a rule uses must also respect the floor.  The seed condition is
+    checked once and reported alongside.
 
     Raises EmptyRegion when no sampled point lies in the region.
     """
@@ -397,7 +403,7 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
     _check_sample_count(n)
 
     rng = np.random.default_rng(seed)
-    (x, y, z), region_label = _region_triples(g, F, params, region, n, rng)
+    (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)
     evaluated = []
 
     def g_many(*triple):
@@ -405,13 +411,21 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
         evaluated.append((triple, values))
         return values
 
-    lhs, rhs = _condition_sides(condition, g_many, lambda a, b: g_many(a, b, b), F.many,
-                                params.eta, x, y, z)
-    rec = _Recorder((condition, "floor"), max_witnesses)
-    rec.require(0, condition, (x, y, z), lhs, rhs)
-    # a metric value below the floor voids the condition's evidence
-    for triple, values in evaluated:
-        rec.require_floor(0, triple, values)
+    rec = _Recorder((condition, "invariance", "floor"), max_witnesses)
+    # a value that overflows to inf, or an inf - inf, fails a rule: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = _condition_sides(condition, g_many, lambda a, b: g_many(a, b, b), F.many,
+                                    params.eta, x, y, z)
+        rec.require(0, condition, (x, y, z), lhs, rhs)
+        # a metric value below the floor voids the condition's evidence
+        for triple, values in evaluated:
+            rec.require_floor(0, triple, values)
+        if pool is not None:
+            image = F.many(pool)
+            center = np.full_like(image, params.seed_point)
+            values = g.many(center, image, image)
+            rec.require(1, "invariance", (pool,), values, params.ball.log_radius)
+            rec.require_floor(1, (center, image, image), values)
     violations = sum(rec.counts.values())
 
     return CertificateReport(
@@ -426,5 +440,4 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
         eta=params.eta,
         gamma=params.gamma,
         seed_point=params.seed_point,
-        m=params.m,
     )

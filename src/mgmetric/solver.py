@@ -24,7 +24,7 @@ import math
 from itertools import chain
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
-from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta_m,
+from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta,
                           seed_condition_holds)
 
 
@@ -229,7 +229,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 def step_bound(log_g01: LogDistance, eta: float, j: int) -> LogDistance:
     """Per-step a-priori bound eta**j * g(x0, x1, x1), in log-domain."""
-    _validate_eta_m(eta)
+    _validate_eta(eta)
     if j < 0:
         raise ValueError(f"step index must be >= 0, got {j}")
     return (eta ** j) * log_g01
@@ -271,7 +271,7 @@ def converged(g: GMetric, x: Point, p: Point, epsilon: float) -> bool:
 
 def mu_of(eta: float) -> float:
     """Telescoped per-step rate eta / (1 - eta) of the implicit condition."""
-    _validate_eta_m(eta)
+    _validate_eta(eta)
     return eta / (1.0 - eta)
 
 

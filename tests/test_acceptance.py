@@ -27,7 +27,6 @@ from mgmetric import (
     gm_from_product,
     implicit_bound,
     implicit_contraction_holds,
-    root_contraction_holds,
     seed_condition_holds,
     solve_fixed_point,
     usual_metric,
@@ -165,19 +164,6 @@ def test_08_axiom_suites():
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.3f}s, budget 5s"
     _report("axiom suites with planted failures", t0)
-
-
-def test_09_m_independence():
-    rng = np.random.default_rng(41)
-    for fx in (EX33, EX37):
-        for x, y, z in rng.random((1000, 3)) * 5.5:
-            root = {root_contraction_holds(G, fx.map, 0.625, x, y, z, m=m)
-                    for m in (1, 2, 3)}
-            impl = {implicit_contraction_holds(G, fx.map, 0.625, x, y, z, m=m)
-                    for m in (1, 2, 3)}
-            assert len(root) == 1
-            assert len(impl) == 1
-    _report("root-index independence of both predicates")
 
 
 def test_10_uniqueness_surrogate():

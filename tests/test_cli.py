@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from mgmetric import cli
+from mgmetric import Witness, cli
 from mgmetric.cli import main
+from test_contraction import IDENTITY, LEAVES_BALL
 from test_golden import GOLDEN, README_COMMANDS
 
 
@@ -228,6 +229,33 @@ def test_certify_ball_outside_domain_is_empty_region(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "does not meet the map's domain" in err
+
+
+def test_certify_infinite_metric_values_exit_two(tmp_path):
+    # the identity map: g overflows to inf on the region, which is no
+    # contraction, and a report cannot carry it
+    cfg = tmp_path / "identity.json"
+    cfg.write_text(json.dumps(IDENTITY))
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", "certify", "--config", str(cfg),
+                           "--condition", "root", "--region", "0:1.7e308", "--n", "1",
+                           "--seed", "8"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite float inf is not representable in a report\n"
+
+
+def test_certify_ball_the_map_leaves_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "leaves.json"
+    cfg.write_text(json.dumps(LEAVES_BALL))
+    code, doc, err = run_json(capsys, "certify", "--config", str(cfg), "--condition", "root",
+                              "--region", "ball", "--n", "10000")
+    assert code == 1
+    assert doc["verdict"] == "violated" and doc["seed_condition_ok"] is True
+    assert doc["witnesses"] and {w["rule"] for w in doc["witnesses"]} == {"invariance"}
+    for w in doc["witnesses"]:
+        assert not Witness(w["rule"], tuple(w["points"]), w["lhs_log"], w["rhs_log"],
+                           w["relation"]).holds()
+    assert "violated" in err
 
 
 def test_solve_overflowing_orbit_is_domain_exit(capsys, tmp_path):

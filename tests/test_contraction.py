@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mgmetric import (
     seed_condition_holds,
     usual_metric,
 )
+from mgmetric.contraction import _implicit_majorant
 
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
@@ -59,7 +62,7 @@ def test_root_validates_arguments():
     with pytest.raises(ValueError):
         root_contraction_holds(G, EX33.map, 1.0, 0.1, 0.2, 0.3)
     with pytest.raises(ValueError):
-        root_contraction_holds(G, EX33.map, 0.5, 0.1, 0.2, 0.3, m=0)
+        root_contraction_holds(G, EX33.map, -0.5, 0.1, 0.2, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +161,6 @@ def test_implicit_bound_zero_at_fixed_diagonal():
     assert implicit_bound(G, EX37.map, ETA, 0.0, 0.0, 0.0) == 0.0
 
 
-def test_implicit_bound_root_scaling():
-    b1 = implicit_bound(G, EX37.map, ETA, 0.1, 0.2, 0.3, m=1)
-    b3 = implicit_bound(G, EX37.map, ETA, 0.1, 0.2, 0.3, m=3)
-    assert b3 == pytest.approx(b1 / 3.0, abs=1e-15)
-
-
 def test_implicit_holds_on_halving_branch():
     # F halves the perimeter there: 0.2 <= 0.25
     assert implicit_contraction_holds(G, EX37.map, ETA, 0.1, 0.2, 0.3)
@@ -181,43 +178,6 @@ def test_implicit_trivial_on_fixed_diagonal():
 
 # ---------------------------------------------------------------------------
 # cross-condition properties
-
-
-@pytest.mark.parametrize("fixture", ["ex33", "ex37"])
-def test_m_independence_of_both_predicates(fixture):
-    fx = get_fixture(fixture)
-    rng = np.random.default_rng(23)
-    for x, y, z in rng.random((1000, 3)) * 5.5:
-        root = [root_contraction_holds(G, fx.map, ETA, x, y, z, m=m) for m in (1, 2, 3)]
-        impl = [implicit_contraction_holds(G, fx.map, ETA, x, y, z, m=m) for m in (1, 2, 3)]
-        assert root[0] == root[1] == root[2]
-        assert impl[0] == impl[1] == impl[2]
-
-
-@st.composite
-def pl_configs_and_triples(draw):
-    """A PL map on [0, inf) with slopes in [0, 2] and offsets in [0, 3], so
-    both outcomes of each condition occur, an eta and a triple."""
-    cuts = sorted(set(draw(st.lists(st.floats(min_value=0.01, max_value=10.0), max_size=3))))
-    edges = [0.0] + cuts + [None]
-    rows = [{"interval": [lo, hi], "slope": draw(st.floats(min_value=0.0, max_value=2.0)),
-             "offset": draw(st.floats(min_value=0.0, max_value=3.0))}
-            for lo, hi in zip(edges, edges[1:])]
-    space = draw(st.sampled_from(["exp-usual", "product-exp"]))
-    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    triple = draw(st.tuples(*[st.floats(min_value=0.0, max_value=12.0)] * 3))
-    return {"space": space, "map": rows}, eta, triple
-
-
-@settings(max_examples=200, deadline=None)
-@given(pl_configs_and_triples())
-def test_m_independence_of_both_predicates_on_random_maps(config):
-    doc, eta, (x, y, z) = config
-    fx = load_fixture_config(doc)
-    for holds in (root_contraction_holds, implicit_contraction_holds):
-        first = holds(fx.gmetric, fx.map, eta, x, y, z)
-        assert all(holds(fx.gmetric, fx.map, eta, x, y, z, m=m) == first
-                   for m in range(1, 11))
 
 
 @pytest.mark.parametrize("fixture", ["ex33", "ex37"])
@@ -294,10 +254,50 @@ def test_certify_ball_empty_below_floor():
 
 
 def test_certify_ball_degenerate_single_point():
+    # only the center 1/3 is in the ball, and F(1/3) = 0 is not
     params = EX33.params.replace(gamma=1.0)
     report = certify_region(G, EX33.map, params, "root", "ball", 200, seed=7)
-    assert report.holds  # only the center is in the ball
+    assert report.verdict == "violated"
+    assert report.witnesses and {w.rule for w in report.witnesses} == {"invariance"}
+    for w in report.witnesses:
+        assert w.points == (1 / 3,)
+        assert w.lhs_log == G(1 / 3, 0.0, 0.0) == 2 / 3 and w.rhs_log == 0.0
+        assert not w.holds()
     assert not report.seed_condition_ok  # budget (1-eta)*1 < 1
+
+
+def test_certify_ball_degenerate_single_point_fixed_by_the_map():
+    constant = load_fixture_config({
+        "space": "exp-usual", "map": [{"interval": [0.0, None], "slope": 0.0, "offset": 1 / 3}]})
+    params = EX33.params.replace(gamma=1.0)
+    report = certify_region(G, constant.map, params, "root", "ball", 200, seed=7)
+    assert report.holds and report.violations == 0
+
+
+# exp-usual, F(x) = x/2 + 4, eta 0.6, gamma e^10, x0 0: the root condition
+# holds everywhere, but the ball is [0, 5] and F(5) = 6.5; the orbit runs
+# to the fixed point 8, outside the ball.
+LEAVES_BALL = {
+    "space": "exp-usual",
+    "map": [{"interval": [0.0, None], "slope": 0.5, "offset": 4.0}],
+    "params": {"eta": 0.6, "gamma": 22026.465794806718, "x0": 0.0},
+}
+
+
+def test_certify_ball_the_map_leaves_is_violated():
+    fx = load_fixture_config(LEAVES_BALL)
+    report = certify_region(fx.gmetric, fx.map, fx.params, "root", "ball", 2000, seed=7)
+    assert report.verdict == "violated" and report.seed_condition_ok
+    assert {w.rule for w in report.witnesses} == {"invariance"}
+    for w in report.witnesses:
+        (rho,) = w.points
+        image = fx.map(rho)
+        assert w.lhs_log == G(0.0, image, image) > w.rhs_log == math.log(fx.params.gamma)
+        assert not w.holds()
+    # an interval sweep has no invariance rule
+    interval = certify_region(fx.gmetric, fx.map, fx.params, "root", Interval(0.0, 5.0), 2000,
+                              seed=7)
+    assert interval.holds
 
 
 @pytest.mark.parametrize("condition", ["root", "implicit"])
@@ -371,6 +371,8 @@ def test_certify_report_to_dict_shape():
     assert doc["verdict"] == "holds-on-sample"
     assert doc["holds"] is True
     assert doc["eta"] == 0.625 and doc["gamma"] == 5.5
+    # the root index of the evaluated form, a constant of the schema
+    assert list(doc)[-3:] == ["seed_point", "m", "holds"] and doc["m"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +386,6 @@ def test_params_validation():
         ContractionParams(eta=0.5, gamma=-1.0, seed_point=0.0)
     with pytest.raises(ValueError):
         ContractionParams(eta=0.5, gamma=1.0, seed_point=-0.5)
-    with pytest.raises(ValueError):
-        ContractionParams(eta=0.5, gamma=1.0, seed_point=0.0, m=0)
 
 
 def test_params_ball_view():
@@ -398,3 +398,79 @@ def test_selfmap_defaults_and_call():
     F = SelfMap(apply=lambda x: x / 2.0, description="halving")
     assert F(3.0) == 1.5
     assert F.domain.contains(1e9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite sides and the scalar path
+
+
+# The identity map with eta 1/2: g(0, 1.7e308, 0) overflows to inf, and
+# inf <= 0.5 * inf must not count as a contraction.
+IDENTITY = {
+    "space": "exp-usual",
+    "map": [{"interval": [0.0, None], "slope": 1.0, "offset": 0.0}],
+    "params": {"eta": 0.5, "gamma": 5.5, "x0": 1.75e308},
+}
+
+
+def test_infinite_metric_values_never_hold():
+    fx = load_fixture_config(IDENTITY)
+    assert G(0.0, 1.7e308, 0.0) == math.inf
+    for holds in (root_contraction_holds, implicit_contraction_holds):
+        assert not holds(fx.gmetric, fx.map, 0.5, 0.0, 1.7e308, 0.0)
+    report = certify_region(fx.gmetric, fx.map, fx.params, "root", Interval(0.0, 1.7e308), 1,
+                            seed=8)
+    assert report.verdict == "violated"
+    assert all(not w.holds() for w in report.witnesses)
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from mgmetric import (get_fixture, implicit_bound, implicit_contraction_holds,
+                      root_contraction_holds)
+fx = get_fixture("ex37")
+for t in ((0.1, 0.2, 0.3), (1.0, 2.0, 1.0)):
+    print(repr(implicit_bound(fx.gmetric, fx.map, 0.625, *t)),
+          implicit_contraction_holds(fx.gmetric, fx.map, 0.625, *t),
+          root_contraction_holds(fx.gmetric, fx.map, 0.625, *t))
+"""
+
+
+def test_scalar_predicates_run_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = "".join(f"{implicit_bound(G, EX37.map, ETA, *t)!r} "
+                       f"{implicit_contraction_holds(G, EX37.map, ETA, *t)} "
+                       f"{root_contraction_holds(G, EX37.map, ETA, *t)}\n"
+                       for t in ((0.1, 0.2, 0.3), (1.0, 2.0, 1.0)))
+    assert proc.stdout == expected
+
+
+SPECIAL_FLOATS = (st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+                  | st.floats())
+
+
+# Stand-in labels for x, y, z, Fx, Fy: the five (a, b) pairs the implicit
+# majorant evaluates are distinct, so each looks up a term of its own.
+_X, _Y, _Z, _FX, _FY = 0.0, 1.0, 2.0, 3.0, 4.0
+_PAIRS = ((_X, _FX), (_Y, _FY), (_X, _FY), (_X, _Z), (_Z, _FX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[SPECIAL_FLOATS] * 6), min_size=1, max_size=40))
+def test_implicit_majorant_scalar_is_the_batch_bitwise(rows):
+    scalar = [_implicit_majorant(lambda x, y, z: t[0], lambda a, b: t[1 + _PAIRS.index((a, b))],
+                                 _X, _Y, _Z, _FX, _FY)
+              for t in rows]
+    cols = [np.array(c, dtype=np.float64) for c in zip(*rows)]
+    n = len(rows)
+    batch = _implicit_majorant(lambda x, y, z: cols[0],
+                               lambda a, b: cols[1 + _PAIRS.index((a[0], b[0]))],
+                               *(np.full(n, v) for v in (_X, _Y, _Z, _FX, _FY)))
+    assert all(type(v) is float for v in scalar)
+    scalar = np.array(scalar, dtype=np.float64)
+    nan = np.isnan(batch)
+    assert np.array_equal(np.isnan(scalar), nan)
+    assert np.array_equal(scalar[~nan].view(np.uint64), batch[~nan].view(np.uint64))

@@ -86,7 +86,6 @@ def test_registry_stock_parameters():
         assert params.eta == 0.625
         assert params.gamma == 5.5
         assert params.seed_point == 1 / 3
-        assert params.m == 1
 
 
 def test_registry_lookup_miss():
@@ -94,13 +93,12 @@ def test_registry_lookup_miss():
 
 
 def test_registry_metadata_continuity_flags():
-    ex33 = get_fixture("ex33")
-    assert ex33.metadata["continuous_at_breakpoint"] is False
-    assert ex33.metadata["breakpoint"] == 1 / 3
-    assert ex33.metadata["left_limit"] == 1 / 12
-    ex37 = get_fixture("ex37")
-    assert ex37.metadata["continuous_at_breakpoint"] is True
-    assert ex37.metadata["left_limit"] == ex37.metadata["value_at_breakpoint"] == 0.25
+    # ex33 jumps down at its breakpoint 1/3, ex37 is continuous at 1/2
+    ex33, ex37 = get_fixture("ex33").map, get_fixture("ex37").map
+    assert ex33(math.nextafter(1 / 3, 0.0)) == pytest.approx(1 / 12, abs=1e-15)
+    assert ex33(1 / 3) == 0.0
+    assert ex37(math.nextafter(0.5, 0.0)) == pytest.approx(0.25, abs=1e-15)
+    assert ex37(0.5) == 0.25
 
 
 _PL_CONFIG = {
@@ -113,21 +111,12 @@ _PL_CONFIG = {
 }
 
 
-def test_stock_metadata_is_read_only():
-    with pytest.raises(TypeError):
-        get_fixture("ex33").metadata["breakpoint"] = 99.0
-    assert get_fixture("ex33").metadata["breakpoint"] == 1 / 3
-
-
 @pytest.mark.parametrize("fx", [*registry(),
                                 load_fixture_config({"space": "exp-usual"}),
                                 load_fixture_config(_PL_CONFIG)], ids=lambda fx: fx.id)
 def test_every_fixture_deep_copies(fx):
     clone = copy.deepcopy(fx)
     assert clone == fx
-    assert clone.metadata == fx.metadata and clone.metadata is not fx.metadata
-    with pytest.raises(TypeError):
-        clone.metadata["breakpoint"] = 99.0
     assert (clone.id, clone.mult, clone.params) == (fx.id, fx.mult, fx.params)
     x, y, z = np.array([0.0, 2.0]), np.array([0.25, -0.0]), np.array([1 / 3, 0.5])
     assert clone.gmetric.many(x, y, z).tolist() == fx.gmetric.many(x, y, z).tolist()

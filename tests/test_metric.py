@@ -21,8 +21,10 @@ from mgmetric import (
     EXP_ABS_METRIC,
     load_fixture_config,
     get_fixture,
+    Witness,
 )
-from mgmetric.metric import _perimeter, _perimeter_batch, _perimeter_pair
+from mgmetric.metric import (_RELATIONS, _perimeter, _perimeter_batch, _perimeter_pair,
+                             _relation_holds)
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -451,3 +453,21 @@ def test_checker_argument_validation():
         check_mult_axioms(EXP_ABS_METRIC, DOMAIN, 0, seed=1)
     with pytest.raises(ValueError):
         check_gm_axioms(gm_from_exp(usual_metric), Interval(0.0, math.inf), 10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_RELATIONS)), st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.floats(), st.booleans())
+def test_no_relation_holds_with_a_non_finite_side(relation, bad, other, bad_on_left):
+    lhs, rhs = (bad, other) if bad_on_left else (other, bad)
+    holds = _relation_holds(relation, lhs, rhs)
+    assert holds is False  # a bool from floats, without numpy
+    assert not Witness("r", (), lhs, rhs, relation).holds()
+    with np.errstate(invalid="ignore"):  # "==" subtracts inf from inf
+        assert not _relation_holds(relation, np.array([lhs, lhs]), np.array([rhs, rhs])).any()
+        assert not _relation_holds(relation, np.array([lhs]), rhs).any()
+

@@ -27,7 +27,7 @@ PARAMS = ContractionParams(eta=0.625, gamma=5.5, seed_point=1 / 3)
 
 
 def test_fields_follow_the_annotations_in_order():
-    assert ContractionParams._fields == ("eta", "gamma", "seed_point", "m")
+    assert ContractionParams._fields == ("eta", "gamma", "seed_point")
     assert Witness._fields == ("rule", "points", "lhs_log", "rhs_log", "relation")
     assert FixedPointResult._fields == ("point", "residual_log", "iterations_used",
                                         "certified_bound", "trace", "rate", "rate_certified",
@@ -36,31 +36,22 @@ def test_fields_follow_the_annotations_in_order():
 
 def test_positional_and_keyword_construction_agree():
     assert ContractionParams(0.625, 5.5, 1 / 3) == PARAMS
-    assert ContractionParams(0.625, gamma=5.5, seed_point=1 / 3, m=1) == PARAMS
+    assert ContractionParams(0.625, gamma=5.5, seed_point=1 / 3) == PARAMS
     assert Witness("floor", (1.0,), -1.0, 0.0, ">=") == Witness(
         rule="floor", points=(1.0,), lhs_log=-1.0, rhs_log=0.0, relation=">=")
 
 
 def test_defaults():
-    assert PARAMS.m == 1
     assert Witness("r", (), 1.0, 0.0).relation == "<="
     g = GMetric(g=lambda x, y, z: 0.0)
     assert (g.description, g.batch) == ("", None)
-
-
-def test_each_fixture_gets_a_fresh_metadata_mapping():
-    a = NamedFixture(id="a", gmetric=get_fixture("exp-usual").gmetric)
-    b = NamedFixture(id="b", gmetric=a.gmetric)
-    assert a.metadata == {} and b.metadata == {}
-    # the default is shared, so it must not be writable
-    with pytest.raises(TypeError):
-        a.metadata["k"] = 1
-    assert b.metadata == {}
+    fx = NamedFixture(id="a", gmetric=g)
+    assert (fx.mult, fx.map, fx.params) == (None, None, None)
 
 
 @pytest.mark.parametrize("build", [
     lambda: ContractionParams(0.625, 5.5),
-    lambda: ContractionParams(0.625, 5.5, 1.0, 1, 2),
+    lambda: ContractionParams(0.625, 5.5, 1.0, 1),
     lambda: ContractionParams(0.625, 5.5, 1.0, eta=0.5),
     lambda: ContractionParams(0.625, 5.5, 1.0, rate=0.5),
 ])
@@ -91,7 +82,7 @@ def test_fields_cannot_be_assigned_or_deleted():
 def test_equality_and_hash_go_by_the_fields():
     other = ContractionParams(eta=0.625, gamma=5.5, seed_point=1 / 3)
     assert other == PARAMS and hash(other) == hash(PARAMS)
-    assert PARAMS != PARAMS.replace(m=2)
+    assert PARAMS != PARAMS.replace(gamma=6.0)
     # a record of another class with the same values is not equal
     assert Interval(0.0, 1.0) != ClosedBall(0.0, 1.0)
     assert len({Interval(0.0, 1.0), Interval(0.0, 1.0), Interval(0.0, 2.0)}) == 2
@@ -103,21 +94,24 @@ def test_equality_and_hash_go_by_the_fields():
 def test_records_with_a_mapping_field_hash_by_its_items(record):
     assert hash(copy.copy(record)) == hash(record)
     assert hash(copy.deepcopy(record)) == hash(record)
-    # == compares mappings by their items, whatever the insertion order
-    name = next(n for n, v in record._asdict().items() if isinstance(v, Mapping))
-    reordered = record.replace(**{name: dict(reversed(getattr(record, name).items()))})
-    assert reordered == record and hash(reordered) == hash(record)
+    # == compares mappings by their items, whatever the insertion order;
+    # a fixture has no mapping field
+    names = [n for n, v in record._asdict().items() if isinstance(v, Mapping)]
+    assert bool(names) is not isinstance(record, NamedFixture)
+    for name in names:
+        reordered = record.replace(**{name: dict(reversed(getattr(record, name).items()))})
+        assert reordered == record and hash(reordered) == hash(record)
 
 
 def test_repr_lists_the_fields():
     assert repr(Interval(0.0, 1.5)) == "Interval(lo=0.0, hi=1.5)"
     assert repr(PARAMS) == ("ContractionParams(eta=0.625, gamma=5.5, "
-                            "seed_point=0.3333333333333333, m=1)")
+                            "seed_point=0.3333333333333333)")
 
 
 def test_replace_changes_fields_and_validates_again():
     changed = PARAMS.replace(eta=0.25, seed_point=0.0)
-    assert (changed.eta, changed.gamma, changed.seed_point, changed.m) == (0.25, 5.5, 0.0, 1)
+    assert (changed.eta, changed.gamma, changed.seed_point) == (0.25, 5.5, 0.0)
     assert PARAMS.eta == 0.625
     with pytest.raises(ValueError, match="eta"):
         PARAMS.replace(eta=1.0)
@@ -129,7 +123,7 @@ def _report() -> CertificateReport:
     return CertificateReport(
         condition="root", region="[0.0, 1.0]", samples=3, seed=0, verdict="violated",
         witnesses=(Witness("root", (0.0, 1.0, 0.5), 2.0, 1.0),), violations=1,
-        seed_condition_ok=True, eta=0.5, gamma=2.0, seed_point=0.0, m=1)
+        seed_condition_ok=True, eta=0.5, gamma=2.0, seed_point=0.0)
 
 
 @pytest.mark.parametrize("record", [
@@ -145,7 +139,5 @@ def test_copy_and_pickle_round_trip(record):
         assert type(clone) is type(record)
         assert clone == record
         assert clone._asdict() == record._asdict()
-        # a read-only metadata mapping stays read-only
-        assert type(getattr(clone, "metadata", None)) is type(getattr(record, "metadata", None))
     with pytest.raises(AttributeError):
         copy.deepcopy(record).seed = 1

@@ -79,6 +79,7 @@ def reference_to_dict(report) -> dict:
         doc["passed"] = report.passed
     if isinstance(report, CertificateReport):
         doc["witnesses"] = [reference_asdict(w) for w in report.witnesses]
+        doc["m"] = 1
         doc["holds"] = report.holds
     return doc
 
@@ -142,8 +143,7 @@ REPORTS = st.one_of(
     st.builds(CertificateReport, condition=TEXT, region=TEXT, samples=st.integers(),
               seed=st.integers(), verdict=st.sampled_from(["holds-on-sample", "violated"]),
               witnesses=WITNESS_TUPLES, violations=st.integers(),
-              seed_condition_ok=st.booleans(), eta=FLOATS, gamma=FLOATS, seed_point=FLOATS,
-              m=st.integers()),
+              seed_condition_ok=st.booleans(), eta=FLOATS, gamma=FLOATS, seed_point=FLOATS),
 )
 
 

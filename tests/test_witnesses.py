@@ -24,6 +24,7 @@ from mgmetric import (
     load_fixture_config,
 )
 from mgmetric import _jsonutil
+from test_contraction import LEAVES_BALL
 
 EXPECTED = Path(__file__).with_name("data") / "witness_order.json"
 DOMAIN = Interval(0.0, 3.0)
@@ -67,19 +68,24 @@ def _reports():
     for name in sorted(CASES):
         yield _round_trip(_report(name, 32))
     ex33, ex37 = get_fixture("ex33"), get_fixture("ex37")
+    # a ball the map leaves: invariance witnesses
+    leaves_ball = load_fixture_config(LEAVES_BALL)
     for fx, condition, region in ((ex33, "root", Interval(0.34, 5.5)),
                                   (ex33, "root", "ball"),
-                                  (ex37, "implicit", Interval(0.5, 5.5))):
+                                  (ex37, "implicit", Interval(0.5, 5.5)),
+                                  (leaves_ball, "root", "ball")):
         report = certify_region(fx.gmetric, fx.map, fx.params, condition, region, 2000, seed=3)
         yield _round_trip(report)
 
 
 def test_every_witness_fails_after_json_round_trip():
-    seen = 0
+    seen, rules = 0, set()
     for doc in _reports():
         for w in doc["witnesses"]:
             witness = Witness(w["rule"], tuple(w["points"]), w["lhs_log"], w["rhs_log"],
                               w["relation"])
             assert not witness.holds(), w
             seen += 1
+            rules.add(w["rule"])
     assert seen > 100
+    assert "invariance" in rules

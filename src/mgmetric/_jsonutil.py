@@ -37,9 +37,20 @@ def _render(obj, indent: int, level: int) -> str:
     close_pad = " " * (indent * level)
     sep = ",\n" + pad
     if isinstance(obj, dict):
-        items = sep.join(f"{_quote(str(k))}: {_render(v, indent, level + 1)}"
-                         for k, v in obj.items())
-        return "{\n" + pad + items + "\n" + close_pad + "}"
+        # A str or a finite float value, by exact type, is rendered here:
+        # the text the recursive call gives, without the call.  Any other
+        # value recurses, a subclass or a non-finite float included.
+        items = []
+        for k, v in obj.items():
+            kind = type(v)
+            if kind is str:
+                text = _quote(v)
+            elif kind is float and math.isfinite(v):
+                text = "%.17g" % v
+            else:
+                text = _render(v, indent, level + 1)
+            items.append(f"{_quote(str(k))}: {text}")
+        return "{\n" + pad + sep.join(items) + "\n" + close_pad + "}"
     # A sequence of finite floats only, or of bools only (a trace's
     # iterates, step logs and ball flags), is rendered in one pass: the
     # same text as one recursive call per item, without the calls ("%.17g"

@@ -90,8 +90,8 @@ def cmd_axioms(args) -> int:
 
     fx = _resolve_fixture(args)
     region = _parse_region(args.region)
-    if not isinstance(region, Interval) or not region.finite:
-        raise UsageError("axioms needs a finite sampling region lo:hi")
+    if not isinstance(region, Interval):
+        raise UsageError("axioms needs a sampling region lo:hi")
 
     reports = {}
     if fx.mult is not None:
@@ -300,4 +300,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # A reader that closes the pipe early (``mgmetric solve | head -1``)
+    # ends the command by SIGPIPE, as it ends other command-line tools,
+    # not in a BrokenPipeError traceback and exit code 1.  Only here:
+    # ``main`` runs in other programs' processes too.  The C module, since
+    # ``signal`` builds its enums on import.
+    import _signal
+    if hasattr(_signal, "SIGPIPE"):
+        _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
     sys.exit(main())

@@ -44,7 +44,8 @@ class SelfMap(Record):
 
     The optional ``batch`` is ``apply`` over a float64 array: it returns
     bitwise the floats ``apply`` returns, and ``many`` calls ``apply``
-    once per point when it is missing.
+    once per point when it is missing.  Its argument may be a read-only
+    view, and it must not write it.
     """
 
     apply: Callable[[Point], Point]

@@ -46,8 +46,8 @@ def _outside(x: float) -> ValueError:
 
 class _Piecewise:
     """Contiguous rows sorted by ``lo``, evaluated at one point or over a
-    float64 array (the row found by ``np.searchsorted`` on the inner
-    breakpoints, then the same arithmetic).  The arrays are built on the
+    float64 array (the row counted as the inner breakpoints at or below
+    each point, then the same arithmetic).  The arrays are built on the
     first batch call, not with the rows: the stock maps are built at
     import, and a scalar command makes no batch call."""
 
@@ -60,9 +60,9 @@ class _Piecewise:
                 raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _arrays(self) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
         """The inner breakpoints, and the slope and offset of each cell."""
-        cuts = np.array([r.lo for r in self.cells[1:]], dtype=np.float64)
+        cuts = tuple(r.lo for r in self.cells[1:])
         slopes = np.array([r.slope for r in self.cells], dtype=np.float64)
         offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
         return cuts, slopes, offsets
@@ -85,9 +85,17 @@ class _Piecewise:
         inside = (self.cells[0].lo <= x) & (x < self.cells[-1].hi)
         if not inside.all():
             raise _outside(float(x[np.flatnonzero(~inside)[0]]))
+        # One compare per breakpoint: a stock or config map has a few rows,
+        # and a binary search costs several compares' time per point.
         cuts, slopes, offsets = self._arrays
-        i = np.searchsorted(cuts, x, side="right")
-        return slopes.take(i) * x + offsets.take(i)
+        row = np.zeros(x.shape, dtype=np.intp)
+        for cut in cuts:
+            row += x >= cut
+        # slope * x + offset, formed in the array take returns
+        y = slopes.take(row)
+        y *= x
+        y += offsets.take(row)
+        return y
 
 
 def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:

@@ -154,10 +154,6 @@ class Interval(Record):
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi and math.isfinite(x)
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -184,7 +180,8 @@ class MultMetric(Record):
     and subadditive (the multiplicative triangle inequality).  The
     optional ``batch`` is ``dist`` over float64 arrays: it returns
     bitwise the floats ``dist`` returns, and ``many`` calls ``dist`` once
-    per pair when it is missing.
+    per pair when it is missing.  Its arguments may be read-only views,
+    and it must not write them.
     """
 
     dist: Callable[[Point, Point], LogDistance]
@@ -204,7 +201,9 @@ class GMetric(Record):
 
     The optional ``batch`` is ``g`` over float64 arrays: it returns
     bitwise the floats ``g`` returns, and ``many`` calls ``g`` once per
-    triple when it is missing.
+    triple when it is missing.  Its arguments may be read-only views (a
+    ball's centre is one float broadcast to the sample's length), and it
+    must not write them.
 
     ``pair_kernel()`` is the scalar (x, y) -> G(x, y, y): bitwise
     ``g(x, y, y)``, and for the ``|x - y|`` perimeter a faster form of

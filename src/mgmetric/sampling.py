@@ -92,7 +92,8 @@ class _Recorder:
         kept = failing[:self.max_witnesses]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
-        rhs_log = np.broadcast_to(rhs, lhs.shape)[kept].tolist()
+        rhs_log = ([float(rhs)] * kept.size if isinstance(rhs, float)
+                   else np.broadcast_to(rhs, lhs.shape)[kept].tolist())
         for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs_log):
             self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
         self._checks += 1
@@ -124,10 +125,16 @@ def _check_sample_count(n: int) -> None:
         raise ValueError(f"sample count must be >= 1, got {n}")
 
 
+def _check_finite_width(region: Interval, what: str) -> None:
+    # Finite ends are not enough: the samplers scale by hi - lo, which
+    # overflows to inf on a region such as [-1e308, 1e308].
+    if not math.isfinite(region.hi - region.lo):
+        raise ValueError(f"{what} must have a finite width hi - lo, got {region}")
+
+
 def _check_sampling_args(domain: Interval, n: int) -> None:
     _check_sample_count(n)
-    if not domain.finite:
-        raise ValueError(f"axiom checking needs a finite domain, got {domain}")
+    _check_finite_width(domain, "axiom checking domain")
     if not domain.hi - domain.lo > _MIN_SEPARATION:
         raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
                          f"got {domain}")
@@ -316,13 +323,19 @@ class CertificateReport(Record):
 
 def _stratified(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
     # One draw per stratum, strata visited in a random order per axis.
-    u = (rng.permutation(n) + rng.random(n)) / n
-    return lo + (hi - lo) * u
+    # In place, with the floats of (permutation + random) / n * (hi - lo) + lo.
+    strata = rng.permutation(n)
+    u = rng.random(n)
+    u += strata
+    u /= n
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def _in_ball(g: GMetric, ball: ClosedBall, rho: np.ndarray) -> np.ndarray:
     """``ball_contains`` of each element of a float64 array."""
-    return g.many(np.full_like(rho, ball.center), rho, rho) <= ball.log_radius
+    return g.many(np.broadcast_to(ball.center, rho.shape), rho, rho) <= ball.log_radius
 
 
 def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Interval:
@@ -368,8 +381,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         corners = [(a, a, a), (a, a, b), (a, b, b), (b, a, b)]
         return _with_corners(corners, *(pool[idx[:, k]] for k in range(3))), str(ball), pool
 
-    if not region.finite:
-        raise ValueError(f"region interval must be finite, got {region}")
+    _check_finite_width(region, "region interval")
     lo, hi = region.lo, region.hi
     corners = [(lo, lo, lo), (hi, hi, hi), (lo, hi, lo), (hi, lo, hi)]
     if region.contains(params.seed_point):
@@ -422,7 +434,7 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
             rec.require_floor(0, triple, values)
         if pool is not None:
             image = F.many(pool)
-            center = np.full_like(image, params.seed_point)
+            center = np.broadcast_to(params.seed_point, image.shape)
             values = g.many(center, image, image)
             rec.require(1, "invariance", (pool,), values, params.ball.log_radius)
             rec.require_floor(1, (center, image, image), values)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -472,6 +474,57 @@ def test_axioms_tiny_domain_is_usage_error(region, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+WIDE_CONFIG = {
+    "space": "exp-usual",
+    "map": [{"interval": [None, None], "slope": 0.5, "offset": 0.0}],
+    "params": {"eta": 0.6, "gamma": 5.5, "x0": 0.0},
+}
+
+
+@pytest.mark.parametrize("command,what", [
+    (["certify", "--condition", "root"], "region interval"),
+    (["axioms"], "axiom checking domain"),
+])
+def test_region_wider_than_the_float_range_is_usage_error(capsys, tmp_path, command, what):
+    # both ends are finite, but hi - lo overflows to inf: this used to
+    # sample inf ("point inf is outside the piecewise rows") or NaN pairs
+    # ("found only 0 of 100 point pairs", after numpy warnings)
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(WIDE_CONFIG))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg),
+                                 "--region=-1e308:1e308", "--n", "100")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} must have a finite width hi - lo, got [-1e+308, 1e+308]\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_the_command_by_sigpipe(tmp_path):
+    # a 6,693-step trace: its JSON report (about 470 KB) cannot fit in
+    # the pipe's buffer, so the write after the reader closes must fail
+    cfg = tmp_path / "orbit.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, None], "slope": 0.997, "offset": 0.0}],
+        "params": {"eta": 0.9995, "gamma": 4000, "x0": 90},
+    }))
+    proc = subprocess.Popen([sys.executable, "-m", "mgmetric", "solve", "--config", str(cfg),
+                             "--epsilon", "1e-9", "--max-iter", "1000000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        stderr = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_usage_error_on_bad_region(capsys):

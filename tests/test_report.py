@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from _json import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -54,6 +55,42 @@ def reference_render(obj, indent: int = 2, level: int = 0) -> str:
         items = ",\n".join(f"{pad}{reference_render(v, indent, level + 1)}" for v in obj)
         return "[\n" + items + "\n" + close_pad + "]"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def recursive_render(obj, indent: int = 2, level: int = 0) -> str:
+    # _jsonutil._render as it was before it rendered a mapping's str and
+    # finite float values inline: one recursive call per mapping value
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return ("false", "true")[obj]
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj} is not representable in a report")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    sep = ",\n" + pad
+    if isinstance(obj, dict):
+        items = sep.join(f"{encode_basestring_ascii(str(k))}: "
+                         f"{recursive_render(v, indent, level + 1)}" for k, v in obj.items())
+        return "{\n" + pad + items + "\n" + close_pad + "}"
+    kinds = set(map(type, obj))
+    if kinds == {float} and all(map(math.isfinite, obj)):
+        items = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+    elif kinds == {bool}:
+        items = sep.join([("false", "true")[v] for v in obj])
+    else:
+        items = sep.join([recursive_render(v, indent, level + 1) for v in obj])
+    return "[\n" + pad + items + "\n" + close_pad + "]"
 
 
 def reference_asdict(obj):
@@ -155,6 +192,49 @@ REPORTS = st.one_of(
 @given(DOCS, st.integers(min_value=0, max_value=4))
 def test_dumps_matches_reference_renderer(doc, indent):
     assert dumps(doc, indent) == reference_render(doc, indent)
+
+
+class Label(str):
+    """A str subclass: the inline path takes exact types only."""
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# The leaves a report holds, and some it must not hold: numpy floats,
+# a str subclass and, now and then, a non-finite float.
+REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64)
+                 | TEXT | TEXT.map(Label) | NON_FINITE | NON_FINITE.map(np.float64))
+
+
+def _report_shaped(children):
+    # mappings of leaves (records, witnesses), lists of mappings (witness
+    # lists) and float or bool sequences (trace columns)
+    records = st.dictionaries(TEXT | TEXT.map(Label), children, max_size=10)
+    columns = st.lists(FLOATS) | st.lists(REPORT_LEAVES, max_size=4) | st.lists(st.booleans())
+    return records | st.lists(records, max_size=4) | columns | columns.map(tuple)
+
+
+REPORT_DOCS = st.dictionaries(TEXT, st.recursive(REPORT_LEAVES, _report_shaped, max_leaves=20),
+                              max_size=10)
+
+
+def _rendered(render, doc, indent):
+    try:
+        return render(doc, indent)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPORT_DOCS, st.integers(min_value=0, max_value=4))
+def test_dumps_matches_the_recursive_renderer(doc, indent):
+    assert _rendered(dumps, doc, indent) == _rendered(recursive_render, doc, indent)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "float64-inf"])
+def test_non_finite_mapping_value_is_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite float"):
+        dumps({"verdict": "holds-on-sample", "eta": 0.5, "gamma": bad})
 
 
 @settings(max_examples=100, deadline=None)

@@ -301,10 +301,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     # A reader that closes the pipe early (``mgmetric solve | head -1``)
-    # ends the command by SIGPIPE, as it ends other command-line tools,
-    # not in a BrokenPipeError traceback and exit code 1.  Only here:
-    # ``main`` runs in other programs' processes too.  The C module, since
-    # ``signal`` builds its enums on import.
+    # ends the command by SIGPIPE, as it ends other tools, not in a
+    # BrokenPipeError traceback.  Here only: ``main`` also runs inside
+    # other programs.  ``_signal``, since ``signal`` builds enums on import.
     import _signal
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)

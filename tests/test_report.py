@@ -2,12 +2,12 @@
 string quoting, the trace CSV, and the witnesses a recorder keeps.
 
 Each is held to a copy of the implementation it replaced, kept here as
-the reference: the recursive renderer with one call per leaf,
-``json.dumps`` for strings, the recursive-copy documents
-``dataclasses.asdict`` made of the reports when they were dataclasses,
-the ``csv.writer`` rows, and a right-hand side broadcast to a full
-array.  The rendered bytes must be identical, since the CLI's reports
-are.
+the reference: the recursive renderer with one call per leaf, the one
+with one call per mapping value, ``json.dumps`` for strings, the
+recursive-copy documents ``dataclasses.asdict`` made of the reports
+when they were dataclasses, the ``csv.writer`` rows, and a right-hand
+side broadcast to a full array.  The rendered bytes must be identical,
+since the CLI's reports are.
 """
 
 import copy

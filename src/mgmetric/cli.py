@@ -203,7 +203,7 @@ def cmd_reproduce(args) -> int:
     ex37 = get_fixture("ex37")
     p = ex33.params
     computed = (
-        (1.0 - p.eta) * p.gamma,
+        p.seed_budget,
         ex33.gmetric.value(p.seed_point, ex33.map(p.seed_point), ex33.map(p.seed_point)),
         ex37.gmetric.value(p.seed_point, ex37.map(p.seed_point), ex37.map(p.seed_point)),
     )

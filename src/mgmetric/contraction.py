@@ -38,6 +38,11 @@ class ContractionParams(Record):
     def ball(self) -> ClosedBall:
         return ClosedBall(center=self.seed_point, radius=self.gamma)
 
+    @property
+    def seed_budget(self) -> float:
+        """The seed condition's multiplicative budget (1 - eta) * gamma."""
+        return (1.0 - self.eta) * self.gamma
+
 
 class SelfMap(Record):
     """A self-map of the carrier with an explicit domain interval.
@@ -66,7 +71,7 @@ def _validate_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
 
 
-def _root_majorant(g, pair, x, y, z, fx, fy):
+def _root_majorant(g, x, y, z, fx, fy):
     return g(x, y, z)
 
 
@@ -85,20 +90,20 @@ def _minimum(a, b):
     return np.minimum(a, b)
 
 
-def _implicit_majorant(g, pair, x, y, z, fx, fy):
-    # pair(a, b) is g(a, b, b).  The maximum and minimum return their
-    # second argument on ties, so the earlier term goes second: ties keep
-    # it, as Python's min and max do.  Unlike those, they propagate a NaN.
+def _implicit_majorant(g, x, y, z, fx, fy):
+    # The maximum and minimum return their second argument on ties, so
+    # the earlier term goes second: ties keep it, as Python's min and max
+    # do.  Unlike those, they propagate a NaN.
     acc = g(x, y, z)
-    for term in (pair(x, fx), pair(y, fy), pair(x, fy), _minimum(pair(x, z), pair(z, fx))):
+    for term in (g(x, fx, fx), g(y, fy, fy), g(x, fy, fy), _minimum(g(x, z, z), g(z, fx, fx))):
         acc = _maximum(term, acc)
     return acc
 
 
 # The majorant M of each condition, which must satisfy
-# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, its pair kernel, the
-# triple and the images Fx, Fy, either as scalars with the scalar
-# kernels or as arrays with the batch ones.
+# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, the triple and the
+# images Fx, Fy, either as scalars with the scalar kernels or as arrays
+# with the batch ones.
 _MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
 
 
@@ -107,24 +112,35 @@ def _check_condition(name: str, label: str) -> None:
         raise ValueError(f"{label} must be 'root' or 'implicit', got {name!r}")
 
 
-def _condition_sides(condition: str, g, pair, F, eta: float, x, y, z):
-    """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, for
-    scalars (``g`` a GMetric, ``pair`` its pair kernel, ``F`` a SelfMap)
-    or arrays (their ``many``, and ``pair(a, b)`` is ``many(a, b, b)``)."""
+def _condition_sides(condition: str, g, F, eta: float, x, y, z):
+    """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, and
+    every metric value they used with its triple, in call order: for
+    scalars (``g`` a GMetric, ``F`` a SelfMap) or for arrays (their
+    ``many``).  A pair term G(a, b) is ``g(a, b, b)``, bitwise the pair
+    kernel."""
+    used = []
+
+    def metric(*triple):
+        value = g(*triple)
+        used.append((triple, value))
+        return value
+
     fx, fy, fz = F(x), F(y), F(z)
-    return g(fx, fy, fz), eta * _MAJORANTS[condition](g, pair, x, y, z, fx, fy)
+    lhs = metric(fx, fy, fz)
+    return lhs, eta * _MAJORANTS[condition](metric, x, y, z, fx, fy), used
 
 
 def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point) -> bool:
     _validate_eta(eta)
-    return bool(_relation_holds("<=", *_condition_sides(condition, g, g.pair_kernel(), F,
-                                                        eta, x, y, z)))
+    lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z)
+    return bool(_relation_holds("<=", lhs, rhs)) and not any(v < LOG_FLOOR for _, v in used)
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
                            x: Point, y: Point, z: Point) -> bool:
-    """Pointwise contraction test g(Fx,Fy,Fz) <= eta * g(x,y,z)."""
+    """Pointwise contraction test g(Fx,Fy,Fz) <= eta * g(x,y,z); False
+    when a metric value it uses is below the floor."""
     return _condition_holds("root", g, F, eta, x, y, z)
 
 
@@ -138,7 +154,7 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     below the floor, where the space is no multiplicative metric space.
     """
     x0 = params.seed_point
-    budget = (1.0 - params.eta) * params.gamma
+    budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
             and LOG_FLOOR <= g.pair_kernel()(x0, F(x0)) <= math.log(budget) + SLACK)
 
@@ -148,10 +164,11 @@ def implicit_bound(g: GMetric, F: SelfMap, eta: float,
     """Log-domain value of the implicit majorant: eta times the max of
     the five reference distances at (x, y, z)."""
     _validate_eta(eta)
-    return float(eta * _implicit_majorant(g, g.pair_kernel(), x, y, z, F(x), F(y)))
+    return float(_condition_sides("implicit", g, F, eta, x, y, z)[1])
 
 
 def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,
                                x: Point, y: Point, z: Point) -> bool:
-    """Pointwise implicit test g(Fx,Fy,Fz) <= eta * max-term."""
+    """Pointwise implicit test g(Fx,Fy,Fz) <= eta * max-term; False when
+    a metric value it uses is below the floor."""
     return _condition_holds("implicit", g, F, eta, x, y, z)

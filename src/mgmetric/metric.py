@@ -62,7 +62,8 @@ SLACK = 1e-12
 
 # The floor rule: a multiplicative distance is at least 1, so a log value
 # below LOG_FLOOR breaks it (a NaN fails the other checks).  The axiom
-# audit, the region sweep and the solver all test this one bound.
+# audit, the pointwise predicates, the region sweep and the solver all
+# test this one bound.
 LOG_FLOOR = -SLACK
 
 Point = float
@@ -207,9 +208,9 @@ class GMetric(Record):
 
     ``pair_kernel()`` is the scalar (x, y) -> G(x, y, y): bitwise
     ``g(x, y, y)``, and for the ``|x - y|`` perimeter a faster form of
-    it.  The ball, the seed condition, the solver's residual and the
-    implicit majorant's (a, b, b) terms use it.  The axiom audits never
-    do: it rests on the symmetry they test.
+    it.  The ball, the seed condition and the solver's residual use it.
+    The conditions call ``g(a, b, b)``, scalar or batch alike, and the
+    axiom audits never use it: it rests on the symmetry they test.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
@@ -277,24 +278,6 @@ def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # minimum and maximum of 0.0 and -0.0 both return -0.0.
     swap = b < a
     return np.where(swap, b, a), np.where(swap, a, b)
-
-
-def _ascending_sum(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    # The scalar g's compare-and-swaps and sum over arrays, hence its floats.
-    t0, t1 = _sort2(t0, t1)
-    t1, t2 = _sort2(t1, t2)
-    t0, t1 = _sort2(t0, t1)
-    return (t0 + t1) + t2
-
-
-def _canonical_pair_sum_batch(pairfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                              x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # The scalar g of _pair_sum_metric over arrays: the same pair order.
-    def pair(u, v):
-        first = u <= v
-        return pairfn(np.where(first, u, v), np.where(first, v, u))
-
-    return _ascending_sum(pair(x, y), pair(y, z), pair(z, x))
 
 
 def usual_metric(x: Point, y: Point) -> float:
@@ -373,10 +356,19 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
                 a, b = b, a
         return a + b + c
 
-    # A closure, not a functools.partial: a copied partial is a new object,
-    # and a function is copied as itself, so a copied GMetric stays ==.
+    # The scalar g over arrays: its pair order, compare-and-swaps and sum,
+    # hence its floats.  A closure, not a functools.partial: a copied
+    # partial is a new object, and a function is copied as itself, so a
+    # copied GMetric stays ==.
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return _canonical_pair_sum_batch(pair_batch, x, y, z)
+        def pair(u, v):
+            first = u <= v
+            return pair_batch(np.where(first, u, v), np.where(first, v, u))
+
+        a, b = _sort2(pair(x, y), pair(y, z))
+        b, c = _sort2(b, pair(z, x))
+        a, b = _sort2(a, b)
+        return (a + b) + c
 
     return GMetric(g=g, description=description, batch=None if pair_batch is None else batch)
 

@@ -6,6 +6,7 @@ never raised."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 from .metric import (LOG_FLOOR, ClosedBall, GMetric, Interval, MultMetric, Record, Witness,
                      _relation_holds, ball_contains, np)
@@ -132,12 +133,31 @@ def _check_finite_width(region: Interval, what: str) -> None:
         raise ValueError(f"{what} must have a finite width hi - lo, got {region}")
 
 
-def _check_sampling_args(domain: Interval, n: int) -> None:
+def _quiet():
+    # a value that overflows to inf, or an inf - inf, fails a rule: no warning
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+@contextmanager
+def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], domain: Interval, n: int, seed: int,
+           max_witnesses: int):
+    """The start of every sampled axiom suite: checks the arguments, then
+    under ``_quiet`` runs phase 0, the "identity" rule (``metric`` of
+    ``arity`` equal points is 1), and yields the generator, the recorder
+    and the domain's lo, hi and midpoint to the suite's later phases."""
     _check_sample_count(n)
     _check_finite_width(domain, "axiom checking domain")
     if not domain.hi - domain.lo > _MIN_SEPARATION:
         raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
                          f"got {domain}")
+    rng = np.random.default_rng(seed)
+    rec = _Recorder(rules, max_witnesses)
+    lo, hi = domain.lo, domain.hi
+    mid = 0.5 * (lo + hi)
+    with _quiet():
+        p = (np.concatenate(([lo, hi, mid], _uniform(rng, domain, n))),) * arity
+        rec.require(0, "identity", p, metric.many(*p), 0.0, "==")
+        yield rng, rec, lo, hi, mid
 
 
 def _uniform(rng: np.random.Generator, domain: Interval, n: int) -> np.ndarray:
@@ -181,25 +201,17 @@ def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
     "symmetry", and "triangle" (the multiplicative triangle inequality).
     Deterministic given ``seed``; failures are data, not errors.
     """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("floor", "identity", "separation", "symmetry", "triangle"), max_witnesses)
+    rules = ("floor", "identity", "separation", "symmetry", "triangle")
+    with _audit(d, 2, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+        x, y = _with_corners([(lo, hi), (hi, lo), (lo, mid)], *_distinct_pairs(rng, domain, n))
+        dxy = d.many(x, y)
+        rec.require_floor(1, (x, y), dxy)
+        rec.require(1, "separation", (x, y), dxy, 0.0, ">")
+        rec.require(1, "symmetry", (x, y), dxy, d.many(y, x), "==")
 
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
-
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p), d.many(p, p), 0.0, "==")
-
-    x, y = _with_corners([(lo, hi), (hi, lo), (lo, mid)], *_distinct_pairs(rng, domain, n))
-    dxy = d.many(x, y)
-    rec.require_floor(1, (x, y), dxy)
-    rec.require(1, "separation", (x, y), dxy, 0.0, ">")
-    rec.require(1, "symmetry", (x, y), dxy, d.many(y, x), "==")
-
-    x, y, z = _with_corners([(lo, hi, mid), (lo, lo, hi)],
-                            *(_uniform(rng, domain, n) for _ in range(3)))
-    rec.require(2, "triangle", (x, y, z), d.many(x, y), d.many(x, z) + d.many(z, y))
+        x, y, z = _with_corners([(lo, hi, mid), (lo, lo, hi)],
+                                *(_uniform(rng, domain, n) for _ in range(3)))
+        rec.require(2, "triangle", (x, y, z), d.many(x, y), d.many(x, z) + d.many(z, y))
 
     return rec.report(d.description or "multiplicative metric", domain, n, seed)
 
@@ -216,37 +228,28 @@ def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
     whenever y != z), "permutation" (full symmetry in the arguments),
     and "rectangle" (G(x,y,z) <= G(x,t,t) * G(t,y,z) for every t).
     """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("identity", "separation", "pair_dominance", "permutation", "rectangle"),
-                    max_witnesses)
+    rules = ("identity", "separation", "pair_dominance", "permutation", "rectangle")
+    with _audit(g, 3, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+        x, y = _with_corners([(lo, hi), (mid, hi)], *_distinct_pairs(rng, domain, n))
+        rec.require(1, "separation", (x, x, y), g.many(x, x, y), 0.0, ">")
 
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
+        base = _uniform(rng, domain, 3).tolist()
+        corners = [(lo, lo, hi), (lo, hi, hi), (lo, mid, hi), (hi, mid, lo)]
+        corners += [tuple(base[i] for i in perm) for perm in _PERMUTATIONS]
+        xyz = _with_corners(corners, *(_uniform(rng, domain, n) for _ in range(3)))
+        x, y, z = xyz
+        tvals = np.concatenate(([lo, hi, mid], _uniform(rng, domain, max(0, n - 3))))
+        t = tvals[np.arange(len(x)) % len(tvals)]
 
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
-
-    x, y = _with_corners([(lo, hi), (mid, hi)], *_distinct_pairs(rng, domain, n))
-    rec.require(1, "separation", (x, x, y), g.many(x, x, y), 0.0, ">")
-
-    base = _uniform(rng, domain, 3).tolist()
-    corners = [(lo, lo, hi), (lo, hi, hi), (lo, mid, hi), (hi, mid, lo)]
-    corners += [tuple(base[i] for i in perm) for perm in _PERMUTATIONS]
-    xyz = _with_corners(corners, *(_uniform(rng, domain, n) for _ in range(3)))
-    x, y, z = xyz
-    tvals = np.concatenate(([lo, hi, mid], _uniform(rng, domain, max(0, n - 3))))
-    t = tvals[np.arange(len(x)) % len(tvals)]
-
-    gxyz = g.many(x, y, z)
-    apart = np.flatnonzero(np.abs(y - z) > _MIN_SEPARATION)
-    xa, ya, za = x[apart], y[apart], z[apart]
-    rec.require(2, "pair_dominance", (xa, ya, za), g.many(xa, xa, ya), gxyz[apart],
-                samples=apart)
-    for perm in _PERMUTATIONS[1:]:
-        px, py, pz = (xyz[k] for k in perm)
-        rec.require(2, "permutation", (px, py, pz), g.many(px, py, pz), gxyz, "==")
-    rec.require(2, "rectangle", (x, y, z, t), gxyz, g.many(x, t, t) + g.many(t, y, z))
+        gxyz = g.many(x, y, z)
+        apart = np.flatnonzero(np.abs(y - z) > _MIN_SEPARATION)
+        xa, ya, za = x[apart], y[apart], z[apart]
+        rec.require(2, "pair_dominance", (xa, ya, za), g.many(xa, xa, ya), gxyz[apart],
+                    samples=apart)
+        for perm in _PERMUTATIONS[1:]:
+            px, py, pz = (xyz[k] for k in perm)
+            rec.require(2, "permutation", (px, py, pz), g.many(px, py, pz), gxyz, "==")
+        rec.require(2, "rectangle", (x, y, z, t), gxyz, g.many(x, t, t) + g.many(t, y, z))
 
     return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)
 
@@ -261,27 +264,19 @@ def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int,
     (G(x,y,y) <= G(y,x,x)^2).  These hold in any valid space and make
     useful smoke tests for user-supplied constructions.
     """
-    _check_sampling_args(domain, n)
-    rng = np.random.default_rng(seed)
-    rec = _Recorder(("identity", "star_bound", "pair_split", "swap_doubling"), max_witnesses)
+    rules = ("identity", "star_bound", "pair_split", "swap_doubling")
+    with _audit(g, 3, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+        x, y, z = _with_corners([(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)],
+                                *(_uniform(rng, domain, n) for _ in range(3)))
+        tvals = np.concatenate(([mid, lo, hi], _uniform(rng, domain, max(0, n - 3))))
+        t = tvals[np.arange(len(x)) % len(tvals)]
+        gxyz = g.many(x, y, z)
+        rec.require(1, "star_bound", (x, y, z, t), gxyz,
+                    g.many(x, t, t) + g.many(y, t, t) + g.many(z, t, t))
+        rec.require(1, "pair_split", (x, y, z), gxyz, g.many(x, x, y) + g.many(x, x, z))
 
-    lo, hi = domain.lo, domain.hi
-    mid = 0.5 * (lo + hi)
-
-    p = np.concatenate(([lo, hi, mid], _uniform(rng, domain, n)))
-    rec.require(0, "identity", (p, p, p), g.many(p, p, p), 0.0, "==")
-
-    x, y, z = _with_corners([(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)],
-                            *(_uniform(rng, domain, n) for _ in range(3)))
-    tvals = np.concatenate(([mid, lo, hi], _uniform(rng, domain, max(0, n - 3))))
-    t = tvals[np.arange(len(x)) % len(tvals)]
-    gxyz = g.many(x, y, z)
-    rec.require(1, "star_bound", (x, y, z, t), gxyz,
-                g.many(x, t, t) + g.many(y, t, t) + g.many(z, t, t))
-    rec.require(1, "pair_split", (x, y, z), gxyz, g.many(x, x, y) + g.many(x, x, z))
-
-    x, y = _with_corners([(lo, hi), (hi, lo)], *_distinct_pairs(rng, domain, n))
-    rec.require(2, "swap_doubling", (x, y), g.many(x, y, y), 2.0 * g.many(y, x, x))
+        x, y = _with_corners([(lo, hi), (hi, lo)], *_distinct_pairs(rng, domain, n))
+        rec.require(2, "swap_doubling", (x, y), g.many(x, y, y), 2.0 * g.many(y, x, x))
 
     return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)
 
@@ -333,9 +328,11 @@ def _stratified(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.nd
     return u
 
 
-def _in_ball(g: GMetric, ball: ClosedBall, rho: np.ndarray) -> np.ndarray:
-    """``ball_contains`` of each element of a float64 array."""
-    return g.many(np.broadcast_to(ball.center, rho.shape), rho, rho) <= ball.log_radius
+def _from_center(g: GMetric, ball: ClosedBall, rho: np.ndarray):
+    """The triples (c, rho, rho) of a float64 array, c the ball's centre,
+    and g of each: rho is in the ball when that is at most the log radius."""
+    triple = (np.broadcast_to(ball.center, rho.shape), rho, rho)
+    return triple, g.many(*triple)
 
 
 def _ball_probe_interval(g: GMetric, ball: ClosedBall, domain: Interval) -> Interval:
@@ -373,7 +370,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         forced = [p for p in (probe.lo, probe.hi, ball.center, params.seed_point)
                   if F.domain.contains(p)]
         candidates = np.concatenate((forced, _stratified(rng, probe.lo, probe.hi, 3 * n)))
-        pool = candidates[_in_ball(g, ball, candidates)]
+        pool = candidates[_from_center(g, ball, candidates)[1] <= ball.log_radius]
         if not pool.size:
             raise EmptyRegion(f"no sampled point lies in {ball}")
         idx = rng.integers(len(pool), size=(n, 3))
@@ -416,28 +413,18 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
 
     rng = np.random.default_rng(seed)
     (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)
-    evaluated = []
-
-    def g_many(*triple):
-        values = g.many(*triple)
-        evaluated.append((triple, values))
-        return values
-
     rec = _Recorder((condition, "invariance", "floor"), max_witnesses)
-    # a value that overflows to inf, or an inf - inf, fails a rule: no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = _condition_sides(condition, g_many, lambda a, b: g_many(a, b, b), F.many,
-                                    params.eta, x, y, z)
+    with _quiet():
+        lhs, rhs, used = _condition_sides(condition, g.many, F.many, params.eta, x, y, z)
         rec.require(0, condition, (x, y, z), lhs, rhs)
         # a metric value below the floor voids the condition's evidence
-        for triple, values in evaluated:
+        for triple, values in used:
             rec.require_floor(0, triple, values)
         if pool is not None:
-            image = F.many(pool)
-            center = np.broadcast_to(params.seed_point, image.shape)
-            values = g.many(center, image, image)
-            rec.require(1, "invariance", (pool,), values, params.ball.log_radius)
-            rec.require_floor(1, (center, image, image), values)
+            ball = params.ball
+            triple, values = _from_center(g, ball, F.many(pool))
+            rec.require(1, "invariance", (pool,), values, ball.log_radius)
+            rec.require_floor(1, triple, values)
     violations = sum(rec.counts.values())
 
     return CertificateReport(

@@ -319,10 +319,9 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
         seed_log = g.pair_kernel()(x0, F(x0))
         if seed_log < LOG_FLOOR:
             raise BelowFloor(0, x0, seed_log)
-        budget = (1.0 - params.eta) * params.gamma
         raise SeedConditionViolated(
             f"seed {x0} has log-distance {seed_log} "
-            f"to its image, above the budget ln({budget})")
+            f"to its image, above the budget ln({params.seed_budget})")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu

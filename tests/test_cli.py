@@ -246,6 +246,17 @@ def test_certify_infinite_metric_values_exit_two(tmp_path):
     assert proc.stderr == "error: non-finite float inf is not representable in a report\n"
 
 
+def test_axioms_overflowing_metric_exits_two_without_warnings():
+    # the perimeter and the rules' sums overflow to inf on this region;
+    # they fail their rules quietly, and only the report's error is shown
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", "axioms", "--fixture", "exp-usual",
+                           "--region", "0:1.7e308", "--n", "100"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite float inf is not representable in a report\n"
+
+
 def test_certify_ball_the_map_leaves_exits_one(capsys, tmp_path):
     cfg = tmp_path / "leaves.json"
     cfg.write_text(json.dumps(LEAVES_BALL))

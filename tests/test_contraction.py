@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
@@ -24,6 +24,7 @@ from mgmetric import (
     usual_metric,
 )
 from mgmetric.contraction import _implicit_majorant
+from mgmetric.metric import LOG_FLOOR
 
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
@@ -77,7 +78,7 @@ def test_seed_condition_stock_parameters():
 def test_seed_condition_reference_margins():
     # e^{2/3} ~ 1.9477 and e^{1/3} ~ 1.3956, both below 33/16 = 2.0625
     budget = (1.0 - ETA) * 5.5
-    assert budget == 2.0625
+    assert budget == 2.0625 == EX33.params.seed_budget == EX37.params.seed_budget
     assert G.value(1 / 3, EX33.map(1 / 3), EX33.map(1 / 3)) <= budget
     assert G.value(1 / 3, EX37.map(1 / 3), EX37.map(1 / 3)) <= budget
 
@@ -96,7 +97,7 @@ def test_seed_condition_false_when_budget_below_floor():
 def test_seed_condition_false_when_budget_underflows():
     # (1 - eta) * gamma rounds to 0: False, not a math domain error
     params = ContractionParams(eta=ETA, gamma=5e-324, seed_point=1 / 3)
-    assert (1.0 - params.eta) * params.gamma == 0.0
+    assert params.seed_budget == 0.0
     assert not seed_condition_holds(G, EX33.map, params)
 
 
@@ -342,6 +343,31 @@ def test_certify_reports_metric_values_below_the_floor(condition):
         assert not w.holds()
 
 
+_PREDICATES = {"root": root_contraction_holds, "implicit": implicit_contraction_holds}
+
+
+# the perimeter less 1/2 with a halving map: both predicates held at
+# (0.1, 0.2, 0.3), where every value they use is below the floor
+@example(shift=-0.5, slope=0.5, eta=0.625, xyz=(0.1, 0.2, 0.3), condition="root")
+@example(shift=-0.5, slope=0.5, eta=0.625, xyz=(0.1, 0.2, 0.3), condition="implicit")
+@settings(max_examples=300, deadline=None)
+@given(shift=st.floats(-2.0, 0.5), slope=st.floats(0.0, 1.0),
+       eta=st.floats(0.0, 1.0, exclude_max=True), xyz=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+       condition=st.sampled_from(sorted(_PREDICATES)))
+def test_predicates_never_hold_on_a_value_below_the_floor(shift, slope, eta, xyz, condition):
+    used = []
+
+    def shifted(x, y, z):
+        used.append(perimeter(x, y, z) + shift)
+        return used[-1]
+
+    g = GMetric(g=shifted, description="shifted perimeter")
+    F = SelfMap(apply=lambda x: slope * x, description="scaling")
+    holds = _PREDICATES[condition](g, F, eta, *xyz)
+    if min(used) < LOG_FLOOR:
+        assert not holds
+
+
 def test_certify_is_deterministic():
     a = certify_region(G, EX33.map, EX33.params, "root", Interval(0.0, 0.3333), 500, seed=5)
     b = certify_region(G, EX33.map, EX33.params, "root", Interval(0.0, 0.3333), 500, seed=5)
@@ -452,22 +478,22 @@ SPECIAL_FLOATS = (st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -ma
                   | st.floats())
 
 
-# Stand-in labels for x, y, z, Fx, Fy: the five (a, b) pairs the implicit
-# majorant evaluates are distinct, so each looks up a term of its own.
+# Stand-in labels for x, y, z, Fx, Fy: the triple and the five (a, b, b)
+# pair triples the implicit majorant evaluates are distinct, so each
+# looks up a term of its own.
 _X, _Y, _Z, _FX, _FY = 0.0, 1.0, 2.0, 3.0, 4.0
-_PAIRS = ((_X, _FX), (_Y, _FY), (_X, _FY), (_X, _Z), (_Z, _FX))
+_TRIPLES = ((_X, _Y, _Z), (_X, _FX, _FX), (_Y, _FY, _FY), (_X, _FY, _FY), (_X, _Z, _Z),
+            (_Z, _FX, _FX))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(*[SPECIAL_FLOATS] * 6), min_size=1, max_size=40))
 def test_implicit_majorant_scalar_is_the_batch_bitwise(rows):
-    scalar = [_implicit_majorant(lambda x, y, z: t[0], lambda a, b: t[1 + _PAIRS.index((a, b))],
-                                 _X, _Y, _Z, _FX, _FY)
+    scalar = [_implicit_majorant(lambda *abc: t[_TRIPLES.index(abc)], _X, _Y, _Z, _FX, _FY)
               for t in rows]
     cols = [np.array(c, dtype=np.float64) for c in zip(*rows)]
     n = len(rows)
-    batch = _implicit_majorant(lambda x, y, z: cols[0],
-                               lambda a, b: cols[1 + _PAIRS.index((a[0], b[0]))],
+    batch = _implicit_majorant(lambda *abc: cols[_TRIPLES.index(tuple(v[0] for v in abc))],
                                *(np.full(n, v) for v in (_X, _Y, _Z, _FX, _FY)))
     assert all(type(v) is float for v in scalar)
     scalar = np.array(scalar, dtype=np.float64)

@@ -22,8 +22,8 @@ _NAMES = {
     "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
                 "check_gm_properties check_mult_axioms",
     "solver": "BelowFloor DomainExit FixedPointResult MaxIterationsExceeded NonFiniteStep "
-              "PicardTrace RateOutOfRange SeedConditionViolated SolveError a_priori_iterations "
-              "converged mu_class mu_of picard_trace solve_fixed_point step_bound",
+              "PicardTrace SeedConditionViolated SolveError a_priori_iterations mu_class mu_of "
+              "solve_fixed_point",
     "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseRow get_fixture half_shift_map "
                 "load_fixture_config piecewise_map quarter_shift_map registry",
 }

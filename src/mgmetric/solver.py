@@ -73,10 +73,6 @@ class SeedConditionViolated(SolveError):
     """The seed point fails the admissibility condition for its ball."""
 
 
-class RateOutOfRange(ValueError):
-    """A geometric rate >= 1 cannot certify an iteration bound."""
-
-
 class MaxIterationsExceeded(SolveError):
     """The residual did not reach tolerance within the iteration budget."""
 
@@ -156,17 +152,16 @@ class FixedPointResult(Record):
 
 
 def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
-           steps: int, tol: float | None) -> tuple[PicardTrace, LogDistance | None]:
-    """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace.
+           steps: int, tol: float) -> tuple[PicardTrace, LogDistance]:
+    """The Picard loop x_{j+1} = F(x_j) from x0, recorded as a trace,
+    stopped by the one residual rule.
 
     Every iterate must lie in F's domain, else DomainExit.  Every step
     must have a log-distance on the floor or above, else BelowFloor, and
     a step between two iterates of the domain a finite one, else
-    NonFiniteStep.  With ``tol`` None the loop makes exactly ``steps``
-    transitions.  Otherwise it stops at the first iterate whose residual
+    NonFiniteStep.  The loop stops at the first iterate whose residual
     g(x, Fx, Fx) is <= tol, and iterate ``steps`` above tol raises
-    MaxIterationsExceeded.  Returns the trace and the last residual
-    computed (None if none was).
+    MaxIterationsExceeded.  Returns the trace and that last residual.
     """
     iterates = [x0]
     step_logs: list[float] = []
@@ -176,12 +171,9 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
     x = x0
-    residual = None
     for j in range(steps + 1):
         if not contains(x):
             raise DomainExit(j, x)
-        if tol is None and j == steps:
-            break
         nxt = apply(x)
         residual = pair(x, nxt)
         # the floor rule, and finiteness; NaN fails both comparisons
@@ -191,7 +183,7 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
             # a next iterate outside the domain is reported as DomainExit
             if contains(nxt):
                 raise NonFiniteStep(j, x, residual)
-        if tol is not None and residual <= tol:
+        if residual <= tol:
             break
         if j == steps:
             raise MaxIterationsExceeded(j, x, residual)
@@ -208,31 +200,10 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
-def picard_trace(F: SelfMap, x0: Point, steps: int, g: GMetric,
-                 ball: ClosedBall) -> PicardTrace:
-    """Roll the orbit forward a fixed number of steps (no stopping rule).
-
-    Raises DomainExit as soon as an iterate leaves F's domain, BelowFloor
-    at a step with a log-distance below the floor, and NonFiniteStep at a
-    step with a non-finite one.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return _orbit(F, g, ball, x0, steps, None)[0]
-
-
 def _check_epsilon(epsilon: float) -> None:
     # written so that NaN fails too; an infinite tolerance certifies nothing
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
-
-
-def step_bound(log_g01: LogDistance, eta: float, j: int) -> LogDistance:
-    """Per-step a-priori bound eta**j * g(x0, x1, x1), in log-domain."""
-    _validate_eta(eta)
-    if j < 0:
-        raise ValueError(f"step index must be >= 0, got {j}")
-    return (eta ** j) * log_g01
 
 
 def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> int:
@@ -240,13 +211,15 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
 
     This is the coarse geometric tail of the telescoped step bounds
     (dropping a factor < 1), so it is always a valid stopping index for
-    a genuine contraction.  Raises RateOutOfRange when rate >= 1.
+    a genuine contraction.  Raises ValueError for a log distance that is
+    negative or not finite, a bad epsilon, and a rate outside [0, 1).
     """
-    if log_g01 < 0.0:
-        raise ValueError(f"log distance must be >= 0, got {log_g01}")
+    # written so that NaN fails too; an infinite distance bounds nothing
+    if not 0.0 <= log_g01 < math.inf:
+        raise ValueError(f"log distance must be a finite real >= 0, got {log_g01}")
     _check_epsilon(epsilon)
     if not 0.0 <= rate < 1.0:
-        raise RateOutOfRange(f"geometric rate must lie in [0, 1), got {rate}")
+        raise ValueError(f"geometric rate must lie in [0, 1), got {rate}")
 
     tol = math.log1p(epsilon)
     tail0 = log_g01 / (1.0 - rate)
@@ -261,12 +234,6 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
     while (rate ** j) * tail0 > tol:
         j += 1
     return j
-
-
-def converged(g: GMetric, x: Point, p: Point, epsilon: float) -> bool:
-    """Multiplicative convergence test: g(x, p, p) <= ln(1 + epsilon)."""
-    _check_epsilon(epsilon)
-    return g.pair_kernel()(x, p) <= math.log1p(epsilon)
 
 
 def mu_of(eta: float) -> float:

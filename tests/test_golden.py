@@ -149,6 +149,20 @@ def test_importing_the_package_loads_no_module_of_it():
     assert {name for name in imported if name.startswith("mgmetric.")} == set()
 
 
+def test_every_public_name_resolves_through_the_lazy_table():
+    import mgmetric
+    assert len(set(mgmetric.__all__)) == len(mgmetric.__all__)
+    for name in mgmetric.__all__:
+        module = importlib.import_module(f"mgmetric.{mgmetric._MODULE_OF[name]}")
+        assert mgmetric.__getattr__(name) is getattr(module, name)
+    # the fixed-step trace, its step bound, a second residual rule and
+    # the rate error were removed from the API
+    for name in ("picard_trace", "step_bound", "converged", "RateOutOfRange"):
+        assert name not in mgmetric.__all__
+        with pytest.raises(AttributeError):
+            getattr(mgmetric, name)
+
+
 def test_no_module_imports_numpy_directly():
     # metric.np is the package's one handle on numpy; an ``import numpy``
     # elsewhere would load it eagerly for every command

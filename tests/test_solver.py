@@ -8,28 +8,23 @@ from hypothesis import given, settings, strategies as st
 from mgmetric import (
     SLACK,
     BelowFloor,
-    ClosedBall,
     ContractionParams,
     DomainExit,
     GMetric,
     Interval,
     MaxIterationsExceeded,
     NonFiniteStep,
-    RateOutOfRange,
     SeedConditionViolated,
     SelfMap,
     SolveError,
     a_priori_iterations,
     ball_contains,
-    converged,
     get_fixture,
     gm_from_exp,
     load_fixture_config,
     mu_class,
     mu_of,
-    picard_trace,
     solve_fixed_point,
-    step_bound,
     usual_metric,
 )
 from mgmetric._jsonutil import dumps
@@ -39,7 +34,6 @@ from test_golden import _load_workloads
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
 EX37 = get_fixture("ex37")
-BALL = ClosedBall(center=1 / 3, radius=5.5)
 TOL = 1e-6
 
 
@@ -57,35 +51,30 @@ def brute_force_bound(log_g01, rate, epsilon, cap=10_000):
 
 
 def test_trace_one_step_orbit():
-    trace = picard_trace(EX33.map, 1 / 3, 3, G, BALL)
-    assert trace.iterates == (1 / 3, 0.0, 0.0, 0.0)
-    assert trace.step_logs[0] == pytest.approx(2 / 3, abs=1e-15)
-    assert trace.step_logs[1:] == (0.0, 0.0)
+    trace = solve_fixed_point(G, EX33.map, EX33.params, epsilon=TOL).trace
+    assert trace.iterates == (1 / 3, 0.0)
+    assert trace.step_logs == (pytest.approx(2 / 3, abs=1e-15),)
     assert trace.monotone
     assert all(trace.in_ball)
 
 
 def test_trace_halving_orbit():
-    trace = picard_trace(EX37.map, 1 / 3, 2, G, BALL)
-    assert trace.iterates == (1 / 3, 1 / 6, 1 / 12)
-
-
-def test_trace_constant_at_fixed_point():
-    trace = picard_trace(EX33.map, 0.0, 5, G, BALL)
-    assert set(trace.iterates) == {0.0}
-    assert set(trace.step_logs) == {0.0}
+    trace = solve_fixed_point(G, EX37.map, EX37.params, epsilon=TOL).trace
+    assert trace.iterates[:3] == (1 / 3, 1 / 6, 1 / 12)
 
 
 def test_trace_length_consistency():
-    trace = picard_trace(EX37.map, 1.0, 7, G, BALL)
+    params = EX37.params.replace(seed_point=1.0, gamma=10.0)
+    trace = solve_fixed_point(G, EX37.map, params, epsilon=TOL).trace
     assert len(trace.step_logs) == len(trace.iterates) - 1
     assert len(trace.in_ball) == len(trace.iterates)
 
 
 def test_trace_domain_exit():
     F = SelfMap(apply=lambda x: x - 1.0, description="escapes", domain=Interval(0.0, math.inf))
+    params = ContractionParams(eta=0.5, gamma=100.0, seed_point=0.5)
     with pytest.raises(DomainExit) as err:
-        picard_trace(F, 0.5, 3, G, BALL)
+        solve_fixed_point(G, F, params, epsilon=TOL)
     assert err.value.index == 1
     assert err.value.point == -0.5
 
@@ -95,25 +84,28 @@ def test_trace_overflow_is_domain_exit():
     # but does not contain
     F = load_fixture_config({"space": "exp-usual",
                              "map": [{"interval": [0, None], "slope": 4, "offset": 0}]}).map
+    params = ContractionParams(eta=0.5, gamma=1e300, seed_point=1.0)
     with pytest.raises(DomainExit) as err:
-        picard_trace(F, 1.0, 600, G, BALL)
+        solve_fixed_point(G, F, params, epsilon=TOL, max_iter=600)
     assert err.value.index == 512
     assert err.value.point == math.inf
 
 
 def test_ball_flags_are_bools_for_a_metric_of_numpy_scalars():
     # the flags come from the scalar kernel; a g returning numpy floats
-    # still gives bool flags, which a report can render
+    # still gives bool flags, which a report can render.  A ball of radius
+    # 60 about 3.0 admits the seed and loses the orbit's tail.
     g = GMetric(g=lambda x, y, z: np.float64(G(x, y, z)))
-    trace = picard_trace(EX37.map, 3.0, 6, g, BALL)
-    assert trace.in_ball == picard_trace(EX37.map, 3.0, 6, G, BALL).in_ball
+    params = EX37.params.replace(seed_point=3.0, gamma=60.0)
+    trace = solve_fixed_point(g, EX37.map, params, epsilon=TOL).trace
+    assert trace.in_ball == solve_fixed_point(G, EX37.map, params, epsilon=TOL).trace.in_ball
     assert {type(flag) for flag in trace.in_ball} == {bool}
     assert False in trace.in_ball
     assert '"in_ball": [' in dumps(trace.to_dict())
 
 
 def test_trace_csv_round_trip():
-    trace = picard_trace(EX37.map, 1 / 3, 4, G, BALL)
+    trace = solve_fixed_point(G, EX37.map, EX37.params, epsilon=TOL).trace
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "index,value,step_log,in_ball"
     assert len(lines) == 1 + len(trace.iterates)
@@ -126,14 +118,6 @@ def test_trace_csv_round_trip():
 # bounds
 
 
-def test_step_bound_values():
-    assert step_bound(2 / 3, 5 / 8, 2) == pytest.approx(25 / 64 * 2 / 3, abs=1e-15)
-    assert step_bound(0.42, 0.9, 0) == 0.42
-    assert step_bound(0.42, 0.0, 3) == 0.0
-    with pytest.raises(ValueError):
-        step_bound(0.1, 1.0, 1)
-
-
 def test_a_priori_iterations_reference_case():
     assert a_priori_iterations(1 / 3, 5 / 8, 1e-6) == 30
     assert brute_force_bound(1 / 3, 5 / 8, 1e-6) == 30
@@ -143,9 +127,9 @@ def test_a_priori_iterations_edge_cases():
     assert a_priori_iterations(0.0, 0.5, 1e-6) == 0
     assert a_priori_iterations(0.5, 0.0, 1e-6) == 1  # one step clears the tail
     assert a_priori_iterations(1e-9, 0.5, 1.0) == 0  # seed already within tolerance
-    with pytest.raises(RateOutOfRange):
+    with pytest.raises(ValueError, match="rate"):
         a_priori_iterations(0.5, 1.0, 1e-6)
-    with pytest.raises(RateOutOfRange):
+    with pytest.raises(ValueError, match="rate"):
         a_priori_iterations(0.5, 1.7, 1e-6)
     with pytest.raises(ValueError):
         a_priori_iterations(0.5, 0.5, 0.0)
@@ -176,12 +160,12 @@ def test_a_priori_iterations_matches_brute_force():
             brute_force_bound(log_g01, rate, epsilon)
 
 
-def test_convergence_criterion():
-    assert converged(G, 0.42, 0.42, 1e-12)
-    assert converged(G, 1e-7, 0.0, 1e-6)
-    assert not converged(G, 0.1, 0.0, 1e-6)
-    with pytest.raises(ValueError):
-        converged(G, 0.0, 0.0, 0.0)
+@pytest.mark.parametrize("log_g01", [math.nan, math.inf])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_a_priori_iterations_rejects_a_non_finite_distance(log_g01, rate):
+    # no geometric tail of an infinite or NaN first step certifies a bound
+    with pytest.raises(ValueError, match="log distance"):
+        a_priori_iterations(log_g01, rate, 1e-6)
 
 
 def test_mu_values_and_classes():
@@ -291,8 +275,6 @@ def test_solve_validates_arguments():
         with pytest.raises(ValueError):
             solve_fixed_point(G, EX33.map, EX33.params, epsilon=epsilon)
         with pytest.raises(ValueError):
-            converged(G, 0.0, 0.0, epsilon)
-        with pytest.raises(ValueError):
             a_priori_iterations(1.0, 0.5, epsilon)
     with pytest.raises(ValueError):
         solve_fixed_point(G, EX33.map, EX33.params, max_iter=-1)
@@ -303,8 +285,6 @@ def test_non_finite_epsilon_is_rejected(epsilon):
     # an infinite tolerance would "converge" at once and certify nothing
     with pytest.raises(ValueError, match="epsilon"):
         solve_fixed_point(G, EX33.map, EX33.params, epsilon=epsilon)
-    with pytest.raises(ValueError, match="epsilon"):
-        converged(G, 0.0, 0.0, epsilon)
     with pytest.raises(ValueError, match="epsilon"):
         a_priori_iterations(1.0, 0.5, epsilon)
 
@@ -318,13 +298,9 @@ def test_non_finite_step_ends_the_orbit():
         {"interval": [2, 10], "slope": 0, "offset": 1.5},
         {"interval": [10, None], "slope": 0, "offset": 0.5}]}).map
     params = ContractionParams(eta=0.5, gamma=1e3, seed_point=3.0)
-    for run in (lambda: picard_trace(F, 3.0, 10, G, BALL),
-                lambda: solve_fixed_point(G, F, params, epsilon=TOL)):
-        with pytest.raises(NonFiniteStep) as err:
-            run()
-        assert (err.value.index, err.value.point, err.value.step_log) == (1, 1.5, math.inf)
-    # the steps before it are recorded as usual
-    assert picard_trace(F, 3.0, 1, G, BALL).step_logs == (3.0,)
+    with pytest.raises(NonFiniteStep) as err:
+        solve_fixed_point(G, F, params, epsilon=TOL)
+    assert (err.value.index, err.value.point, err.value.step_log) == (1, 1.5, math.inf)
 
 
 def test_below_floor_step_ends_the_orbit():
@@ -333,11 +309,9 @@ def test_below_floor_step_ends_the_orbit():
     g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1.5, description="negative")
     F = SelfMap(apply=lambda x: x + 5.0, description="shift")
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
-    for run in (lambda: picard_trace(F, 3.0, 10, g, BALL),
-                lambda: solve_fixed_point(g, F, params, epsilon=TOL)):
-        with pytest.raises(BelowFloor) as err:
-            run()
-        assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
+    with pytest.raises(BelowFloor) as err:
+        solve_fixed_point(g, F, params, epsilon=TOL)
+    assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
 
 
 @pytest.mark.parametrize("eta,gamma", [(0.6, 10.0), (0.99, 1.0)])
@@ -353,12 +327,10 @@ def test_seed_step_below_the_floor_is_reported_before_the_rate(eta, gamma):
 
 
 def test_step_on_the_floor_within_slack_is_accepted():
-    # -SLACK itself is on the floor: the steps are recorded, and a solve
-    # converges at once with the a-priori bound of a first step of 0
+    # -SLACK itself is on the floor: a solve converges at once with the
+    # a-priori bound of a first step of 0
     g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1e-12, description="slack")
     F = SelfMap(apply=lambda x: x + 5.0, description="shift")
-    trace = picard_trace(F, 3.0, 2, g, BALL)
-    assert trace.step_logs == (-1e-12, -1e-12)
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
     r = solve_fixed_point(g, F, params, epsilon=TOL)
     assert (r.point, r.residual_log, r.iterations_used, r.certified_bound) == (3.0, -1e-12, 0, 0)
@@ -368,8 +340,6 @@ def test_every_solve_failure_is_a_solve_error():
     for error in (DomainExit, NonFiniteStep, BelowFloor, SeedConditionViolated,
                   MaxIterationsExceeded):
         assert issubclass(error, SolveError)
-    # a rate >= 1 is a bad argument of the bound, not a failed solve
-    assert not issubclass(RateOutOfRange, SolveError)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +374,7 @@ def test_step_logs_dominated_by_geometric_bound():
     r = solve_fixed_point(G, EX37.map, EX37.params, epsilon=TOL)
     first = r.trace.step_logs[0]
     for j, step in enumerate(r.trace.step_logs):
-        assert step <= step_bound(first, 0.625, j) + 1e-12
+        assert step <= (0.625 ** j) * first + 1e-12
 
 
 def test_residual_bounds_the_next_move():
@@ -451,7 +421,7 @@ def test_result_to_dict_shape():
 
 
 # ---------------------------------------------------------------------------
-# solve and picard_trace walk the same orbit
+# the solve's trace is the orbit
 
 
 @st.composite
@@ -473,7 +443,7 @@ def contracting_configs(draw):
 @settings(max_examples=150, deadline=None)
 @given(contracting_configs(), st.floats(min_value=1.0, max_value=8.0),
        st.sampled_from(["root", "implicit"]), st.booleans())
-def test_solve_trace_is_the_fixed_step_trace(config, slack, mode, batched):
+def test_solve_trace_is_the_orbit(config, slack, mode, batched):
     doc, x0, eta = config
     fx = load_fixture_config(doc)
     # without a batch form the ball flags come from the scalar fallback
@@ -483,10 +453,16 @@ def test_solve_trace_is_the_fixed_step_trace(config, slack, mode, batched):
     gamma = math.exp(g(x0, F(x0), F(x0))) * slack / (1.0 - eta)
     params = ContractionParams(eta=eta, gamma=gamma, seed_point=x0)
     r = solve_fixed_point(g, F, params, mode=mode, epsilon=TOL)
-    trace = picard_trace(F, x0, r.iterations_used, g, params.ball)
-    assert r.trace == trace
+    trace = r.trace
     for x, flag in zip(trace.iterates, trace.in_ball):
         assert flag == ball_contains(g, params.ball, x)
+    # bitwise, so that -0.0 and 0.0 differ: each iterate is F of the one
+    # before, and each step log is g(x_j, x_{j+1}, x_{j+1})
+    for j, (x, nxt) in enumerate(zip(trace.iterates, trace.iterates[1:])):
+        assert nxt.hex() == F(x).hex()
+        assert trace.step_logs[j].hex() == g(x, nxt, nxt).hex()
+    last = trace.iterates[-1]
+    assert r.residual_log.hex() == g(last, F(last), F(last)).hex()
 
 
 def _trace_bits(trace):

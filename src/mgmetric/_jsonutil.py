@@ -16,7 +16,7 @@ from _json import encode_basestring_ascii as _quote
 _BOOLS = ("false", "true")
 
 
-def _render(obj, indent: int, level: int) -> str:
+def _render(obj, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -33,8 +33,8 @@ def _render(obj, indent: int, level: int) -> str:
         raise TypeError(f"cannot render {type(obj).__name__} in a report")
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     sep = ",\n" + pad
     if isinstance(obj, dict):
         # A str or a finite float value, by exact type, is rendered here:
@@ -48,7 +48,7 @@ def _render(obj, indent: int, level: int) -> str:
             elif kind is float and math.isfinite(v):
                 text = "%.17g" % v
             else:
-                text = _render(v, indent, level + 1)
+                text = _render(v, level + 1)
             items.append(f"{_quote(str(k))}: {text}")
         return "{\n" + pad + sep.join(items) + "\n" + close_pad + "}"
     # A sequence of finite floats only, or of bools only (a trace's
@@ -62,9 +62,9 @@ def _render(obj, indent: int, level: int) -> str:
     elif kinds == {bool}:
         items = sep.join([_BOOLS[v] for v in obj])
     else:
-        items = sep.join([_render(v, indent, level + 1) for v in obj])
+        items = sep.join([_render(v, level + 1) for v in obj])
     return "[\n" + pad + items + "\n" + close_pad + "]"
 
 
-def dumps(doc, indent: int = 2) -> str:
-    return _render(doc, indent, 0)
+def dumps(doc) -> str:
+    return _render(doc, 0)

@@ -3,9 +3,10 @@ fixed-point solves, and the reference-value regression report.
 
 Every command prints a JSON report to stdout and a short human summary
 to stderr.  Exit codes: 0 when everything holds, 1 when a condition is
-violated or convergence fails, 2 on usage or config errors and when a
-command that samples (axioms, certify) finds numpy missing.  Reports
-are byte-identical for identical argument vectors.
+violated or convergence fails, 2 on usage or config errors, when a
+command that samples (axioms, certify) finds numpy missing, and when
+its sample arrays cannot be allocated.  Reports are byte-identical for
+identical argument vectors.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ _REFERENCE_ROWS = (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return format(x, ".5g")
 
@@ -44,24 +41,26 @@ def _parse_region(text: str) -> Interval | str:
         lo, hi = text.split(":")
         return Interval(float(lo), float(hi))
     except ValueError as exc:
-        raise UsageError(f"bad region {text!r}: expected lo:hi or ball") from exc
+        raise ValueError(f"bad region {text!r}: expected lo:hi or ball") from exc
 
 
 def _resolve_fixture(args) -> NamedFixture:
     if args.fixture and args.config:
-        raise UsageError("pass either --fixture or --config, not both")
+        raise ValueError("pass either --fixture or --config, not both")
     if args.fixture:
         fx = get_fixture(args.fixture)
         if fx is None:
             known = ", ".join(f.id for f in registry())
-            raise UsageError(f"unknown fixture {args.fixture!r} (known: {known})")
+            raise ValueError(f"unknown fixture {args.fixture!r} (known: {known})")
         return fx
     if args.config:
         try:
             return load_fixture_config(args.config)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad config {args.config}: {exc}") from exc
-    raise UsageError("one of --fixture or --config is required")
+        # OverflowError: an integer too large for a float; RecursionError:
+        # JSON nested deeper than the parser recurses
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"bad config {args.config}: {exc}") from exc
+    raise ValueError("one of --fixture or --config is required")
 
 
 def _resolve_params(fx: NamedFixture, args) -> ContractionParams:
@@ -72,7 +71,7 @@ def _resolve_params(fx: NamedFixture, args) -> ContractionParams:
         return fx.params.replace(**overrides) if overrides else fx.params
     if {"eta", "gamma", "seed_point"} <= overrides.keys():
         return ContractionParams(**overrides)
-    raise UsageError(
+    raise ValueError(
         f"fixture {fx.id!r} carries no parameters; pass --eta, --gamma and --x0")
 
 
@@ -91,7 +90,7 @@ def cmd_axioms(args) -> int:
     fx = _resolve_fixture(args)
     region = _parse_region(args.region)
     if not isinstance(region, Interval):
-        raise UsageError("axioms needs a sampling region lo:hi")
+        raise ValueError("axioms needs a sampling region lo:hi")
 
     reports = {}
     if fx.mult is not None:
@@ -123,7 +122,7 @@ def cmd_certify(args) -> int:
 
     fx = _resolve_fixture(args)
     if fx.map is None:
-        raise UsageError(f"fixture {fx.id!r} has no self-map to certify")
+        raise ValueError(f"fixture {fx.id!r} has no self-map to certify")
     params = _resolve_params(fx, args)
     region = _parse_region(args.region)
 
@@ -131,7 +130,7 @@ def cmd_certify(args) -> int:
         report = certify_region(fx.gmetric, fx.map, params, args.condition,
                                 region, args.n, args.seed)
     except EmptyRegion as exc:
-        raise UsageError(f"empty region: {exc}") from exc
+        raise ValueError(f"empty region: {exc}") from exc
     ok = report.holds and report.seed_condition_ok
     doc = {"command": "certify", "fixture": fx.id, **report.to_dict()}
     summary = [
@@ -152,7 +151,7 @@ def cmd_solve(args) -> int:
 
     fx = _resolve_fixture(args)
     if fx.map is None:
-        raise UsageError(f"fixture {fx.id!r} has no self-map to iterate")
+        raise ValueError(f"fixture {fx.id!r} has no self-map to iterate")
     params = _resolve_params(fx, args)
 
     try:
@@ -294,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError, NumpyMissing) as exc:
+    # MemoryError: a sample count whose arrays cannot be allocated
+    except (ValueError, NumpyMissing, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,7 +54,6 @@ class SelfMap(Record):
     """
 
     apply: Callable[[Point], Point]
-    description: str = ""
     domain: Interval = Interval(0.0, math.inf)
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 

@@ -98,7 +98,7 @@ class _Piecewise:
         return y
 
 
-def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
+def piecewise_map(rows: list[PiecewiseRow]) -> SelfMap:
     """Self-map from contiguous piecewise-linear rows; each breakpoint
     belongs to the cell on its right.  The last cell is half-open too, so
     a finite right end is left out of the domain, which stops at the
@@ -107,7 +107,6 @@ def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
     hi = pw.cells[-1].hi
     return SelfMap(
         apply=pw.at,
-        description=description or "piecewise linear map",
         domain=Interval(pw.cells[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf)),
         batch=pw.batch,
     )
@@ -118,12 +117,12 @@ def piecewise_map(rows: list[PiecewiseRow], description: str = "") -> SelfMap:
 quarter_shift_map = piecewise_map([
     PiecewiseRow(lo=0.0, hi=1.0 / 3.0, slope=0.25, offset=0.0),
     PiecewiseRow(lo=1.0 / 3.0, hi=math.inf, slope=1.0, offset=-1.0 / 3.0),
-], description="x/4 below 1/3, x-1/3 above")
+])
 
 half_shift_map = piecewise_map([
     PiecewiseRow(lo=0.0, hi=0.5, slope=0.5, offset=0.0),
     PiecewiseRow(lo=0.5, hi=math.inf, slope=1.0, offset=-0.25),
-], description="x/2 below 1/2, x-1/4 above")
+])
 
 
 class NamedFixture(Record):
@@ -227,8 +226,7 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
     gmetric, mult = _parse_space(doc["space"])
     selfmap = None
     if "map" in doc:
-        selfmap = piecewise_map(_parse_rows(doc["map"]),
-                                description="piecewise linear map (config)")
+        selfmap = piecewise_map(_parse_rows(doc["map"]))
     params = None
     if "params" in doc:
         p = doc["params"]

@@ -285,15 +285,10 @@ def usual_metric(x: Point, y: Point) -> float:
     return abs(x - y)
 
 
-# The perimeter |x - y| + |y - z| + |z - x|, the g of both stock spaces.
-# It needs no canonical pair order: under round-to-nearest x - y is
-# exactly -(y - x), signed zeros included, so abs gives the float the
-# ordered call gives, and both kernels below sort and add as the generic
-# g does.
-def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
-    a = abs(x - y)
-    b = abs(y - z)
-    c = abs(z - x)
+def _ascending_sum(a: float, b: float, c: float) -> float:
+    # Three terms added smallest-first, so every order of the same three
+    # floats gives the bitwise-identical sum.  The swaps on strict < are
+    # a stable sort: ties and signed zeros keep their order.
     if b < a:
         a, b = b, a
     if c < b:
@@ -301,6 +296,15 @@ def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
         if b < a:
             a, b = b, a
     return a + b + c
+
+
+# The perimeter |x - y| + |y - z| + |z - x|, the g of both stock spaces.
+# It needs no canonical pair order: under round-to-nearest x - y is
+# exactly -(y - x), signed zeros included, so abs gives the float the
+# ordered call gives, and both kernels below sort and add as the generic
+# g does.
+def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
+    return _ascending_sum(abs(x - y), abs(y - z), abs(z - x))
 
 
 def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -343,18 +347,10 @@ def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
         # Evaluate each unordered pair in canonical argument order, since
         # a pair function may be asymmetric, and add the three terms
         # smallest-first, so every permutation of (x, y, z) produces the
-        # bitwise-identical float.  The swaps on strict < are a stable
-        # sort: ties and signed zeros keep their order.
-        a = pairfn(x, y) if x <= y else pairfn(y, x)
-        b = pairfn(y, z) if y <= z else pairfn(z, y)
-        c = pairfn(z, x) if z <= x else pairfn(x, z)
-        if b < a:
-            a, b = b, a
-        if c < b:
-            b, c = c, b
-            if b < a:
-                a, b = b, a
-        return a + b + c
+        # bitwise-identical float.
+        return _ascending_sum(pairfn(x, y) if x <= y else pairfn(y, x),
+                              pairfn(y, z) if y <= z else pairfn(z, y),
+                              pairfn(z, x) if z <= x else pairfn(x, z))
 
     # The scalar g over arrays: its pair order, compare-and-swaps and sum,
     # hence its floats.  A closure, not a functools.partial: a copied
@@ -382,14 +378,14 @@ def gm_from_product(d: MultMetric, description: str = "") -> GMetric:
     return _pair_sum_metric(d.dist, d.batch, label)
 
 
-def gm_from_exp(d: Callable[[Point, Point], float], description: str = "",
-                batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None) -> GMetric:
+def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> GMetric:
     """Ternary metric from an ordinary metric: exp of the perimeter
     d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, so the returned
-    callable is just the perimeter itself.  ``batch`` is ``d`` over
-    float64 arrays, if there is one.  ``usual_metric`` gets the dedicated
-    perimeter kernel, batch form included."""
-    return _pair_sum_metric(d, batch, description or "exp of pairwise perimeter")
+    callable is just the perimeter itself.  ``usual_metric`` gets the
+    dedicated perimeter kernel, batch form included; any other ``d`` has
+    no batch form here, and ``gm_from_product(MultMetric(d, batch=...))``
+    builds the same kernels with one."""
+    return _pair_sum_metric(d, None, description or "exp of pairwise perimeter")
 
 
 # Each required relation between lhs_log and rhs_log, for floats and

@@ -18,6 +18,8 @@ from .contraction import (ContractionParams, SelfMap, _check_condition, _conditi
 _MIN_SEPARATION = 1e-9
 # Draw rounds for such pairs; a normal domain needs one or two.
 _MAX_PAIR_ROUNDS = 100
+# Witnesses a report keeps per rule; ``violations`` has the full counts.
+_MAX_WITNESSES = 32
 
 
 class EmptyRegion(RuntimeError):
@@ -28,8 +30,8 @@ class AxiomReport(Record):
     """Outcome of a sampled axiom suite.
 
     ``axioms`` maps each rule name to "pass" or "fail"; every failing
-    rule carries at least one witness (capped at ``max_witnesses`` per
-    rule, with full counts in ``violations``).
+    rule carries at least one witness (at most 32 per rule, with full
+    counts in ``violations``).
     """
 
     subject: str
@@ -60,13 +62,11 @@ class _Recorder:
     Witnesses come out in the order a per-sample loop would meet them:
     by phase, then sample index, then the check's position in the phase
     (the order of ``require`` calls).  Each rule keeps its first
-    ``max_witnesses``; ``counts`` has the full numbers.
+    ``_MAX_WITNESSES``; ``counts`` has the full numbers.
     """
 
-    def __init__(self, rules: tuple[str, ...], max_witnesses: int):
+    def __init__(self, rules: tuple[str, ...]):
         self.rules = rules
-        # a failing rule must keep at least one witness
-        self.max_witnesses = max(1, max_witnesses)
         self.counts: dict[str, int] = {rule: 0 for rule in rules}
         self._found: list[tuple[tuple[int, int, int], Witness]] = []
         self._checks = 0
@@ -90,7 +90,7 @@ class _Recorder:
 
     def _record(self, phase, rule, points, lhs, rhs, relation, samples, failing) -> None:
         self.counts[rule] += failing.size
-        kept = failing[:self.max_witnesses]
+        kept = failing[:_MAX_WITNESSES]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
         rhs_log = ([float(rhs)] * kept.size if isinstance(rhs, float)
@@ -103,7 +103,7 @@ class _Recorder:
         kept = {rule: 0 for rule in self.rules}
         out = []
         for _, w in sorted(self._found, key=lambda found: found[0]):
-            if kept[w.rule] < self.max_witnesses:
+            if kept[w.rule] < _MAX_WITNESSES:
                 kept[w.rule] += 1
                 out.append(w)
         return tuple(out)
@@ -139,8 +139,8 @@ def _quiet():
 
 
 @contextmanager
-def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], domain: Interval, n: int, seed: int,
-           max_witnesses: int):
+def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], domain: Interval,
+           n: int, seed: int):
     """The start of every sampled axiom suite: checks the arguments, then
     under ``_quiet`` runs phase 0, the "identity" rule (``metric`` of
     ``arity`` equal points is 1), and yields the generator, the recorder
@@ -151,7 +151,7 @@ def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], dom
         raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
                          f"got {domain}")
     rng = np.random.default_rng(seed)
-    rec = _Recorder(rules, max_witnesses)
+    rec = _Recorder(rules)
     lo, hi = domain.lo, domain.hi
     mid = 0.5 * (lo + hi)
     with _quiet():
@@ -192,8 +192,7 @@ def _with_corners(corners: list[tuple[float, ...]],
                  for head, col in zip(zip(*corners), columns))
 
 
-def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
-                      max_witnesses: int = 32) -> AxiomReport:
+def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int) -> AxiomReport:
     """Sampled check of the multiplicative-metric axioms on ``domain``.
 
     Rules reported: "floor" (distance >= 1), "identity" (equal points at
@@ -202,7 +201,7 @@ def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
     Deterministic given ``seed``; failures are data, not errors.
     """
     rules = ("floor", "identity", "separation", "symmetry", "triangle")
-    with _audit(d, 2, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+    with _audit(d, 2, rules, domain, n, seed) as (rng, rec, lo, hi, mid):
         x, y = _with_corners([(lo, hi), (hi, lo), (lo, mid)], *_distinct_pairs(rng, domain, n))
         dxy = d.many(x, y)
         rec.require_floor(1, (x, y), dxy)
@@ -219,8 +218,7 @@ def check_mult_axioms(d: MultMetric, domain: Interval, n: int, seed: int,
 _PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
-                    max_witnesses: int = 32) -> AxiomReport:
+def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int) -> AxiomReport:
     """Sampled check of the ternary multiplicative-metric axioms.
 
     Rules reported: "identity" (G = 1 on the diagonal), "separation"
@@ -229,7 +227,7 @@ def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
     and "rectangle" (G(x,y,z) <= G(x,t,t) * G(t,y,z) for every t).
     """
     rules = ("identity", "separation", "pair_dominance", "permutation", "rectangle")
-    with _audit(g, 3, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+    with _audit(g, 3, rules, domain, n, seed) as (rng, rec, lo, hi, mid):
         x, y = _with_corners([(lo, hi), (mid, hi)], *_distinct_pairs(rng, domain, n))
         rec.require(1, "separation", (x, x, y), g.many(x, x, y), 0.0, ">")
 
@@ -254,8 +252,7 @@ def check_gm_axioms(g: GMetric, domain: Interval, n: int, seed: int,
     return rec.report(g.description or "ternary multiplicative metric", domain, n, seed)
 
 
-def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int,
-                        max_witnesses: int = 32) -> AxiomReport:
+def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int) -> AxiomReport:
     """Sampled check of derived consequences of the ternary axioms.
 
     Rules reported: "identity" (G = 1 on the diagonal), "star_bound"
@@ -265,7 +262,7 @@ def check_gm_properties(g: GMetric, domain: Interval, n: int, seed: int,
     useful smoke tests for user-supplied constructions.
     """
     rules = ("identity", "star_bound", "pair_split", "swap_doubling")
-    with _audit(g, 3, rules, domain, n, seed, max_witnesses) as (rng, rec, lo, hi, mid):
+    with _audit(g, 3, rules, domain, n, seed) as (rng, rec, lo, hi, mid):
         x, y, z = _with_corners([(lo, lo, hi), (lo, mid, hi), (hi, lo, mid)],
                                 *(_uniform(rng, domain, n) for _ in range(3)))
         tvals = np.concatenate(([mid, lo, hi], _uniform(rng, domain, max(0, n - 3))))
@@ -286,8 +283,8 @@ class CertificateReport(Record):
 
     ``verdict`` is "holds-on-sample" or "violated"; every violation, of
     the condition, of a ball's invariance or of the floor rule by a
-    metric value they used, is a re-checkable witness (capped at
-    ``max_witnesses`` per rule, full count in ``violations``).  The seed
+    metric value they used, is a re-checkable witness (at most 32 per
+    rule, the full count in ``violations``).  The seed
     condition is checked once per report.  ``to_dict`` prints the root
     index ``"m": 1`` of the form the conditions are evaluated in.
     """
@@ -392,8 +389,8 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
 
 
 def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
-                   condition: str, region: Interval | str, n: int, seed: int,
-                   max_witnesses: int = 32) -> CertificateReport:
+                   condition: str, region: Interval | str, n: int,
+                   seed: int) -> CertificateReport:
     """Evaluate a contractive condition on sampled triples from a region.
 
     ``region`` is either an explicit interval (sampled as given) or the
@@ -413,7 +410,7 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
 
     rng = np.random.default_rng(seed)
     (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)
-    rec = _Recorder((condition, "invariance", "floor"), max_witnesses)
+    rec = _Recorder((condition, "invariance", "floor"))
     with _quiet():
         lhs, rhs, used = _condition_sides(condition, g.many, F.many, params.eta, x, y, z)
         rec.require(0, condition, (x, y, z), lhs, rhs)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import signal
 import subprocess
@@ -6,6 +8,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from mgmetric import Witness, cli
 from mgmetric.cli import main
@@ -538,6 +546,55 @@ def test_closed_pipe_ends_the_command_by_sigpipe(tmp_path):
     assert proc.returncode == -signal.SIGPIPE
 
 
+def _run_module(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "mgmetric", *argv],
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def _one_error_line(proc, start: str) -> None:
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# An integer literal too large for a float, and a JSON array nested
+# deeper than the parser recurses: both used to end in a traceback.
+@pytest.mark.parametrize("text,message", [
+    ('{"space": "exp-usual", "map": [{"interval": [0, null], "slope": 0.5, "offset": 0}], '
+     '"params": {"eta": 0.5, "gamma": 5, "x0": 1' + "0" * 400 + "}}",
+     "int too large to convert to float"),
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+], ids=["huge-int", "deep-array"])
+def test_unparsable_config_value_exits_two(tmp_path, text, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    proc = _run_module("solve", "--config", str(cfg))
+    _one_error_line(proc, f"error: bad config {cfg}: ")
+    assert message in proc.stderr
+
+
+def _limit_address_space():
+    # 1.5 GB of address space, in the child only: numpy and the package
+    # load, and an array of 10^9 samples cannot be allocated
+    limit = 1_500_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module on this platform")
+@pytest.mark.parametrize("argv", [
+    ["certify", "--condition", "root", "--region", "0:1", "--n", "1000000000"],
+    ["axioms", "--fixture", "exp-usual", "--n", "1000000000"],
+], ids=["certify", "axioms"])
+def test_sample_count_that_cannot_be_allocated_exits_two(tmp_path, argv):
+    # Never run without the limit: the kernel may grant the 7.45 GiB.
+    if argv[0] == "certify":
+        cfg = tmp_path / "halving.json"
+        cfg.write_text(json.dumps(WIDE_CONFIG))
+        argv = [*argv, "--config", str(cfg)]
+    proc = _run_module(*argv, preexec_fn=_limit_address_space)
+    _one_error_line(proc, "error: Unable to allocate ")
+
+
 def test_usage_error_on_bad_region(capsys):
     code, _, err = run_cli(capsys, "certify", "--fixture", "ex33",
                            "--condition", "root", "--region", "oops")
@@ -582,3 +639,140 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
             capsys.readouterr()
     assert builds == 1
     assert parses == 2 * len(README_COMMANDS) + 2
+
+
+# ---------------------------------------------------------------------------
+# the CLI never raises: every input ends in exit code 0, 1 or 2
+
+
+def _main_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _mostly(valid, adversarial):
+    """Values of ``valid``, and one draw in four of ``adversarial``, so
+    that most inputs get past parsing into the command."""
+    return st.integers(0, 3).flatmap(lambda i: adversarial if i == 0 else valid)
+
+
+# Flag values: the edges of the float range, non-finite and junk text.
+BAD_NUMBERS = (st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "-1",
+                                "junk", ""]) | st.floats().map(repr))
+
+
+def _numbers(lo: float, hi: float):
+    return _mostly(st.floats(lo, hi).map(repr), BAD_NUMBERS)
+
+
+INTEGERS = _mostly(st.integers(1, 100).map(str), st.sampled_from(["0", "-3", "1.5", "junk", ""]))
+SEEDS = _mostly(st.integers(0, 2 ** 70).map(str), st.sampled_from(["-1", "junk"]))
+REGIONS = _mostly(st.sampled_from(["ball", "0:1", "0.34:5.5", "0:0.5"]),
+                  st.sampled_from(["oops", "1:0", "0:", "0:1:2", "nan:1", "ball:1"])
+                  | st.tuples(_numbers(-10, 10), _numbers(-10, 10)).map(":".join))
+CONDITIONS = _mostly(st.sampled_from(["root", "implicit"]), st.just("weird"))
+_OVERRIDES = {"--eta": _numbers(0, 0.99), "--gamma": _numbers(1, 100), "--x0": _numbers(0, 5)}
+_FLAGS = {
+    "axioms": {"--region": REGIONS, "--n": INTEGERS, "--seed": SEEDS},
+    "certify": {**_OVERRIDES, "--condition": CONDITIONS, "--region": REGIONS, "--n": INTEGERS,
+                "--seed": SEEDS},
+    "solve": {**_OVERRIDES, "--mode": CONDITIONS, "--epsilon": _numbers(1e-12, 1),
+              "--max-iter": _mostly(st.integers(0, 200).map(str), st.sampled_from(["-3", "junk"])),
+              "--format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml"))},
+    "reproduce": {},
+}
+
+
+@st.composite
+def _argvs(draw, config: str):
+    """An argv of the flags' grammar: one source, now and then none, two
+    or an unknown one, the required ``--condition`` and each other flag
+    present or not, given its value as ``--flag=value`` so that a
+    leading "-" stays a value."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command != "reproduce":
+        source = ["--fixture=ex33", "--fixture=ex37", "--fixture=exp-usual",
+                  "--fixture=product-exp", "--config=" + config]
+        argv += draw(_mostly(st.sampled_from(source).map(lambda flag: [flag]),
+                             st.lists(st.sampled_from(source + ["--fixture=nope"]), max_size=2)))
+    for flag, values in _FLAGS[command].items():
+        if flag == "--condition" or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+def test_cli_never_raises_on_argv(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("argv") / "leaves.json"
+    cfg.write_text(json.dumps(LEAVES_BALL))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs(str(cfg)))
+    def check(argv):
+        assert _main_quietly(argv) in (0, 1, 2), argv
+
+    check()
+
+
+# Config values: the edges of the float range, integers too large for a
+# float, and values of the wrong type.  ``_rows`` draws contiguous rows.
+HUGE = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024])
+WRONG = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=3)
+ADVERSARIAL = HUGE | WRONG | st.floats()
+
+
+def _rows(draw) -> list[dict]:
+    cuts = sorted(set(draw(st.lists(st.floats(-10, 10), max_size=3))))
+    edges = [None, *cuts, None]
+    return [{"interval": [lo, hi], "slope": draw(st.floats(-2, 2)),
+             "offset": draw(st.floats(-2, 2))} for lo, hi in zip(edges, edges[1:])]
+
+
+def _slots(node):
+    """Every (container, key) pair of a document's nested dicts and lists."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def _configs(draw):
+    """Now and then no object at all; else a valid config, then up to
+    three of its values replaced by adversarial ones or deleted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ADVERSARIAL)
+    space = draw(st.sampled_from(["exp-usual", "product-exp", "product-pl"]))
+    doc = {"space": {"kind": space, "rows": _rows(draw)} if space == "product-pl" else space,
+           "map": _rows(draw),
+           "params": {"eta": draw(st.floats(0, 0.99)), "gamma": draw(st.floats(1, 1e6)),
+                      "x0": draw(st.floats(0, 10))}}
+    for _ in range(draw(st.integers(0, 3))):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(ADVERSARIAL)
+    return doc
+
+
+_CONFIG_COMMANDS = st.sampled_from([
+    ["axioms", "--n", "50"],
+    ["certify", "--condition", "root", "--region", "ball", "--n", "50"],
+    ["certify", "--condition", "implicit", "--region", "0:2", "--n", "50"],
+    ["solve", "--max-iter", "200"],
+    ["solve", "--mode", "implicit", "--max-iter", "200", "--format", "csv"],
+])
+
+
+def test_cli_never_raises_on_config(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("config") / "config.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_configs(), _CONFIG_COMMANDS)
+    def check(doc, command):
+        cfg.write_text(json.dumps(doc))
+        assert _main_quietly([*command, "--config", str(cfg)]) in (0, 1, 2), doc
+
+    check()

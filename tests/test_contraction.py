@@ -303,7 +303,7 @@ def test_certify_ball_the_map_leaves_is_violated():
 
 @pytest.mark.parametrize("condition", ["root", "implicit"])
 def test_certify_counts_nan_images_as_violations(condition):
-    nan_map = SelfMap(apply=lambda x: math.nan, description="nan everywhere")
+    nan_map = SelfMap(apply=lambda x: math.nan)
     report = certify_region(G, nan_map, EX33.params, condition,
                             Interval(0.0, 1.0), 200, seed=7)
     assert report.verdict == "violated"
@@ -319,7 +319,7 @@ def _nan_off_diagonal(x, y, z):
 def test_implicit_nan_reference_term_is_a_violation():
     # g(x, Fx, Fx) is NaN for x > 0; a max that skips it would pass
     g = GMetric(g=_nan_off_diagonal, description="NaN off the diagonal")
-    halving = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    halving = SelfMap(apply=lambda x: x / 2.0)
     assert not implicit_contraction_holds(g, halving, ETA, 0.1, 0.2, 0.3)
     report = certify_region(g, halving, EX37.params, "implicit",
                             Interval(0.001, 0.499), 200, seed=7)
@@ -332,7 +332,7 @@ def test_certify_reports_metric_values_below_the_floor(condition):
     # the perimeter less 1/2: the condition holds on every sample, but the
     # metric is below its floor on every triple of perimeter under 1/2
     g = GMetric(g=lambda x, y, z: perimeter(x, y, z) - 0.5, description="shifted perimeter")
-    halving = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    halving = SelfMap(apply=lambda x: x / 2.0)
     report = certify_region(g, halving, EX37.params, condition,
                             Interval(0.001, 0.499), 200, seed=7)
     assert report.verdict == "violated" and not report.holds
@@ -362,7 +362,7 @@ def test_predicates_never_hold_on_a_value_below_the_floor(shift, slope, eta, xyz
         return used[-1]
 
     g = GMetric(g=shifted, description="shifted perimeter")
-    F = SelfMap(apply=lambda x: slope * x, description="scaling")
+    F = SelfMap(apply=lambda x: slope * x)
     holds = _PREDICATES[condition](g, F, eta, *xyz)
     if min(used) < LOG_FLOOR:
         assert not holds
@@ -376,9 +376,9 @@ def test_certify_is_deterministic():
 
 def test_certify_witness_cap_keeps_full_count():
     report = certify_region(G, EX33.map, EX33.params, "root",
-                            Interval(0.34, 5.5), 1000, seed=7, max_witnesses=5)
-    assert len(report.witnesses) == 5
-    assert report.violations > 5
+                            Interval(0.34, 5.5), 1000, seed=7)
+    assert [w.rule for w in report.witnesses] == ["root"] * 32
+    assert report.violations > 32
 
 
 def test_certify_argument_validation():
@@ -421,7 +421,7 @@ def test_params_ball_view():
 
 
 def test_selfmap_defaults_and_call():
-    F = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    F = SelfMap(apply=lambda x: x / 2.0)
     assert F(3.0) == 1.5
     assert F.domain.contains(1e9)
 

@@ -159,7 +159,7 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     for g in spaces:
         assert (g.g, g.batch) == (_perimeter, _perimeter_batch)
         assert g.pair_kernel() is _perimeter_pair
-    generic = [gm_from_exp(_abs_pair, batch=_abs_pair),
+    generic = [gm_from_product(MultMetric(dist=_abs_pair, batch=_abs_pair)),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
                    {"interval": [None, None], "slope": 1.0, "offset": 0.0}]}}).gmetric]
     for g in generic:
@@ -187,7 +187,7 @@ def test_perimeter_kernel_is_bitwise_the_generic_route(triples, length):
     # so a drawn length tiles the triples to 64-300 of them.
     if length is not None:
         triples = (triples * (length // len(triples) + 1))[:length]
-    generic = gm_from_exp(_abs_pair, batch=_abs_pair)
+    generic = gm_from_product(MultMetric(dist=_abs_pair, batch=_abs_pair))
     x, y, z = (np.array(col, dtype=np.float64) for col in zip(*triples))
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_same_floats(_perimeter_batch(x, y, z), generic.many(x, y, z))

@@ -17,6 +17,7 @@ from mgmetric import (
     Interval,
     NamedFixture,
     PicardTrace,
+    SelfMap,
     Witness,
     check_gm_axioms,
     get_fixture,
@@ -28,6 +29,7 @@ PARAMS = ContractionParams(eta=0.625, gamma=5.5, seed_point=1 / 3)
 
 def test_fields_follow_the_annotations_in_order():
     assert ContractionParams._fields == ("eta", "gamma", "seed_point")
+    assert SelfMap._fields == ("apply", "domain", "batch")
     assert Witness._fields == ("rule", "points", "lhs_log", "rhs_log", "relation")
     assert FixedPointResult._fields == ("point", "residual_log", "iterations_used",
                                         "certified_bound", "trace", "rate", "rate_certified",

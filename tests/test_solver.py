@@ -71,7 +71,7 @@ def test_trace_length_consistency():
 
 
 def test_trace_domain_exit():
-    F = SelfMap(apply=lambda x: x - 1.0, description="escapes", domain=Interval(0.0, math.inf))
+    F = SelfMap(apply=lambda x: x - 1.0, domain=Interval(0.0, math.inf))
     params = ContractionParams(eta=0.5, gamma=100.0, seed_point=0.5)
     with pytest.raises(DomainExit) as err:
         solve_fixed_point(G, F, params, epsilon=TOL)
@@ -253,8 +253,7 @@ def test_solve_max_iterations_exceeded(max_iter):
 
 
 def test_solve_domain_exit():
-    F = SelfMap(apply=lambda x: x - 1.0, description="escapes",
-                domain=Interval(0.0, math.inf))
+    F = SelfMap(apply=lambda x: x - 1.0, domain=Interval(0.0, math.inf))
     params = ContractionParams(eta=0.1, gamma=1e6, seed_point=0.5)
     with pytest.raises(DomainExit):
         solve_fixed_point(G, F, params, epsilon=TOL)
@@ -307,7 +306,7 @@ def test_below_floor_step_ends_the_orbit():
     # ln G = -1.5 on every triple off the diagonal: the first step is below
     # the floor, and its residual below any tolerance
     g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1.5, description="negative")
-    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    F = SelfMap(apply=lambda x: x + 5.0)
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
     with pytest.raises(BelowFloor) as err:
         solve_fixed_point(g, F, params, epsilon=TOL)
@@ -319,7 +318,7 @@ def test_seed_step_below_the_floor_is_reported_before_the_rate(eta, gamma):
     # implicit mode with eta >= 0.5 has rate mu >= 1, and the budget of the
     # second case is below the floor: BelowFloor comes first either way
     g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1.5, description="negative")
-    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    F = SelfMap(apply=lambda x: x + 5.0)
     params = ContractionParams(eta=eta, gamma=gamma, seed_point=3.0)
     with pytest.raises(BelowFloor) as err:
         solve_fixed_point(g, F, params, mode="implicit", epsilon=TOL)
@@ -330,7 +329,7 @@ def test_step_on_the_floor_within_slack_is_accepted():
     # -SLACK itself is on the floor: a solve converges at once with the
     # a-priori bound of a first step of 0
     g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1e-12, description="slack")
-    F = SelfMap(apply=lambda x: x + 5.0, description="shift")
+    F = SelfMap(apply=lambda x: x + 5.0)
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
     r = solve_fixed_point(g, F, params, epsilon=TOL)
     assert (r.point, r.residual_log, r.iterations_used, r.certified_bound) == (3.0, -1e-12, 0, 0)
@@ -348,7 +347,7 @@ def test_every_solve_failure_is_a_solve_error():
 
 def test_rate_met_exactly_is_certified():
     # x -> x/2 halves every step exactly: a rate equal to the slope holds
-    F = SelfMap(apply=lambda x: x / 2.0, description="halving")
+    F = SelfMap(apply=lambda x: x / 2.0)
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=1.0)
     r = solve_fixed_point(G, F, params, epsilon=TOL)
     assert r.rate_certified

@@ -24,8 +24,8 @@ _NAMES = {
     "solver": "BelowFloor DomainExit FixedPointResult MaxIterationsExceeded NonFiniteStep "
               "PicardTrace SeedConditionViolated SolveError a_priori_iterations mu_class mu_of "
               "solve_fixed_point",
-    "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseRow get_fixture half_shift_map "
-                "load_fixture_config piecewise_map quarter_shift_map registry",
+    "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseMap PiecewiseRow get_fixture "
+                "half_shift_map load_fixture_config piecewise_map quarter_shift_map registry",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -12,7 +12,6 @@ contract toward 0 below the breakpoint and translate above it.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from pathlib import Path
 
 from .metric import (GMetric, Interval, MultMetric, Record, gm_from_exp, gm_from_product, np,
@@ -44,37 +43,34 @@ def _outside(x: float) -> ValueError:
     return ValueError(f"point {x} is outside the piecewise rows")
 
 
-class _Piecewise:
-    """Contiguous rows sorted by ``lo``, evaluated at one point or over a
-    float64 array (the row counted as the inner breakpoints at or below
-    each point, then the same arithmetic).  The arrays are built on the
-    first batch call, not with the rows: the stock maps are built at
-    import, and a scalar command makes no batch call."""
+class PiecewiseMap(SelfMap):
+    """The self-map of contiguous piecewise-linear rows sorted by ``lo``;
+    each breakpoint belongs to the cell on its right.
 
-    def __init__(self, rows: list[PiecewiseRow]):
-        self.cells = tuple(sorted(rows, key=lambda r: r.lo))
-        if not self.cells:
+    The rows are the only field, so ``==``, ``hash``, copying and
+    pickling go by them.  ``apply`` finds the row of one point;
+    ``batch`` counts the inner breakpoints at or below each point of a
+    float64 array, then does the same arithmetic.  The last cell is
+    half-open too, so a finite right end is left out of the domain, which
+    stops at the float just below it.
+    """
+
+    rows: tuple[PiecewiseRow, ...]
+
+    def __post_init__(self) -> None:
+        if not self.rows:
             raise ValueError("piecewise rows must not be empty")
-        for a, b in zip(self.cells, self.cells[1:]):
+        for a, b in zip(self.rows, self.rows[1:]):
             if a.hi != b.lo:
                 raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
 
-    @cached_property
-    def _arrays(self) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-        """The inner breakpoints, and the slope and offset of each cell."""
-        cuts = tuple(r.lo for r in self.cells[1:])
-        slopes = np.array([r.slope for r in self.cells], dtype=np.float64)
-        offsets = np.array([r.offset for r in self.cells], dtype=np.float64)
-        return cuts, slopes, offsets
+    @property
+    def domain(self) -> Interval:
+        hi = self.rows[-1].hi
+        return Interval(self.rows[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf))
 
-    def __deepcopy__(self, memo) -> _Piecewise:
-        # The rows are frozen and _arrays only caches them, so a copy is
-        # this object: the bound at and batch of a copied SelfMap keep
-        # their __self__ and the copy stays == to its source.
-        return self
-
-    def at(self, x: float) -> float:
-        for row in self.cells:
+    def apply(self, x: float) -> float:
+        for row in self.rows:
             if row.lo <= x < row.hi:
                 return row.slope * x + row.offset
         raise _outside(x)
@@ -82,34 +78,25 @@ class _Piecewise:
     def batch(self, x: np.ndarray) -> np.ndarray:
         # The cells are contiguous: together they cover [first lo, last hi),
         # and the cell of x is the number of inner breakpoints <= x.
-        inside = (self.cells[0].lo <= x) & (x < self.cells[-1].hi)
+        rows = self.rows
+        inside = (rows[0].lo <= x) & (x < rows[-1].hi)
         if not inside.all():
             raise _outside(float(x[np.flatnonzero(~inside)[0]]))
         # One compare per breakpoint: a stock or config map has a few rows,
         # and a binary search costs several compares' time per point.
-        cuts, slopes, offsets = self._arrays
         row = np.zeros(x.shape, dtype=np.intp)
-        for cut in cuts:
-            row += x >= cut
+        for r in rows[1:]:
+            row += x >= r.lo
         # slope * x + offset, formed in the array take returns
-        y = slopes.take(row)
+        y = np.array([r.slope for r in rows], dtype=np.float64).take(row)
         y *= x
-        y += offsets.take(row)
+        y += np.array([r.offset for r in rows], dtype=np.float64).take(row)
         return y
 
 
-def piecewise_map(rows: list[PiecewiseRow]) -> SelfMap:
-    """Self-map from contiguous piecewise-linear rows; each breakpoint
-    belongs to the cell on its right.  The last cell is half-open too, so
-    a finite right end is left out of the domain, which stops at the
-    float just below it."""
-    pw = _Piecewise(rows)
-    hi = pw.cells[-1].hi
-    return SelfMap(
-        apply=pw.at,
-        domain=Interval(pw.cells[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf)),
-        batch=pw.batch,
-    )
+def piecewise_map(rows: list[PiecewiseRow]) -> PiecewiseMap:
+    """The map of contiguous rows given in any order."""
+    return PiecewiseMap(tuple(sorted(rows, key=lambda r: r.lo)))
 
 
 # The two stock maps.  Each breakpoint belongs to the translation branch
@@ -168,15 +155,29 @@ def _parse_endpoint(v, sign: float) -> float:
     return sign * math.inf if v is None else float(v)
 
 
-def _parse_rows(entries: list) -> list[PiecewiseRow]:
+def _key(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f'{where} has no "{key}"')
+    return obj[key]
+
+
+def _parse_rows(entries, owner: str) -> list[PiecewiseRow]:
+    if not isinstance(entries, list):
+        raise ValueError(f"{owner} rows must be a JSON array")
     rows = []
-    for entry in entries:
-        lo, hi = entry["interval"]
+    for i, entry in enumerate(entries, 1):
+        where = f"{owner} row {i}"
+        interval = _key(entry, "interval", where)
+        if not (isinstance(interval, list) and len(interval) == 2):
+            raise ValueError(f'{where} "interval" must be a [lo, hi] pair')
+        lo, hi = interval
         rows.append(PiecewiseRow(
             lo=_parse_endpoint(lo, -1.0),
             hi=_parse_endpoint(hi, +1.0),
-            slope=float(entry["slope"]),
-            offset=float(entry["offset"]),
+            slope=float(_key(entry, "slope", where)),
+            offset=float(_key(entry, "offset", where)),
         ))
     return rows
 
@@ -190,13 +191,9 @@ def _parse_space(space) -> tuple[GMetric, MultMetric | None]:
         # Log-distance given as a piecewise-linear function of the signed
         # difference x - y; deliberately expressive enough to describe
         # broken (e.g. non-symmetric) metric candidates for auditing.
-        pw = _Piecewise(_parse_rows(space["rows"]))
-        at = pw.at
-        d = MultMetric(
-            dist=lambda x, y: at(x - y),
-            description="piecewise log-distance of x - y",
-            batch=lambda x, y: pw.batch(x - y),
-        )
+        pw = piecewise_map(_parse_rows(_key(space, "rows", "space"), "space"))
+        d = MultMetric(dist=lambda x, y: pw.apply(x - y), batch=lambda x, y: pw.batch(x - y),
+                       description="piecewise log-distance of x - y")
         return gm_from_product(d), d
     raise ValueError(f"unknown space {space!r}")
 
@@ -215,7 +212,10 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
         }
 
     ``map`` rows use half-open cells [lo, hi); null endpoints mean
-    unbounded.  Raises ValueError (or json/KeyError) on a bad config.
+    unbounded.  Raises ValueError on a bad config, naming a missing key
+    or a value of the wrong JSON type and where it is; ``float`` of a
+    value may also raise TypeError or OverflowError, and reading a path
+    OSError.
     """
     if isinstance(source, dict):
         doc = source
@@ -223,15 +223,14 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
         import json  # only a config file needs the parser
         doc = json.loads(Path(source).read_text())
 
-    gmetric, mult = _parse_space(doc["space"])
-    selfmap = None
-    if "map" in doc:
-        selfmap = piecewise_map(_parse_rows(doc["map"]))
+    gmetric, mult = _parse_space(_key(doc, "space", "config"))
+    selfmap = piecewise_map(_parse_rows(doc["map"], "map")) if "map" in doc else None
     params = None
     if "params" in doc:
         p = doc["params"]
-        params = ContractionParams(eta=float(p["eta"]), gamma=float(p["gamma"]),
-                                   seed_point=float(p["x0"]))
+        params = ContractionParams(eta=float(_key(p, "eta", "params")),
+                                   gamma=float(_key(p, "gamma", "params")),
+                                   seed_point=float(_key(p, "x0", "params")))
     return NamedFixture(
         id=str(doc.get("id", "config")),
         gmetric=gmetric,

@@ -573,6 +573,20 @@ def test_unparsable_config_value_exits_two(tmp_path, text, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"map": []}, 'config has no "space"'),
+    ({"space": "exp-usual", "map": [{"interval": [0, None], "slope": 0.5}]},
+     'map row 1 has no "offset"'),
+    ([], "config must be a JSON object"),
+], ids=["space", "offset", "doc"])
+def test_config_without_a_key_or_of_a_wrong_type_exits_two_naming_it(tmp_path, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    proc = _run_module("solve", "--config", str(cfg))
+    _one_error_line(proc, f"error: bad config {cfg}: ")
+    assert proc.stderr == f"error: bad config {cfg}: {message}\n"
+
+
 def _limit_address_space():
     # 1.5 GB of address space, in the child only: numpy and the package
     # load, and an array of 10^9 samples cannot be allocated

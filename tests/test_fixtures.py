@@ -1,12 +1,16 @@
 import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mgmetric import (
+    PiecewiseMap,
     PiecewiseRow,
+    SelfMap,
     check_mult_axioms,
     get_fixture,
     half_shift_map,
@@ -155,9 +159,54 @@ def test_stock_maps_are_piecewise_rows():
     # the stock maps and their config clones are the same rows
     assert get_fixture("ex33").map is quarter_shift_map
     assert get_fixture("ex37").map is half_shift_map
+    assert quarter_shift_map.rows == (PiecewiseRow(0.0, 1 / 3, 0.25, 0.0),
+                                      PiecewiseRow(1 / 3, math.inf, 1.0, -1 / 3))
     clone = load_fixture_config(_ex33_config()).map
+    assert clone == quarter_shift_map and clone.rows == quarter_shift_map.rows
+    assert hash(clone) == hash(quarter_shift_map)
     points = np.array([0.0, 0.2, 1 / 3, 1.0, 5.5])
     assert np.array_equal(clone.many(points), quarter_shift_map.many(points))
+
+
+def test_piecewise_map_is_a_record_of_its_rows():
+    assert issubclass(PiecewiseMap, SelfMap) and PiecewiseMap._fields == ("rows",)
+    # SelfMap.__call__ stays the one entry point of every map
+    assert "__call__" not in PiecewiseMap.__dict__
+    with pytest.raises(ValueError, match="contiguous"):
+        PiecewiseMap(tuple(reversed(half_shift_map.rows)))
+
+
+@st.composite
+def shuffled_rows(draw):
+    """1 to 16 contiguous rows, each end finite or infinite, in any order."""
+    edges = sorted(set(draw(st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                                     min_size=1, max_size=15))))
+    edges = [-math.inf] * draw(st.booleans()) + edges + [math.inf] * draw(st.booleans())
+    assume(len(edges) >= 2)
+    coeffs = st.floats(min_value=-4.0, max_value=4.0)
+    rows = [PiecewiseRow(lo, hi, draw(coeffs), draw(coeffs)) for lo, hi in zip(edges, edges[1:])]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_rows(), st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=40))
+def test_piecewise_map_is_its_sorted_rows(rows, extra):
+    ordered = sorted(rows, key=lambda r: r.lo)
+    F = piecewise_map(rows)
+    assert F == piecewise_map(ordered) and F.rows == tuple(ordered)
+    clone = pickle.loads(pickle.dumps(F))
+    assert clone == F and hash(clone) == hash(F)
+    # the domain runs from the first lo to the last hi, less a finite hi
+    lo, hi = ordered[0].lo, ordered[-1].hi
+    assert F.domain.lo == lo
+    if hi == math.inf:
+        assert F.domain.hi == hi
+    else:
+        assert F.domain.hi < hi and math.nextafter(F.domain.hi, hi) == hi
+    points = [p for p in [r.lo for r in ordered] + extra if F.domain.contains(p)]
+    x = np.array(points, dtype=np.float64)
+    assert F.many(x).view(np.uint64).tolist() == \
+        np.array([F(p) for p in points], dtype=np.float64).view(np.uint64).tolist()
 
 
 def test_piecewise_map_rejects_gaps():
@@ -227,5 +276,42 @@ def test_config_rejects_unknown_space():
 
 
 def test_config_requires_space_key():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match='config has no "space"'):
         load_fixture_config({"map": []})
+
+
+_ROW = {"interval": [0.0, None], "slope": 0.5, "offset": 0.0}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"space": "exp-usual"}], "config must be a JSON object"),
+    ({"space": "exp-usual", "map": _ROW}, "map rows must be a JSON array"),
+    ({"space": "exp-usual", "map": [[0.0, None, 0.5, 0.0]]}, "map row 1 must be a JSON object"),
+    ({"space": "exp-usual", "map": [{"interval": [0.0, None], "slope": 0.5}]},
+     'map row 1 has no "offset"'),
+    ({"space": "exp-usual", "map": [{**_ROW, "interval": [0.0, 1.0]}, {"slope": 0.5}]},
+     'map row 2 has no "interval"'),
+    ({"space": "exp-usual", "map": [{**_ROW, "interval": [0.0]}]},
+     'map row 1 "interval" must be a [lo, hi] pair'),
+    ({"space": {"kind": "product-pl"}}, 'space has no "rows"'),
+    ({"space": {"kind": "product-pl", "rows": {}}}, "space rows must be a JSON array"),
+    ({"space": {"kind": "product-pl", "rows": [{"interval": [None, None], "offset": 0.0}]}},
+     'space row 1 has no "slope"'),
+    ({"space": "exp-usual", "params": [0.5, 5.5, 1.0]}, "params must be a JSON object"),
+    ({"space": "exp-usual", "params": {"eta": 0.5, "gamma": 5.5}}, 'params has no "x0"'),
+], ids=["doc", "map", "map-row", "offset", "row-2", "interval", "space-rows", "space-rows-type",
+        "space-slope", "params", "x0"])
+def test_config_errors_name_the_key_and_its_place(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_fixture_config(path)
+    assert str(info.value) == message
+
+
+def test_same_config_loaded_twice_is_equal(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_ex33_config()))
+    first, second = load_fixture_config(path), load_fixture_config(path)
+    assert first == second and hash(first) == hash(second)
+    assert first == load_fixture_config(_ex33_config())

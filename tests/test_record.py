@@ -134,7 +134,8 @@ def _report() -> CertificateReport:
     PicardTrace((1.0, 0.5), (0.5,), (True, True), True),
     _report(),
     get_fixture("exp-usual"),
-    get_fixture("ex33").replace(map=None),
+    get_fixture("ex33"),
+    get_fixture("ex37"),
 ])
 def test_copy_and_pickle_round_trip(record):
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):

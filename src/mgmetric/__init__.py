@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 # The public names, by module.
 _NAMES = {
-    "metric": "SLACK ClosedBall GMetric Interval LogDistance MultMetric Point Witness "
-              "ball_contains gm_from_exp gm_from_product usual_metric",
+    "metric": "SLACK ClosedBall GMetric Interval LogDistance MultMetric PairSumMetric Point "
+              "Witness ball_contains gm_from_exp gm_from_product usual_metric",
     "contraction": "ContractionParams SelfMap implicit_bound implicit_contraction_holds "
                    "root_contraction_holds seed_condition_holds",
     "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
@@ -24,8 +24,9 @@ _NAMES = {
     "solver": "BelowFloor DomainExit FixedPointResult MaxIterationsExceeded NonFiniteStep "
               "PicardTrace SeedConditionViolated SolveError a_priori_iterations mu_class mu_of "
               "solve_fixed_point",
-    "fixtures": "EXP_ABS_METRIC NamedFixture PiecewiseMap PiecewiseRow get_fixture "
-                "half_shift_map load_fixture_config piecewise_map quarter_shift_map registry",
+    "fixtures": "DifferenceMetric EXP_ABS_METRIC NamedFixture PiecewiseMap PiecewiseRow "
+                "get_fixture half_shift_map load_fixture_config piecewise_map quarter_shift_map "
+                "registry",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

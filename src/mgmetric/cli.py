@@ -56,9 +56,8 @@ def _resolve_fixture(args) -> NamedFixture:
     if args.config:
         try:
             return load_fixture_config(args.config)
-        # OverflowError: an integer too large for a float; RecursionError:
-        # JSON nested deeper than the parser recurses
-        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser recurses
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad config {args.config}: {exc}") from exc
     raise ValueError("one of --fixture or --config is required")
 

@@ -99,6 +99,21 @@ def piecewise_map(rows: list[PiecewiseRow]) -> PiecewiseMap:
     return PiecewiseMap(tuple(sorted(rows, key=lambda r: r.lo)))
 
 
+class DifferenceMetric(MultMetric):
+    """The log-distance of a ``product-pl`` config space: its map applied
+    to the signed difference x - y.  The map is the only field, so ``==``,
+    ``hash``, copying and pickling go by its rows."""
+
+    map: PiecewiseMap
+    description = "piecewise log-distance of x - y"
+
+    def dist(self, x: float, y: float) -> float:
+        return self.map.apply(x - y)
+
+    def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.map.batch(x - y)
+
+
 # The two stock maps.  Each breakpoint belongs to the translation branch
 # on its right: x/4 jumps there, x/2 meets x - 1/4 continuously.
 quarter_shift_map = piecewise_map([
@@ -151,8 +166,12 @@ def get_fixture(fixture_id: str) -> NamedFixture | None:
 # User-defined fixtures from JSON config
 
 
-def _parse_endpoint(v, sign: float) -> float:
-    return sign * math.inf if v is None else float(v)
+def _number(value, what: str) -> float:
+    """``float(value)`` of a config value, or a ValueError naming it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a number: {exc}") from None
 
 
 def _key(obj, key: str, where: str):
@@ -174,10 +193,10 @@ def _parse_rows(entries, owner: str) -> list[PiecewiseRow]:
             raise ValueError(f'{where} "interval" must be a [lo, hi] pair')
         lo, hi = interval
         rows.append(PiecewiseRow(
-            lo=_parse_endpoint(lo, -1.0),
-            hi=_parse_endpoint(hi, +1.0),
-            slope=float(_key(entry, "slope", where)),
-            offset=float(_key(entry, "offset", where)),
+            lo=-math.inf if lo is None else _number(lo, f'{where} "interval" lo'),
+            hi=math.inf if hi is None else _number(hi, f'{where} "interval" hi'),
+            slope=_number(_key(entry, "slope", where), f'{where} "slope"'),
+            offset=_number(_key(entry, "offset", where), f'{where} "offset"'),
         ))
     return rows
 
@@ -191,9 +210,7 @@ def _parse_space(space) -> tuple[GMetric, MultMetric | None]:
         # Log-distance given as a piecewise-linear function of the signed
         # difference x - y; deliberately expressive enough to describe
         # broken (e.g. non-symmetric) metric candidates for auditing.
-        pw = piecewise_map(_parse_rows(_key(space, "rows", "space"), "space"))
-        d = MultMetric(dist=lambda x, y: pw.apply(x - y), batch=lambda x, y: pw.batch(x - y),
-                       description="piecewise log-distance of x - y")
+        d = DifferenceMetric(piecewise_map(_parse_rows(_key(space, "rows", "space"), "space")))
         return gm_from_product(d), d
     raise ValueError(f"unknown space {space!r}")
 
@@ -212,10 +229,10 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
         }
 
     ``map`` rows use half-open cells [lo, hi); null endpoints mean
-    unbounded.  Raises ValueError on a bad config, naming a missing key
-    or a value of the wrong JSON type and where it is; ``float`` of a
-    value may also raise TypeError or OverflowError, and reading a path
-    OSError.
+    unbounded.  Raises ValueError on a bad config, naming a missing key,
+    a value of the wrong JSON type or a number ``float`` rejects, and
+    where it is; reading a path may also raise OSError, and parsing JSON
+    nested too deep RecursionError.
     """
     if isinstance(source, dict):
         doc = source
@@ -228,9 +245,9 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
     params = None
     if "params" in doc:
         p = doc["params"]
-        params = ContractionParams(eta=float(_key(p, "eta", "params")),
-                                   gamma=float(_key(p, "gamma", "params")),
-                                   seed_point=float(_key(p, "x0", "params")))
+        params = ContractionParams(eta=_number(_key(p, "eta", "params"), 'params "eta"'),
+                                   gamma=_number(_key(p, "gamma", "params"), 'params "gamma"'),
+                                   seed_point=_number(_key(p, "x0", "params"), 'params "x0"'))
     return NamedFixture(
         id=str(doc.get("id", "config")),
         gmetric=gmetric,

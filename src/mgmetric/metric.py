@@ -337,55 +337,54 @@ def _perimeter_pair(x: Point, y: Point) -> LogDistance:
     return a + a + (y - y)
 
 
-def _pair_sum_metric(pairfn: Callable[[Point, Point], float],
-                     pair_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-                     description: str) -> GMetric:
-    if pairfn is usual_metric:
-        return GMetric(g=_perimeter, description=description, batch=_perimeter_batch)
+class PairSumMetric(GMetric):
+    """The product of the three pairwise distances of ``d`` (a sum in
+    log-domain), the generic ternary metric of a pair metric.
 
-    def g(x: Point, y: Point, z: Point) -> LogDistance:
-        # Evaluate each unordered pair in canonical argument order, since
-        # a pair function may be asymmetric, and add the three terms
-        # smallest-first, so every permutation of (x, y, z) produces the
-        # bitwise-identical float.
-        return _ascending_sum(pairfn(x, y) if x <= y else pairfn(y, x),
-                              pairfn(y, z) if y <= z else pairfn(z, y),
-                              pairfn(z, x) if z <= x else pairfn(x, z))
+    Each unordered pair is evaluated in canonical argument order, since
+    ``d`` may be asymmetric, and the three terms are added smallest-first,
+    so every permutation of (x, y, z) gives the bitwise-identical float.
+    ``batch`` does the same over float64 arrays through ``d.many``, with
+    the same pair order, compare-and-swaps and sum, hence ``g``'s floats.
+    """
 
-    # The scalar g over arrays: its pair order, compare-and-swaps and sum,
-    # hence its floats.  A closure, not a functools.partial: a copied
-    # partial is a new object, and a function is copied as itself, so a
-    # copied GMetric stays ==.
-    def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        def pair(u, v):
-            first = u <= v
-            return pair_batch(np.where(first, u, v), np.where(first, v, u))
+    d: MultMetric
+    description: str
 
-        a, b = _sort2(pair(x, y), pair(y, z))
-        b, c = _sort2(b, pair(z, x))
+    def g(self, x: Point, y: Point, z: Point) -> LogDistance:
+        dist = self.d.dist
+        return _ascending_sum(dist(x, y) if x <= y else dist(y, x),
+                              dist(y, z) if y <= z else dist(z, y),
+                              dist(z, x) if z <= x else dist(x, z))
+
+    def batch(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        a, b = _sort2(self._pair(x, y), self._pair(y, z))
+        b, c = _sort2(b, self._pair(z, x))
         a, b = _sort2(a, b)
         return (a + b) + c
 
-    return GMetric(g=g, description=description, batch=None if pair_batch is None else batch)
+    def _pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        first = u <= v
+        return self.d.many(np.where(first, u, v), np.where(first, v, u))
 
 
 def gm_from_product(d: MultMetric, description: str = "") -> GMetric:
     """Ternary metric from a multiplicative metric: the product of the
-    three pairwise distances (a sum in log-domain).  Batch-capable when
-    ``d`` carries a batch form."""
+    three pairwise distances (a sum in log-domain).  ``usual_metric``
+    gets the dedicated perimeter kernel; any other pair metric gives a
+    ``PairSumMetric``, whose batch form runs ``d``'s."""
     label = description or (f"pairwise product of {d.description}" if d.description
                             else "pairwise product metric")
-    return _pair_sum_metric(d.dist, d.batch, label)
+    if d.dist is usual_metric:
+        return GMetric(g=_perimeter, description=label, batch=_perimeter_batch)
+    return PairSumMetric(d, label)
 
 
 def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> GMetric:
     """Ternary metric from an ordinary metric: exp of the perimeter
-    d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, so the returned
-    callable is just the perimeter itself.  ``usual_metric`` gets the
-    dedicated perimeter kernel, batch form included; any other ``d`` has
-    no batch form here, and ``gm_from_product(MultMetric(d, batch=...))``
-    builds the same kernels with one."""
-    return _pair_sum_metric(d, None, description or "exp of pairwise perimeter")
+    d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, that is the pairwise
+    product of the multiplicative metric e^d, whose log is ``d`` itself."""
+    return gm_from_product(MultMetric(dist=d), description or "exp of pairwise perimeter")
 
 
 # Each required relation between lhs_log and rhs_log, for floats and

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgmetric import GMetric, SelfMap, certify_region, get_fixture, load_fixture_config
+from mgmetric import (GMetric, SelfMap, certify_region, get_fixture, gm_from_exp,
+                      load_fixture_config)
 from mgmetric._jsonutil import dumps
 from mgmetric.sampling import _stratified
 from test_contraction import LEAVES_BALL
@@ -71,6 +72,18 @@ def test_product_pl_batch_is_bitwise_scalar(space_rows, triples):
     x, y, _ = _columns(triples)
     scalar = [fx.mult(a, b) for a, b, _ in triples]
     assert np.array_equal(_bits(fx.mult.many(x, y)), _bits(scalar))
+
+
+def _skewed(x, y):
+    # an asymmetric pair function with no batch form
+    return abs(2.0 * x - y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRIPLES)
+def test_pair_sum_of_a_scalar_pair_function_batch_is_bitwise_scalar(triples):
+    # the batch form runs the pair function once per pair, on Python floats
+    _assert_g_bitwise(gm_from_exp(_skewed), triples)
 
 
 @settings(max_examples=200, deadline=None)

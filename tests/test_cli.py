@@ -578,7 +578,9 @@ def test_unparsable_config_value_exits_two(tmp_path, text, message):
     ({"space": "exp-usual", "map": [{"interval": [0, None], "slope": 0.5}]},
      'map row 1 has no "offset"'),
     ([], "config must be a JSON object"),
-], ids=["space", "offset", "doc"])
+    ({"space": "exp-usual", "map": [{"interval": [0, None], "slope": "half", "offset": 0}]},
+     'map row 1 "slope" must be a number: could not convert string to float: \'half\''),
+], ids=["space", "offset", "doc", "slope"])
 def test_config_without_a_key_or_of_a_wrong_type_exits_two_naming_it(tmp_path, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mgmetric import (
+    DifferenceMetric,
+    MultMetric,
+    PairSumMetric,
     PiecewiseMap,
     PiecewiseRow,
     SelfMap,
@@ -114,18 +117,48 @@ _PL_CONFIG = {
     "params": {"eta": 0.625, "gamma": 5.5, "x0": 1.0},
 }
 
+# every config space kind, without and with a map
+_KIND_CONFIGS = [{"id": f"{kind}-config{suffix}", "space": space, **extra}
+                 for kind, space in [("exp-usual", "exp-usual"), ("product-exp", "product-exp"),
+                                     ("product-pl", _PL_CONFIG["space"])]
+                 for suffix, extra in [("", {}), ("-map", {"map": _PL_CONFIG["map"],
+                                                           "params": _PL_CONFIG["params"]})]]
+
 
 @pytest.mark.parametrize("fx", [*registry(),
                                 load_fixture_config({"space": "exp-usual"}),
-                                load_fixture_config(_PL_CONFIG)], ids=lambda fx: fx.id)
+                                load_fixture_config(_PL_CONFIG),
+                                *map(load_fixture_config, _KIND_CONFIGS)], ids=lambda fx: fx.id)
 def test_every_fixture_deep_copies(fx):
     clone = copy.deepcopy(fx)
     assert clone == fx
+    assert copy.copy(fx) == fx and pickle.loads(pickle.dumps(fx)) == fx
     assert (clone.id, clone.mult, clone.params) == (fx.id, fx.mult, fx.params)
     x, y, z = np.array([0.0, 2.0]), np.array([0.25, -0.0]), np.array([1 / 3, 0.5])
     assert clone.gmetric.many(x, y, z).tolist() == fx.gmetric.many(x, y, z).tolist()
     if fx.map is not None:
         assert [clone.map(x) for x in (0.0, 0.4, 3.0)] == [fx.map(x) for x in (0.0, 0.4, 3.0)]
+
+
+@pytest.mark.parametrize("doc", [_PL_CONFIG, *_KIND_CONFIGS], ids=lambda doc: doc["id"])
+def test_every_config_kind_loads_equal_twice(doc):
+    first, second = load_fixture_config(doc), load_fixture_config(doc)
+    assert first == second and hash(first) == hash(second)
+    assert first.gmetric == second.gmetric and first.mult == second.mult
+
+
+def test_product_pl_space_is_a_record_of_its_rows():
+    assert issubclass(DifferenceMetric, MultMetric) and DifferenceMetric._fields == ("map",)
+    assert "__call__" not in DifferenceMetric.__dict__
+    fx = load_fixture_config(_PL_CONFIG)
+    assert fx.mult.map.rows == (PiecewiseRow(-math.inf, 0.0, -1.0, 0.0),
+                                PiecewiseRow(0.0, math.inf, 1.0, 0.0))
+    assert fx.mult == DifferenceMetric(piecewise_map(list(fx.mult.map.rows)))
+    assert fx.mult.description == "piecewise log-distance of x - y"
+    assert fx.gmetric == PairSumMetric(
+        fx.mult, "pairwise product of piecewise log-distance of x - y")
+    assert fx.gmetric.d is fx.mult
+    assert (fx.mult(3.0, 1.0), fx.mult(1.0, 3.0)) == (2.0, 2.0)
 
 
 def test_spaces_only_fixtures_have_no_map():
@@ -283,6 +316,14 @@ def test_config_requires_space_key():
 _ROW = {"interval": [0.0, None], "slope": 0.5, "offset": 0.0}
 
 
+def _float_error(value) -> str:
+    # the wording of float()'s TypeError differs between Python versions
+    try:
+        float(value)
+    except TypeError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("doc,message", [
     ([{"space": "exp-usual"}], "config must be a JSON object"),
     ({"space": "exp-usual", "map": _ROW}, "map rows must be a JSON array"),
@@ -299,8 +340,14 @@ _ROW = {"interval": [0.0, None], "slope": 0.5, "offset": 0.0}
      'space row 1 has no "slope"'),
     ({"space": "exp-usual", "params": [0.5, 5.5, 1.0]}, "params must be a JSON object"),
     ({"space": "exp-usual", "params": {"eta": 0.5, "gamma": 5.5}}, 'params has no "x0"'),
+    ({"space": "exp-usual", "map": [{**_ROW, "slope": "half"}]},
+     'map row 1 "slope" must be a number: could not convert string to float: \'half\''),
+    ({"space": {"kind": "product-pl", "rows": [{**_ROW, "interval": [None, [0.0]]}]}},
+     'space row 1 "interval" hi must be a number: ' + _float_error([0.0])),
+    ({"space": "exp-usual", "params": {"eta": 0.5, "gamma": 10**400, "x0": 1.0}},
+     'params "gamma" must be a number: int too large to convert to float'),
 ], ids=["doc", "map", "map-row", "offset", "row-2", "interval", "space-rows", "space-rows-type",
-        "space-slope", "params", "x0"])
+        "space-slope", "params", "x0", "string", "list", "huge-int"])
 def test_config_errors_name_the_key_and_its_place(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

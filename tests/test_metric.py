@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -11,6 +13,7 @@ from mgmetric import (
     GMetric,
     Interval,
     MultMetric,
+    PairSumMetric,
     ball_contains,
     check_gm_axioms,
     check_gm_properties,
@@ -157,15 +160,31 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     spaces = [get_fixture(fx).gmetric for fx in ("exp-usual", "product-exp", "ex33", "ex37")]
     spaces += [gm_from_exp(usual_metric), gm_from_product(EXP_ABS_METRIC)]
     for g in spaces:
-        assert (g.g, g.batch) == (_perimeter, _perimeter_batch)
+        assert type(g) is GMetric and (g.g, g.batch) == (_perimeter, _perimeter_batch)
         assert g.pair_kernel() is _perimeter_pair
     generic = [gm_from_product(MultMetric(dist=_abs_pair, batch=_abs_pair)),
+               gm_from_exp(_abs_pair),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
                    {"interval": [None, None], "slope": 1.0, "offset": 0.0}]}}).gmetric]
     for g in generic:
-        assert g.g is not _perimeter and g.batch is not None
+        assert type(g) is PairSumMetric and g.batch is not None
         assert g.batch is not _perimeter_batch
         assert g.pair_kernel() is not _perimeter_pair
+
+
+def test_pair_sum_metric_is_a_record_of_its_pair_metric():
+    assert issubclass(PairSumMetric, GMetric) and PairSumMetric._fields == ("d", "description")
+    # GMetric.__call__ stays the one entry point of every ternary metric
+    assert "__call__" not in PairSumMetric.__dict__
+    with pytest.raises(TypeError, match="missing"):
+        PairSumMetric(MultMetric(dist=_abs_pair))
+    g = gm_from_exp(_abs_pair)
+    same = gm_from_product(MultMetric(dist=_abs_pair), "exp of pairwise perimeter")
+    assert g == same == PairSumMetric(MultMetric(dist=_abs_pair), "exp of pairwise perimeter")
+    assert hash(g) == hash(same)
+    assert g != gm_from_exp(_abs_pair, "other label")
+    for clone in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g and clone(0.5, 2.0, -1.0) == g(0.5, 2.0, -1.0)
 
 
 def _assert_same_floats(kernel, reference):

@@ -39,4 +39,5 @@ def test_readme_python_blocks_give_the_documented_values():
                 checked.append(expected)
             else:
                 exec(compile(ast.Module([stmt], []), README.name, "exec"), namespace)
-    assert checked == [True, "holds-on-sample", (0.0, 1, 31), [0.5, 1.5], (2, 0.25), True, True]
+    assert checked == [True, "holds-on-sample", (0.0, 1, 31), [0.5, 1.5], (2, 0.25), True, True,
+                       True, True, (2.0, True)]

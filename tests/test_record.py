@@ -1,10 +1,12 @@
 """The frozen-record base of the package's public classes: construction,
 defaults, validation, immutability, equality, copying and ``replace``."""
 
+import ast
 import copy
 import math
 import pickle
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,12 @@ from mgmetric import (
 )
 
 PARAMS = ContractionParams(eta=0.625, gamma=5.5, seed_point=1 / 3)
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "mgmetric"
+
+# The package's settable values: each defaulted parameter of a function
+# or method and each defaulted public record field.  A change that adds
+# one raises this number and says why.
+SETTABLE_VALUES = 20
 
 
 def test_fields_follow_the_annotations_in_order():
@@ -144,3 +152,20 @@ def test_copy_and_pickle_round_trip(record):
         assert clone._asdict() == record._asdict()
     with pytest.raises(AttributeError):
         copy.deepcopy(record).seed = 1
+
+
+def _settable_values(tree: ast.Module) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         and not s.target.id.startswith("_") for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    counts = {path.name: _settable_values(ast.parse(path.read_text()))
+              for path in sorted(SOURCE.glob("*.py"))}
+    assert sum(counts.values()) <= SETTABLE_VALUES, counts

@@ -115,8 +115,8 @@ def _condition_sides(condition: str, g, F, eta: float, x, y, z):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, and
     every metric value they used with its triple, in call order: for
     scalars (``g`` a GMetric, ``F`` a SelfMap) or for arrays (their
-    ``many``).  A pair term G(a, b) is ``g(a, b, b)``, bitwise the pair
-    kernel."""
+    ``many``).  A pair term G(a, b) is ``g(a, b, b)``, bitwise
+    ``g.pair(a, b)``."""
     used = []
 
     def metric(*triple):
@@ -155,7 +155,7 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     x0 = params.seed_point
     budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
-            and LOG_FLOOR <= g.pair_kernel()(x0, F(x0)) <= math.log(budget) + SLACK)
+            and LOG_FLOOR <= g.pair(x0, F(x0)) <= math.log(budget) + SLACK)
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,

@@ -167,11 +167,15 @@ def get_fixture(fixture_id: str) -> NamedFixture | None:
 
 
 def _number(value, what: str) -> float:
-    """``float(value)`` of a config value, or a ValueError naming it."""
+    """``float(value)`` of a JSON number, an int or a float by exact type
+    (a bool or a numeric string is none), or a ValueError naming it."""
     try:
-        return float(value)
+        number = float(value)
+        if type(value) not in (int, float):
+            raise TypeError(f"got {type(value).__name__} {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a number: {exc}") from None
+    return number
 
 
 def _key(obj, key: str, where: str):
@@ -230,9 +234,10 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
 
     ``map`` rows use half-open cells [lo, hi); null endpoints mean
     unbounded.  Raises ValueError on a bad config, naming a missing key,
-    a value of the wrong JSON type or a number ``float`` rejects, and
-    where it is; reading a path may also raise OSError, and parsing JSON
-    nested too deep RecursionError.
+    a value of the wrong JSON type (a number is an int or a float, not a
+    bool or a string) or a number ``float`` rejects, and where it is;
+    reading a path may also raise OSError, and parsing JSON nested too
+    deep RecursionError.
     """
     if isinstance(source, dict):
         doc = source

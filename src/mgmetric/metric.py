@@ -206,11 +206,10 @@ class GMetric(Record):
     ball's centre is one float broadcast to the sample's length), and it
     must not write them.
 
-    ``pair_kernel()`` is the scalar (x, y) -> G(x, y, y): bitwise
-    ``g(x, y, y)``, and for the ``|x - y|`` perimeter a faster form of
-    it.  The ball, the seed condition and the solver's residual use it.
-    The conditions call ``g(a, b, b)``, scalar or batch alike, and the
-    axiom audits never use it: it rests on the symmetry they test.
+    ``pair(x, y)`` is G(x, y, y), bitwise ``g(x, y, y)``.  The ball, the
+    seed condition and the solver's residual use it.  The conditions
+    call ``g(a, b, b)``, scalar or batch alike, and the axiom audits
+    never use it: it rests on the symmetry they test.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
@@ -228,12 +227,9 @@ class GMetric(Record):
         """``g`` of each triple of elements of three float64 arrays."""
         return _evaluate_many(self.g, self.batch, x, y, z)
 
-    def pair_kernel(self) -> Callable[[Point, Point], LogDistance]:
-        """The scalar pair kernel (x, y) -> ``g(x, y, y)``."""
-        g = self.g
-        if g is _perimeter:
-            return _perimeter_pair
-        return lambda x, y: g(x, y, y)
+    def pair(self, x: Point, y: Point) -> LogDistance:
+        """G(x, y, y), the log-distance of a pair."""
+        return self.g(x, y, y)
 
 
 class ClosedBall(Record):
@@ -265,7 +261,7 @@ class ClosedBall(Record):
 
 def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
     """Membership test for the closed ball, in log-domain."""
-    return g.pair_kernel()(ball.center, rho) <= ball.log_radius
+    return g.pair(ball.center, rho) <= ball.log_radius
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +364,25 @@ class PairSumMetric(GMetric):
         return self.d.many(np.where(first, u, v), np.where(first, v, u))
 
 
-def gm_from_product(d: MultMetric, description: str = "") -> GMetric:
-    """Ternary metric from a multiplicative metric: the product of the
-    three pairwise distances (a sum in log-domain).  ``usual_metric``
-    gets the dedicated perimeter kernel; any other pair metric gives a
-    ``PairSumMetric``, whose batch form runs ``d``'s."""
+class PerimeterMetric(PairSumMetric):
+    """The ``PairSumMetric`` of ``usual_metric``, run by the perimeter kernels."""
+
+    d: MultMetric
+    description: str
+    g = staticmethod(_perimeter)
+    batch = staticmethod(_perimeter_batch)
+    pair = staticmethod(_perimeter_pair)
+
+
+def gm_from_product(d: MultMetric, description: str = "") -> PairSumMetric:
+    """Ternary metric from a multiplicative metric, the product of its three pairwise
+    distances: a ``PerimeterMetric`` for ``usual_metric``, else a ``PairSumMetric``."""
     label = description or (f"pairwise product of {d.description}" if d.description
                             else "pairwise product metric")
-    if d.dist is usual_metric:
-        return GMetric(g=_perimeter, description=label, batch=_perimeter_batch)
-    return PairSumMetric(d, label)
+    return (PerimeterMetric if d.dist is usual_metric else PairSumMetric)(d, label)
 
 
-def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> GMetric:
+def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> PairSumMetric:
     """Ternary metric from an ordinary metric: exp of the perimeter
     d(x,y) + d(y,z) + d(z,x).  Stored in log-domain, that is the pairwise
     product of the multiplicative metric e^d, whose log is ``d`` itself."""

@@ -16,6 +16,11 @@ certifiable when mu < 1, i.e. eta < 1/2.  The rate is certified only
 when every recorded step also contracts by it, so the bound never
 rests on an eta the map does not meet; otherwise the solver still runs
 best-effort and flags the rate as uncertified.
+
+The float residual cannot tell convergence from a step that rounds
+away (x - 1/3 rounds back to x = 1e17).  So on the ``|x - y|``
+perimeter with a piecewise-linear map the last step is checked again
+in exact rationals; other metrics and maps keep the float certificate.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, Point, Record
+from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta,
                           seed_condition_holds)
+from .fixtures import PiecewiseMap
 
 
 class SolveError(RuntimeError):
@@ -67,6 +73,20 @@ class BelowFloor(SolveError):
         self.index = index
         self.point = point
         self.step_log = step_log
+
+
+class InexactFixedPoint(SolveError):
+    """The float residual of the last iterate is within tolerance, but its
+    exact residual 2|x - (slope * x + offset)|, on the perimeter and the
+    map's row of x in exact rationals, is not: the float map absorbs a
+    step the real map takes."""
+
+    def __init__(self, index: int, point: float, exact_residual: float):
+        super().__init__(f"iterate {index} = {point} has exact residual log "
+                         f"{exact_residual} to its image, above the tolerance")
+        self.index = index
+        self.point = point
+        self.exact_residual = exact_residual
 
 
 class SeedConditionViolated(SolveError):
@@ -120,8 +140,8 @@ class FixedPointResult(Record):
 
     ``certified_bound`` is the a-priori iteration count, or None when
     the rate is not certified (uncertified best-effort run): when it is
-    >= 1, or when a recorded step does not contract by it.  ``mu``
-    and ``mu_class`` are filled in implicit mode only; ``mu_class`` is
+    >= 1, or when a recorded step does not contract by it.  ``mu`` is
+    set in implicit mode only, and so is the property ``mu_class``:
     "below_half", "below_one", or "at_least_one".
     """
 
@@ -132,8 +152,11 @@ class FixedPointResult(Record):
     trace: PicardTrace
     rate: float
     rate_certified: bool
-    mu: float | None = None
-    mu_class: str | None = None
+    mu: float | None
+
+    @property
+    def mu_class(self) -> str | None:
+        return None if self.mu is None else mu_class(self.mu)
 
     @property
     def ball_exited(self) -> bool:
@@ -145,6 +168,7 @@ class FixedPointResult(Record):
 
     def to_dict(self) -> dict:
         doc = self._asdict()
+        doc["mu_class"] = self.mu_class
         doc["trace"] = self.trace.to_dict()
         doc["ball_exited"] = self.ball_exited
         doc["order_monotone"] = self.order_monotone
@@ -166,7 +190,7 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     iterates = [x0]
     step_logs: list[float] = []
     # the kernels themselves, bound once: pair(x, y) is g(x, y, y)
-    apply, pair = F.apply, g.pair_kernel()
+    apply, pair = F.apply, g.pair
     contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     monotone = True
@@ -198,6 +222,14 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     center, log_radius = ball.center, ball.log_radius
     flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
+
+
+def _exact_residual(F: PiecewiseMap, x: Point) -> tuple[int, int]:
+    """The perimeter's 2|x - (slope * x + offset)| on the row ``F.apply``
+    uses for x, in exact rationals: numerator and positive denominator."""
+    row = next(r for r in F.rows if r.lo <= x < r.hi)
+    (xn, xd), (sn, sd), (on, od) = (v.as_integer_ratio() for v in (x, row.slope, row.offset))
+    return 2 * abs((xn * sd - sn * xn) * od - on * sd * xd), xd * sd * od
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -272,7 +304,10 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
     infinite or NaN, and MaxIterationsExceeded if the residual never
-    reaches tolerance.
+    reaches tolerance.  When ``g`` is a PerimeterMetric and ``F`` a
+    PiecewiseMap, the last iterate's residual is also checked in exact
+    rationals, and InexactFixedPoint raised when it is above tolerance;
+    other metrics and maps keep the float certificate.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")
@@ -283,7 +318,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     x0 = params.seed_point
     # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
-        seed_log = g.pair_kernel()(x0, F(x0))
+        seed_log = g.pair(x0, F(x0))
         if seed_log < LOG_FLOOR:
             raise BelowFloor(0, x0, seed_log)
         raise SeedConditionViolated(
@@ -292,8 +327,15 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu
-    trace, residual = _orbit(F, g, params.ball, x0, max_iter, math.log1p(epsilon))
+    tol = math.log1p(epsilon)
+    trace, residual = _orbit(F, g, params.ball, x0, max_iter, tol)
     steps = trace.step_logs
+    point = trace.iterates[-1]
+    if isinstance(g, PerimeterMetric) and isinstance(F, PiecewiseMap):
+        num, den = _exact_residual(F, point)
+        tol_num, tol_den = tol.as_integer_ratio()
+        if num * tol_den > tol_num * den:
+            raise InexactFixedPoint(len(steps), point, num / den)
     # a first step on the floor may lie up to SLACK below 0
     log_g01 = max(0.0, steps[0] if steps else residual)
     # The one rate check.  The bound trusts the rate only if every
@@ -305,7 +347,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(
-        point=trace.iterates[-1],
+        point=point,
         residual_log=residual,
         iterations_used=len(steps),
         certified_bound=bound,
@@ -313,5 +355,4 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
         rate=rate,
         rate_certified=rate_certified,
         mu=mu,
-        mu_class=mu_class(mu) if mu is not None else None,
     )

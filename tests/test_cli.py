@@ -162,6 +162,14 @@ def test_solve_implicit_flags_uncertified_rate(capsys):
     assert "uncertified rate" in err
 
 
+def test_solve_seed_the_float_map_fixes_is_inexact(capsys):
+    # x - 1/3 rounds back to 1e17: the float map fixes the seed, the map does not
+    code, doc, err = run_json(capsys, "solve", "--fixture", "ex33", "--x0", "1e17")
+    assert code == 1
+    assert doc["error"]["type"] == "InexactFixedPoint"
+    assert "InexactFixedPoint" in err
+
+
 def test_solve_seed_violation_exits_one(capsys):
     code, doc, err = run_json(capsys, "solve", "--fixture", "ex33",
                               "--eta", "0.99", "--gamma", "1")
@@ -580,7 +588,10 @@ def test_unparsable_config_value_exits_two(tmp_path, text, message):
     ([], "config must be a JSON object"),
     ({"space": "exp-usual", "map": [{"interval": [0, None], "slope": "half", "offset": 0}]},
      'map row 1 "slope" must be a number: could not convert string to float: \'half\''),
-], ids=["space", "offset", "doc", "slope"])
+    ({"space": "exp-usual", "map": [{"interval": [0, None], "slope": 0.5, "offset": 0}],
+      "params": {"eta": "0.5", "gamma": 5.5, "x0": 1}},
+     'params "eta" must be a number: got str \'0.5\''),
+], ids=["space", "offset", "doc", "slope", "numeric-string"])
 def test_config_without_a_key_or_of_a_wrong_type_exits_two_naming_it(tmp_path, doc, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))

@@ -149,7 +149,6 @@ def test_every_config_kind_loads_equal_twice(doc):
 
 def test_product_pl_space_is_a_record_of_its_rows():
     assert issubclass(DifferenceMetric, MultMetric) and DifferenceMetric._fields == ("map",)
-    assert "__call__" not in DifferenceMetric.__dict__
     fx = load_fixture_config(_PL_CONFIG)
     assert fx.mult.map.rows == (PiecewiseRow(-math.inf, 0.0, -1.0, 0.0),
                                 PiecewiseRow(0.0, math.inf, 1.0, 0.0))
@@ -203,8 +202,6 @@ def test_stock_maps_are_piecewise_rows():
 
 def test_piecewise_map_is_a_record_of_its_rows():
     assert issubclass(PiecewiseMap, SelfMap) and PiecewiseMap._fields == ("rows",)
-    # SelfMap.__call__ stays the one entry point of every map
-    assert "__call__" not in PiecewiseMap.__dict__
     with pytest.raises(ValueError, match="contiguous"):
         PiecewiseMap(tuple(reversed(half_shift_map.rows)))
 
@@ -346,8 +343,16 @@ def _float_error(value) -> str:
      'space row 1 "interval" hi must be a number: ' + _float_error([0.0])),
     ({"space": "exp-usual", "params": {"eta": 0.5, "gamma": 10**400, "x0": 1.0}},
      'params "gamma" must be a number: int too large to convert to float'),
+    # a JSON number only: float() takes these, the config does not
+    ({"space": "exp-usual", "map": [{**_ROW, "slope": True}]},
+     'map row 1 "slope" must be a number: got bool True'),
+    ({"space": "exp-usual", "params": {"eta": "0.5", "gamma": 5.5, "x0": 1.0}},
+     'params "eta" must be a number: got str \'0.5\''),
+    ({"space": "exp-usual", "map": [{**_ROW, "interval": ["0", None]}]},
+     'map row 1 "interval" lo must be a number: got str \'0\''),
 ], ids=["doc", "map", "map-row", "offset", "row-2", "interval", "space-rows", "space-rows-type",
-        "space-slope", "params", "x0", "string", "list", "huge-int"])
+        "space-slope", "params", "x0", "string", "list", "huge-int", "bool", "numeric-string",
+        "string-endpoint"])
 def test_config_errors_name_the_key_and_its_place(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

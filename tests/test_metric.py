@@ -14,6 +14,7 @@ from mgmetric import (
     Interval,
     MultMetric,
     PairSumMetric,
+    PerimeterMetric,
     ball_contains,
     check_gm_axioms,
     check_gm_properties,
@@ -159,9 +160,13 @@ def test_scalar_g_is_the_sorted_sum_and_permutation_symmetric_bitwise(space, xyz
 def test_stock_spaces_carry_the_perimeter_kernel():
     spaces = [get_fixture(fx).gmetric for fx in ("exp-usual", "product-exp", "ex33", "ex37")]
     spaces += [gm_from_exp(usual_metric), gm_from_product(EXP_ABS_METRIC)]
+    spaces += [load_fixture_config({"space": space}).gmetric
+               for space in ("exp-usual", "product-exp")]
     for g in spaces:
-        assert type(g) is GMetric and (g.g, g.batch) == (_perimeter, _perimeter_batch)
-        assert g.pair_kernel() is _perimeter_pair
+        assert type(g) is PerimeterMetric and g._fields == ("d", "description")
+        assert g.d.dist is usual_metric
+        # the plain kernels themselves, with no bound-method layer
+        assert g.g is _perimeter and g.batch is _perimeter_batch and g.pair is _perimeter_pair
     generic = [gm_from_product(MultMetric(dist=_abs_pair, batch=_abs_pair)),
                gm_from_exp(_abs_pair),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
@@ -169,13 +174,11 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     for g in generic:
         assert type(g) is PairSumMetric and g.batch is not None
         assert g.batch is not _perimeter_batch
-        assert g.pair_kernel() is not _perimeter_pair
+        assert g.pair is not _perimeter_pair
 
 
 def test_pair_sum_metric_is_a_record_of_its_pair_metric():
     assert issubclass(PairSumMetric, GMetric) and PairSumMetric._fields == ("d", "description")
-    # GMetric.__call__ stays the one entry point of every ternary metric
-    assert "__call__" not in PairSumMetric.__dict__
     with pytest.raises(TypeError, match="missing"):
         PairSumMetric(MultMetric(dist=_abs_pair))
     g = gm_from_exp(_abs_pair)
@@ -256,7 +259,7 @@ def _pairs(draw, points=_PAIR_POINTS):
 @given(st.lists(_pairs(), min_size=1, max_size=300))
 def test_perimeter_pair_kernel_is_bitwise_g_of_x_y_y(pairs):
     g = gm_from_exp(usual_metric)
-    pair = g.pair_kernel()
+    pair = g.pair
     assert pair is _perimeter_pair
     _assert_same_floats([pair(a, b) for a, b in pairs], [g.g(a, b, b) for a, b in pairs])
 
@@ -279,13 +282,13 @@ def test_default_pair_kernel_calls_g_of_x_y_y(pairs):
         # NaN compares by its text; everything else by its bits
         return [tuple(map(float.hex, t)) for t in triples]
 
-    pair = GMetric(g=g).pair_kernel()
+    pair = GMetric(g=g).pair
     values = [pair(a, b) for a, b in pairs]
     assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
     _assert_same_floats(values, [_lopsided(a, b, b) for a, b in pairs])
 
 
-def _no_pair(self):
+def _no_pair(self, x, y):
     raise AssertionError("the pair kernel was called")
 
 
@@ -294,7 +297,8 @@ def _no_pair(self):
 def test_axiom_audits_never_call_the_pair_kernel(build, monkeypatch):
     g = build()
     reports = [check(g, DOMAIN, 500, seed=5) for check in (check_gm_axioms, check_gm_properties)]
-    monkeypatch.setattr(GMetric, "pair_kernel", _no_pair)
+    monkeypatch.setattr(GMetric, "pair", _no_pair)
+    monkeypatch.setattr(PerimeterMetric, "pair", _no_pair)
     assert [check(g, DOMAIN, 500, seed=5)
             for check in (check_gm_axioms, check_gm_properties)] == reports
     # the trap is armed: the ball goes through the pair kernel

@@ -109,6 +109,7 @@ def reference_asdict(obj):
 def reference_to_dict(report) -> dict:
     doc = reference_asdict(report)
     if isinstance(report, FixedPointResult):
+        doc["mu_class"] = report.mu_class
         doc["ball_exited"] = report.ball_exited
         doc["order_monotone"] = report.order_monotone
     if isinstance(report, AxiomReport):
@@ -171,8 +172,7 @@ REPORTS = st.one_of(
     traces(),
     st.builds(FixedPointResult, point=FLOATS, residual_log=FLOATS,
               iterations_used=st.integers(min_value=0), certified_bound=st.none() | st.integers(),
-              trace=traces(), rate=FLOATS, rate_certified=st.booleans(), mu=OPTIONAL_FLOATS,
-              mu_class=st.none() | TEXT),
+              trace=traces(), rate=FLOATS, rate_certified=st.booleans(), mu=OPTIONAL_FLOATS),
     st.builds(AxiomReport, subject=TEXT, domain=TEXT,
               axioms=st.dictionaries(TEXT, st.sampled_from(["pass", "fail"])),
               witnesses=WITNESS_TUPLES, violations=st.dictionaries(TEXT, st.integers()),

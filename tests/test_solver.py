@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from mgmetric import (
     BelowFloor,
     ContractionParams,
     DomainExit,
+    FixedPointResult,
     GMetric,
+    InexactFixedPoint,
     Interval,
     MaxIterationsExceeded,
     NonFiniteStep,
@@ -337,8 +340,79 @@ def test_step_on_the_floor_within_slack_is_accepted():
 
 def test_every_solve_failure_is_a_solve_error():
     for error in (DomainExit, NonFiniteStep, BelowFloor, SeedConditionViolated,
-                  MaxIterationsExceeded):
+                  MaxIterationsExceeded, InexactFixedPoint):
         assert issubclass(error, SolveError)
+
+
+def test_mu_class_is_derived_from_mu():
+    r = solve_fixed_point(G, EX37.map, EX37.params, mode="implicit", epsilon=TOL)
+    assert "mu_class" not in FixedPointResult._fields
+    assert r.replace(mu=0.25).mu_class == "below_half"
+    assert r.replace(mu=None).mu_class is None
+    keys = list(r.to_dict())
+    assert keys[keys.index("mu") + 1] == "mu_class"
+
+
+# ---------------------------------------------------------------------------
+# solve: the exact last step
+
+
+def _exact_residual(F, x):
+    # the perimeter's G(x, Fx, Fx) = 2|x - Fx| with Fx on x's row, in rationals
+    row = next(r for r in F.rows if r.lo <= x < r.hi)
+    x = Fraction(x)
+    return 2 * abs(x - (Fraction(row.slope) * x + Fraction(row.offset)))
+
+
+def test_a_step_the_float_map_absorbs_is_no_fixed_point():
+    # x - 1/3 rounds back to 1e17, so the float residual is 0; the map
+    # x - 1/3 has no fixed point, and the exact residual is 2/3
+    params = EX33.params.replace(seed_point=1e17)
+    assert EX33.map(1e17) == 1e17
+    with pytest.raises(InexactFixedPoint) as info:
+        solve_fixed_point(G, EX33.map, params, epsilon=TOL)
+    assert (info.value.index, info.value.point) == (0, 1e17)
+    assert info.value.exact_residual == float(_exact_residual(EX33.map, 1e17))
+    assert _exact_residual(EX33.map, 1e17) == 2 * Fraction(1 / 3)
+
+
+def test_other_metrics_keep_the_float_certificate():
+    params = EX33.params.replace(seed_point=1e17)
+    r = solve_fixed_point(GMetric(g=G.g), EX33.map, params, epsilon=TOL)
+    assert (r.point, r.residual_log, r.iterations_used) == (1e17, 0.0, 0)
+
+
+@st.composite
+def translating_configs(draw):
+    """A PL map on [0, inf) whose rows mix contractions and translations
+    by small offsets, and a seed up to 1e18, where such a translation
+    rounds away in floats."""
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=1e-3, max_value=1e18), max_size=3))))
+    edges = [0.0] + cuts + [None]
+    rows = [{"interval": [lo, hi],
+             "slope": draw(st.sampled_from([1.0, 0.5]) | st.floats(min_value=0.0, max_value=1.0)),
+             "offset": draw(st.floats(min_value=-1.0, max_value=1.0))}
+            for lo, hi in zip(edges, edges[1:])]
+    space = draw(st.sampled_from(["exp-usual", "product-exp"]))
+    x0 = draw(st.sampled_from([1e17, 1e18]) | st.floats(min_value=0.0, max_value=1e18))
+    return {"space": space, "map": rows}, x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(translating_configs(), st.floats(min_value=-12.0, max_value=0.0))
+def test_a_returned_perimeter_solve_is_exact_within_tolerance(config, log10_epsilon):
+    doc, x0 = config
+    fx = load_fixture_config(doc)
+    g, F = fx.gmetric, fx.map
+    epsilon = 10.0 ** log10_epsilon
+    # a radius that admits the seed whenever its first step is finite
+    params = ContractionParams(eta=0.5, gamma=4.0 * math.exp(min(g(x0, F(x0), F(x0)), 700.0)),
+                               seed_point=x0)
+    try:
+        r = solve_fixed_point(g, F, params, epsilon=epsilon, max_iter=200)
+    except SolveError:
+        return
+    assert _exact_residual(F, r.point) <= Fraction(math.log1p(epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +560,8 @@ def test_pair_kernel_solves_bitwise_like_the_generic_route(mode):
         generic = GMetric(g=lambda x, y, z, g=fx.gmetric.g: g(x, y, z))
         stock, plain = (solve_fixed_point(g, fx.map, fx.params, mode=mode, epsilon=epsilon,
                                           max_iter=1_000_000) for g in (fx.gmetric, generic))
-        assert fx.gmetric.pair_kernel() is _perimeter_pair
-        assert generic.pair_kernel() is not _perimeter_pair
+        assert fx.gmetric.pair is _perimeter_pair
+        assert generic.pair is not _perimeter_pair
         assert _trace_bits(stock.trace) == _trace_bits(plain.trace)
         assert stock.residual_log.hex() == plain.residual_log.hex()
         assert stock.certified_bound == plain.certified_bound

@@ -268,14 +268,6 @@ def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
 # Constructions
 
 
-def _sort2(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # A swap, not minimum/maximum: the pair keeps its exact floats, signed
-    # zeros included, so the sum below matches the scalar one.  numpy's
-    # minimum and maximum of 0.0 and -0.0 both return -0.0.
-    swap = b < a
-    return np.where(swap, b, a), np.where(swap, a, b)
-
-
 def usual_metric(x: Point, y: Point) -> float:
     """Ordinary distance |x - y|; elementwise on float64 arrays too."""
     return abs(x - y)
@@ -303,18 +295,11 @@ def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
     return _ascending_sum(abs(x - y), abs(y - z), abs(z - x))
 
 
-def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # The sort is a minimum/maximum network, not _sort2's swaps: an abs
-    # is >= 0 or NaN and never -0.0, so each minimum or maximum returns
-    # the one float a swap would (equal floats are then the same bits),
-    # and a NaN makes the sum NaN either way.  The four arrays are the
-    # kernel's own; x, y and z are never written.
-    a = np.subtract(x, y)
-    b = np.subtract(y, z)
-    c = np.subtract(z, x)
-    np.abs(a, out=a)
-    np.abs(b, out=b)
-    np.abs(c, out=c)
+def _sorted_sum_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # _ascending_sum over three float64 arrays the caller owns and lets it
+    # overwrite, by a minimum/maximum network: with no summand -0.0, equal
+    # floats are the same bits, so each minimum or maximum is the float a
+    # swap gives, and a NaN makes the sum NaN either way.
     lo = np.minimum(a, b)
     hi = np.maximum(a, b, out=a)
     mid = np.minimum(hi, c, out=b)
@@ -323,6 +308,17 @@ def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     bottom = np.minimum(lo, c, out=c)
     np.add(bottom, mid, out=bottom)
     return np.add(bottom, top, out=bottom)
+
+
+def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # an abs is never -0.0; x, y and z are never written
+    a = np.subtract(x, y)
+    b = np.subtract(y, z)
+    c = np.subtract(z, x)
+    np.abs(a, out=a)
+    np.abs(b, out=b)
+    np.abs(c, out=c)
+    return _sorted_sum_batch(a, b, c)
 
 
 def _perimeter_pair(x: Point, y: Point) -> LogDistance:
@@ -338,10 +334,10 @@ class PairSumMetric(GMetric):
     log-domain), the generic ternary metric of a pair metric.
 
     Each unordered pair is evaluated in canonical argument order, since
-    ``d`` may be asymmetric, and the three terms are added smallest-first,
-    so every permutation of (x, y, z) gives the bitwise-identical float.
-    ``batch`` does the same over float64 arrays through ``d.many``, with
-    the same pair order, compare-and-swaps and sum, hence ``g``'s floats.
+    ``d`` may be asymmetric, plus 0.0 (so -0.0 counts as 0.0), and the
+    three terms are added smallest-first, so every permutation of (x, y, z)
+    gives the bitwise-identical float.  ``batch`` does the same over
+    float64 arrays through ``d.many``, hence ``g``'s floats.
     """
 
     d: MultMetric
@@ -349,19 +345,17 @@ class PairSumMetric(GMetric):
 
     def g(self, x: Point, y: Point, z: Point) -> LogDistance:
         dist = self.d.dist
-        return _ascending_sum(dist(x, y) if x <= y else dist(y, x),
-                              dist(y, z) if y <= z else dist(z, y),
-                              dist(z, x) if z <= x else dist(x, z))
+        return _ascending_sum((dist(x, y) if x <= y else dist(y, x)) + 0.0,
+                              (dist(y, z) if y <= z else dist(z, y)) + 0.0,
+                              (dist(z, x) if z <= x else dist(x, z)) + 0.0)
 
     def batch(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        a, b = _sort2(self._pair(x, y), self._pair(y, z))
-        b, c = _sort2(b, self._pair(z, x))
-        a, b = _sort2(a, b)
-        return (a + b) + c
+        return _sorted_sum_batch(self._pair(x, y), self._pair(y, z), self._pair(z, x))
 
     def _pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # a new array, never d's own batch output, that the sort may write
         first = u <= v
-        return self.d.many(np.where(first, u, v), np.where(first, v, u))
+        return np.add(self.d.many(np.where(first, u, v), np.where(first, v, u)), 0.0)
 
 
 class PerimeterMetric(PairSumMetric):

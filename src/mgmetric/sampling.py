@@ -90,14 +90,17 @@ class _Recorder:
 
     def _record(self, phase, rule, points, lhs, rhs, relation, samples, failing) -> None:
         self.counts[rule] += failing.size
+        check = self._checks
+        self._checks += 1
+        if not failing.size:
+            return
         kept = failing[:_MAX_WITNESSES]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
         rhs_log = ([float(rhs)] * kept.size if isinstance(rhs, float)
                    else np.broadcast_to(rhs, lhs.shape)[kept].tolist())
         for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs_log):
-            self._found.append(((phase, i, self._checks), Witness(rule, pts, lv, rv, relation)))
-        self._checks += 1
+            self._found.append(((phase, i, check), Witness(rule, pts, lv, rv, relation)))
 
     def witnesses(self) -> tuple[Witness, ...]:
         kept = {rule: 0 for rule in self.rules}

@@ -19,8 +19,9 @@ best-effort and flags the rate as uncertified.
 
 The float residual cannot tell convergence from a step that rounds
 away (x - 1/3 rounds back to x = 1e17).  So on the ``|x - y|``
-perimeter with a piecewise-linear map the last step is checked again
-in exact rationals; other metrics and maps keep the float certificate.
+perimeter or a ``product-pl`` space, with a piecewise-linear map, the
+last step is checked again in exact rationals; other metrics and maps
+keep the float certificate.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, Point, Record
+from .metric import (LOG_FLOOR, ClosedBall, GMetric, LogDistance, PairSumMetric,
+                     PerimeterMetric, Point, Record)
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta,
                           seed_condition_holds)
-from .fixtures import PiecewiseMap
+from .fixtures import DifferenceMetric, PiecewiseMap, _outside
 
 
 class SolveError(RuntimeError):
@@ -77,9 +79,8 @@ class BelowFloor(SolveError):
 
 class InexactFixedPoint(SolveError):
     """The float residual of the last iterate is within tolerance, but its
-    exact residual 2|x - (slope * x + offset)|, on the perimeter and the
-    map's row of x in exact rationals, is not: the float map absorbs a
-    step the real map takes."""
+    exact residual G(x, Fx, Fx), with Fx on the map's row of x in exact
+    rationals, is not: the float map absorbs a step the real map takes."""
 
     def __init__(self, index: int, point: float, exact_residual: float):
         super().__init__(f"iterate {index} = {point} has exact residual log "
@@ -224,12 +225,43 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
-def _exact_residual(F: PiecewiseMap, x: Point) -> tuple[int, int]:
-    """The perimeter's 2|x - (slope * x + offset)| on the row ``F.apply``
-    uses for x, in exact rationals: numerator and positive denominator."""
-    row = next(r for r in F.rows if r.lo <= x < r.hi)
-    (xn, xd), (sn, sd), (on, od) = (v.as_integer_ratio() for v in (x, row.slope, row.offset))
-    return 2 * abs((xn * sd - sn * xn) * od - on * sd * xd), xd * sd * od
+def _row(F: PiecewiseMap, x):
+    # the row F.apply uses, for a float or a Fraction x
+    for row in F.rows:
+        if row.lo <= x < row.hi:
+            return row
+    raise _outside(float(x))
+
+
+def _exact_residual(g: GMetric, F: PiecewiseMap, x: Point) -> tuple[int, int] | None:
+    """G(x, Fx, Fx) with Fx = slope * x + offset on the row ``F.apply``
+    uses for x, in exact rationals: numerator and positive denominator,
+    or None for a metric with no exact form here.  The perimeter's is
+    2|x - Fx|; a ``product-pl`` space's, whose log-distance is a map M of
+    x - y, is 2 M(-|x - Fx|) + M(0), from its canonical pair order."""
+    row = _row(F, x)
+    if isinstance(g, PerimeterMetric):
+        (xn, xd), (sn, sd), (on, od) = (v.as_integer_ratio() for v in (x, row.slope, row.offset))
+        return 2 * abs((xn * sd - sn * xn) * od - on * sd * xd), xd * sd * od
+    if not (isinstance(g, PairSumMetric) and isinstance(g.d, DifferenceMetric)):
+        return None
+    from fractions import Fraction  # the perimeter's solves never import it
+
+    def exact_map(t: Fraction) -> Fraction:
+        r = _row(g.d.map, t)
+        return Fraction(r.slope) * t + Fraction(r.offset)
+
+    step = Fraction(x) * (1 - Fraction(row.slope)) - Fraction(row.offset)
+    value = 2 * exact_map(-abs(step)) + exact_map(Fraction(0))
+    return value.numerator, value.denominator
+
+
+def _ratio(num: int, den: int) -> float:
+    # num / den rounded to a float, inf past the largest one
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -304,10 +336,11 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
     infinite or NaN, and MaxIterationsExceeded if the residual never
-    reaches tolerance.  When ``g`` is a PerimeterMetric and ``F`` a
-    PiecewiseMap, the last iterate's residual is also checked in exact
-    rationals, and InexactFixedPoint raised when it is above tolerance;
-    other metrics and maps keep the float certificate.
+    reaches tolerance.  When ``F`` is a PiecewiseMap and ``g`` a
+    PerimeterMetric or the PairSumMetric of a DifferenceMetric (a
+    ``product-pl`` space), the last iterate's residual is also checked in
+    exact rationals, and InexactFixedPoint raised when it is above
+    tolerance; other metrics and maps keep the float certificate.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")
@@ -331,11 +364,12 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     trace, residual = _orbit(F, g, params.ball, x0, max_iter, tol)
     steps = trace.step_logs
     point = trace.iterates[-1]
-    if isinstance(g, PerimeterMetric) and isinstance(F, PiecewiseMap):
-        num, den = _exact_residual(F, point)
+    exact = _exact_residual(g, F, point) if isinstance(F, PiecewiseMap) else None
+    if exact is not None:
+        num, den = exact
         tol_num, tol_den = tol.as_integer_ratio()
         if num * tol_den > tol_num * den:
-            raise InexactFixedPoint(len(steps), point, num / den)
+            raise InexactFixedPoint(len(steps), point, _ratio(num, den))
     # a first step on the floor may lie up to SLACK below 0
     log_g01 = max(0.0, steps[0] if steps else residual)
     # The one rate check.  The bound trusts the rate only if every

@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgmetric import (GMetric, SelfMap, certify_region, get_fixture, gm_from_exp,
-                      load_fixture_config)
+from mgmetric import (GMetric, MultMetric, SelfMap, certify_region, get_fixture, gm_from_exp,
+                      gm_from_product, load_fixture_config)
 from mgmetric._jsonutil import dumps
 from mgmetric.sampling import _stratified
 from test_contraction import LEAVES_BALL
 
 POINTS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 TRIPLES = st.lists(st.tuples(POINTS, POINTS, POINTS), min_size=1, max_size=40)
-COEFFS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+# both zeros by name, so that a product-pl pair distance can be -0.0
+COEFFS = st.sampled_from([0.0, -0.0]) | st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
 
 @st.composite
@@ -77,6 +78,17 @@ def test_product_pl_batch_is_bitwise_scalar(space_rows, triples):
 def _skewed(x, y):
     # an asymmetric pair function with no batch form
     return abs(2.0 * x - y)
+
+
+def test_pair_sum_batch_leaves_the_pair_metric_output_unchanged():
+    # a pair batch form that returns one cached array for every call (g.many
+    # never calls the scalar form): the sort writes arrays of its own
+    cached = np.array([2.0, -0.0, 0.5, 1.0])
+    before = _bits(cached).copy()
+    g = gm_from_product(MultMetric(dist=lambda x, y: 0.0, batch=lambda x, y: cached))
+    x, y, z = (np.linspace(0.0, 1.0, 4) + k for k in range(3))
+    assert np.array_equal(_bits(g.many(x, y, z)), _bits([6.0, 0.0, 1.5, 3.0]))
+    assert np.array_equal(_bits(cached), before)
 
 
 @settings(max_examples=200, deadline=None)

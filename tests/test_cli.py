@@ -18,7 +18,7 @@ except ImportError:  # not on Windows
 from mgmetric import Witness, cli
 from mgmetric.cli import main
 from test_contraction import IDENTITY, LEAVES_BALL
-from test_golden import GOLDEN, README_COMMANDS
+from test_golden import GOLDEN, README_COMMANDS, _imported_modules
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,38 @@ def test_solve_seed_the_float_map_fixes_is_inexact(capsys):
     assert code == 1
     assert doc["error"]["type"] == "InexactFixedPoint"
     assert "InexactFixedPoint" in err
+
+
+# |x - y| as two product-pl rows, with ex33's translation x - 1/3 and a
+# seed where it rounds away
+ABSORBED_PL = {
+    "space": {"kind": "product-pl", "rows": [
+        {"interval": [None, 0], "slope": -1, "offset": 0},
+        {"interval": [0, None], "slope": 1, "offset": 0}]},
+    "map": [{"interval": [0, None], "slope": 1, "offset": -1 / 3}],
+    "params": {"eta": 0.625, "gamma": 5.5, "x0": 1e17},
+}
+
+
+def test_solve_product_pl_seed_the_float_map_fixes_is_inexact(capsys, tmp_path):
+    cfg = tmp_path / "absorbed.json"
+    cfg.write_text(json.dumps(ABSORBED_PL))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg))
+    assert code == 1
+    assert doc["error"]["type"] == "InexactFixedPoint"
+    assert "exact residual log 0.6666666666666666" in doc["error"]["message"]
+    assert "InexactFixedPoint" in err
+
+
+def test_only_a_product_pl_solve_imports_fractions(tmp_path):
+    # the perimeter's exact step works in integer ratios
+    proc, imported = _imported_modules("-m", "mgmetric", "solve", "--fixture", "ex33",
+                                       "--x0", "1e17")
+    assert proc.returncode == 1 and "fractions" not in imported
+    cfg = tmp_path / "absorbed.json"
+    cfg.write_text(json.dumps(ABSORBED_PL))
+    proc, imported = _imported_modules("-m", "mgmetric", "solve", "--config", str(cfg))
+    assert proc.returncode == 1 and "fractions" in imported
 
 
 def test_solve_seed_violation_exits_one(capsys):

@@ -86,10 +86,11 @@ def test_permutation_invariance_is_bitwise():
 
 
 def _sorted_pair_sum(pairfn, x, y, z):
-    # the scalar g before its sort became compare-and-swaps
-    a = pairfn(x, y) if x <= y else pairfn(y, x)
-    b = pairfn(y, z) if y <= z else pairfn(z, y)
-    c = pairfn(z, x) if z <= x else pairfn(x, z)
+    # the scalar g before its sort became compare-and-swaps; a pair
+    # distance enters the sum plus 0.0, so -0.0 counts as 0.0
+    a = (pairfn(x, y) if x <= y else pairfn(y, x)) + 0.0
+    b = (pairfn(y, z) if y <= z else pairfn(z, y)) + 0.0
+    c = (pairfn(z, x) if z <= x else pairfn(x, z)) + 0.0
     t0, t1, t2 = sorted((a, b, c))
     return t0 + t1 + t2
 
@@ -155,6 +156,24 @@ def test_scalar_g_is_the_sorted_sum_and_permutation_symmetric_bitwise(space, xyz
     perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
     for i, j, k in perms:
         assert _bits(g(xyz[i], xyz[j], xyz[k])) == _bits(value)
+
+
+@pytest.mark.parametrize("right_slope", [1.0, -1.0])
+def test_a_negative_zero_pair_distance_sums_as_positive_zero(right_slope):
+    # |x - y| as product-pl rows with offset -0.0: the pair distance of
+    # equal points is right_slope * 0.0 + -0.0, which is -0.0 when that
+    # slope is -1, yet G of equal points is +0.0 in g and g.many alike
+    rows = [{"interval": [None, 0], "slope": -1.0, "offset": -0.0},
+            {"interval": [0, None], "slope": right_slope, "offset": -0.0}]
+    g = load_fixture_config({"space": {"kind": "product-pl", "rows": rows}}).gmetric
+    triples = [(x, x, x) for x in (1 / 3, 2.5, 1e17, -7.0)]
+    triples += [(a, b, c) for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0)]
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    for xyz in triples:
+        for i, j, k in perms:
+            assert _bits(g(xyz[i], xyz[j], xyz[k])) == _bits(0.0)
+    columns = (np.array(col) for col in zip(*triples))
+    assert np.array_equal(g.many(*columns).view(np.uint64), np.zeros(len(triples), np.uint64))
 
 
 def test_stock_spaces_carry_the_perimeter_kernel():

@@ -415,6 +415,65 @@ def test_a_returned_perimeter_solve_is_exact_within_tolerance(config, log10_epsi
     assert _exact_residual(F, r.point) <= Fraction(math.log1p(epsilon))
 
 
+def _exact_pl_residual(M, F, x):
+    # a product-pl space's G(x, Fx, Fx) in rationals: its map M of the
+    # signed difference at the canonical pairs, 2 M(-|x - Fx|) + M(0),
+    # with Fx on x's row
+    def exact(rows, t):
+        row = next(r for r in rows if r.lo <= t < r.hi)
+        return Fraction(row.slope) * t + Fraction(row.offset)
+
+    x = Fraction(x)
+    return 2 * exact(M.rows, -abs(x - exact(F.rows, x))) + exact(M.rows, Fraction(0))
+
+
+def test_an_exact_residual_past_the_largest_float_is_reported_as_inf():
+    # 1e27 - 1e10 rounds back to 1e27, and the space's slope 1e300 makes
+    # the exact residual 2e310
+    fx = load_fixture_config({
+        "space": {"kind": "product-pl", "rows": [
+            {"interval": [None, 0], "slope": -1e300, "offset": 0},
+            {"interval": [0, None], "slope": 1, "offset": 0}]},
+        "map": [{"interval": [0, None], "slope": 1, "offset": -1e10}],
+        "params": {"eta": 0.625, "gamma": 5.5, "x0": 1e27}})
+    with pytest.raises(InexactFixedPoint) as info:
+        solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=TOL)
+    assert (info.value.point, info.value.exact_residual) == (1e27, math.inf)
+
+
+@st.composite
+def product_pl_spaces(draw):
+    """product-pl rows over the whole line, cut left of 0 and at 0, with
+    slopes of either sign and offsets of a few ulps' size at most, so that
+    the distance of a step the float map absorbs is small but not 0."""
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=-2.0, max_value=-1e-3), max_size=2))))
+    edges = [None] + cuts + [0.0, None]
+    return {"kind": "product-pl", "rows": [
+        {"interval": [lo, hi],
+         "slope": draw(st.sampled_from([-1.0, -0.5, 1.0]) | st.floats(min_value=-4.0,
+                                                                      max_value=4.0)),
+         "offset": draw(st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1e-12,
+                                                                 max_value=1e-12))}
+        for lo, hi in zip(edges, edges[1:])]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(translating_configs(), product_pl_spaces(), st.floats(min_value=-12.0, max_value=0.0))
+def test_a_returned_product_pl_solve_is_exact_within_tolerance(config, space, log10_epsilon):
+    doc, x0 = config
+    fx = load_fixture_config({**doc, "space": space})
+    g, F = fx.gmetric, fx.map
+    epsilon = 10.0 ** log10_epsilon
+    # a radius of at least 4 that admits the seed whenever its first step is finite
+    step = min(max(g(x0, F(x0), F(x0)), 0.0), 700.0)
+    params = ContractionParams(eta=0.5, gamma=4.0 * math.exp(step), seed_point=x0)
+    try:
+        r = solve_fixed_point(g, F, params, epsilon=epsilon, max_iter=200)
+    except SolveError:
+        return
+    assert _exact_pl_residual(fx.mult.map, F, r.point) <= Fraction(math.log1p(epsilon))
+
+
 # ---------------------------------------------------------------------------
 # solve: certified properties
 
@@ -609,7 +668,9 @@ def test_solve_never_accepts_a_step_below_the_floor(config, mode):
     try:
         r = solve_fixed_point(fx.gmetric, fx.map, params, mode=mode,
                               epsilon=TOL, max_iter=200)
-    except (BelowFloor, SeedConditionViolated, MaxIterationsExceeded, NonFiniteStep):
+    # a float fixed point the real map moves off ends in InexactFixedPoint
+    except (BelowFloor, SeedConditionViolated, MaxIterationsExceeded, NonFiniteStep,
+            InexactFixedPoint):
         return
     assert min(r.trace.step_logs, default=0.0) >= -SLACK
     assert r.residual_log >= -SLACK

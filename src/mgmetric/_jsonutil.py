@@ -36,11 +36,13 @@ def _render(obj, level: int) -> str:
     pad = "  " * (level + 1)
     close_pad = "  " * level
     sep = ",\n" + pad
+    # Each container is one join of its parts, so a report-sized value is
+    # copied once, into its parent, and not again by + or an f-string.
     if isinstance(obj, dict):
         # A str or a finite float value, by exact type, is rendered here:
         # the text the recursive call gives, without the call.  Any other
         # value recurses, a subclass or a non-finite float included.
-        items = []
+        parts = []
         for k, v in obj.items():
             kind = type(v)
             if kind is str:
@@ -49,8 +51,10 @@ def _render(obj, level: int) -> str:
                 text = "%.17g" % v
             else:
                 text = _render(v, level + 1)
-            items.append(f"{_quote(str(k))}: {text}")
-        return "{\n" + pad + sep.join(items) + "\n" + close_pad + "}"
+            parts += (sep, _quote(str(k)), ": ", text)
+        parts[0] = "{\n" + pad
+        parts += ("\n", close_pad, "}")
+        return "".join(parts)
     # A sequence of finite floats only, or of bools only (a trace's
     # iterates, step logs and ball flags), is rendered in one pass: the
     # same text as one recursive call per item, without the calls ("%.17g"
@@ -63,7 +67,7 @@ def _render(obj, level: int) -> str:
         items = sep.join([_BOOLS[v] for v in obj])
     else:
         items = sep.join([_render(v, level + 1) for v in obj])
-    return "[\n" + pad + items + "\n" + close_pad + "]"
+    return "".join(("[\n", pad, items, "\n", close_pad, "]"))
 
 
 def dumps(doc) -> str:

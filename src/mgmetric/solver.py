@@ -27,7 +27,9 @@ keep the float certificate.
 from __future__ import annotations
 
 import math
-from itertools import chain
+import sys
+from itertools import chain, islice, repeat
+from operator import le, mul
 
 from .metric import (LOG_FLOOR, ClosedBall, GMetric, LogDistance, PairSumMetric,
                      PerimeterMetric, Point, Record)
@@ -130,10 +132,14 @@ class PicardTrace(Record):
         no step log.  Values are float reprs and the flags True/False,
         so no field needs CSV quoting."""
         last = len(self.step_logs)
-        rows = ("%d,%r,%r,%s\n" * last) % tuple(chain.from_iterable(
-            zip(range(last), self.iterates, self.step_logs, self.in_ball)))
-        return ("index,value,step_log,in_ball\n" + rows
-                + f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
+        cells = chain.from_iterable(zip(range(last), self.iterates, self.step_logs, self.in_ball))
+        # blocks of 1,024 rows, so that no report-sized string is copied
+        parts = ["index,value,step_log,in_ball\n"]
+        for start in range(0, last, 1024):
+            n = min(1024, last - start)
+            parts.append(("%d,%r,%r,%s\n" * n) % tuple(islice(cells, 4 * n)))
+        parts.append(f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
+        return "".join(parts)
 
 
 class FixedPointResult(Record):
@@ -188,6 +194,8 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     g(x, Fx, Fx) is <= tol, and iterate ``steps`` above tol raises
     MaxIterationsExceeded.  Returns the trace and that last residual.
     """
+    if isinstance(F, PiecewiseMap) and isinstance(g, PerimeterMetric):
+        return _affine_orbit(F, ball, x0, steps, tol)
     iterates = [x0]
     step_logs: list[float] = []
     # the kernels themselves, bound once: pair(x, y) is g(x, y, y)
@@ -222,6 +230,48 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     # type g returns.
     center, log_radius = ball.center, ball.log_radius
     flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
+    return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
+
+
+def _affine_orbit(F: PiecewiseMap, ball: ClosedBall, x0: Point, steps: int,
+                  tol: float) -> tuple[PicardTrace, LogDistance]:
+    # _orbit on the |x - y| perimeter, bitwise, with no call per step: the
+    # row of the last iterate is cached and F.apply and _perimeter_pair
+    # are written out.  lo is clipped to the finite floats, so +-inf and
+    # NaN fail lo <= x < hi and, with a point of another row, take the
+    # checked path of contains, DomainExit and _row.
+    iterates = [x0]
+    step_logs: list[float] = []
+    contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
+    push_iterate, push_step = iterates.append, step_logs.append
+    lo = hi = math.nan
+    monotone = True
+    x = x0
+    for j in range(steps + 1):
+        if not lo <= x < hi:
+            if not contains(x):
+                raise DomainExit(j, x)
+            row = _row(F, x)
+            lo, hi, s, o = max(row.lo, -sys.float_info.max), row.hi, row.slope, row.offset
+        nxt = s * x + o
+        a = abs(x - nxt)
+        residual = a + a + (nxt - nxt)
+        if not floor <= residual < inf:
+            if residual < floor:
+                raise BelowFloor(j, x, residual)
+            if contains(nxt):
+                raise NonFiniteStep(j, x, residual)
+        if residual <= tol:
+            break
+        if j == steps:
+            raise MaxIterationsExceeded(j, x, residual)
+        push_step(residual)
+        monotone = monotone and nxt <= x
+        push_iterate(nxt)
+        x = nxt
+    center, log_radius = ball.center, ball.log_radius
+    flags = tuple([(a := abs(center - rho)) + a + (rho - rho) <= log_radius
+                   for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 
@@ -276,7 +326,8 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
     This is the coarse geometric tail of the telescoped step bounds
     (dropping a factor < 1), so it is always a valid stopping index for
     a genuine contraction.  Raises ValueError for a log distance that is
-    negative or not finite, a bad epsilon, and a rate outside [0, 1).
+    negative or not finite, a bad epsilon, a rate outside [0, 1), and a
+    tail log_g01 / (1 - rate) past the largest float.
     """
     # written so that NaN fails too; an infinite distance bounds nothing
     if not 0.0 <= log_g01 < math.inf:
@@ -289,15 +340,20 @@ def a_priori_iterations(log_g01: LogDistance, rate: float, epsilon: float) -> in
     tail0 = log_g01 / (1.0 - rate)
     if tail0 <= tol:
         return 0
+    if tail0 == math.inf:
+        raise ValueError(f"tail {log_g01} / (1 - {rate}) overflows")
     if rate == 0.0:
         return 1
-    # Closed form, then a local walk to absorb float rounding.
-    j = max(0, math.ceil(math.log(tol / tail0) / math.log(rate)))
-    while j > 0 and (rate ** (j - 1)) * tail0 <= tol:
-        j -= 1
-    while (rate ** j) * tail0 > tol:
-        j += 1
-    return j
+    # The closed form (its logs apart: tol / tail0 can underflow to 0) bounds
+    # a bisection, which absorbs float rounding: near a subnormal tol that
+    # can be millions of steps.  The tail is above tol at lo, not at hi.
+    lo, hi = 0, max(1, math.ceil((math.log(tol) - math.log(tail0)) / math.log(rate)))
+    while (rate ** hi) * tail0 > tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if (rate ** mid) * tail0 > tol else (lo, mid)
+    return hi
 
 
 def mu_of(eta: float) -> float:
@@ -376,8 +432,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     # recorded step contracts by it, and with no slack: steps that may
     # exceed rate * before by SLACK can hover near SLACK / (1 - rate),
     # past the bound, when the tolerance is that small.
-    rate_certified = rate < 1.0 and all(after <= rate * before
-                                        for before, after in zip(steps, steps[1:]))
+    rate_certified = rate < 1.0 and all(map(le, steps[1:], map(mul, repeat(rate), steps)))
     bound = a_priori_iterations(log_g01, rate, epsilon) if rate_certified else None
 
     return FixedPointResult(

@@ -191,6 +191,36 @@ def test_solve_product_pl_seed_the_float_map_fixes_is_inexact(capsys, tmp_path):
     assert "InexactFixedPoint" in err
 
 
+def test_solve_at_the_smallest_epsilon_certifies_its_bound(capsys, tmp_path):
+    # tol / tail0 underflows to 0 here, so the a-priori bound must not
+    # take its log ("math domain error", exit 2)
+    cfg = tmp_path / "tiny-epsilon.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, None], "slope": 0, "offset": 0}],
+        "params": {"eta": 0.625, "gamma": 1e10, "x0": 1}}))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg), "--epsilon", "5e-324")
+    assert code == 0
+    assert doc["rate_certified"] is True
+    assert doc["certified_bound"] == 1586
+    assert "certified bound: 1586" in err
+
+
+def test_solve_with_a_slow_rate_and_a_subnormal_tolerance_ends(tmp_path):
+    # the a-priori bound is about 7.2e10 steps; where the tail is
+    # subnormal the closed form misses it by about 4e8, too far to walk
+    # one step at a time
+    cfg = tmp_path / "slow-rate.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual",
+        "map": [{"interval": [0, None], "slope": 0, "offset": 0}],
+        "params": {"eta": 0.999999999, "gamma": 1e10, "x0": 1e-301}}))
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", "solve", "--config", str(cfg),
+                           "--epsilon", "5e-324"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certified_bound"] == 72372908879
+
+
 def test_only_a_product_pl_solve_imports_fractions(tmp_path):
     # the perimeter's exact step works in integer ratios
     proc, imported = _imported_modules("-m", "mgmetric", "solve", "--fixture", "ex33",

@@ -318,3 +318,18 @@ def test_scalar_rhs_records_as_a_full_array_does(lhs, rhs, relation):
     # repr, so that NaN fields compare equal
     assert repr(scalar.witnesses()) == repr(full.witnesses())
     assert all(type(w.rhs_log) is float for w in scalar.witnesses())
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_columns_across_block_boundaries_render_as_the_references_do(n):
+    # to_csv formats blocks of 1,024 rows; dumps joins each container once
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
+    trace = PicardTrace(iterates=tuple(values.tolist()),
+                        step_logs=tuple(np.abs(values[1:]).tolist()),
+                        in_ball=tuple((values > 0).tolist()), monotone=False)
+    assert len(trace.step_logs) == n
+    assert trace.to_csv() == reference_csv(trace)
+    doc = {"trace": trace.to_dict(), "column": values[:n].tolist(),
+           "flags": list(trace.in_ball[:n]), "mixed": [1, "a", None] * (n // 3)}
+    assert dumps(doc) == reference_render(doc) == recursive_render(doc)

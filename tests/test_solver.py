@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
     BelowFloor,
+    ClosedBall,
     ContractionParams,
     DomainExit,
     FixedPointResult,
@@ -17,6 +18,9 @@ from mgmetric import (
     Interval,
     MaxIterationsExceeded,
     NonFiniteStep,
+    PerimeterMetric,
+    PiecewiseMap,
+    PiecewiseRow,
     SeedConditionViolated,
     SelfMap,
     SolveError,
@@ -32,6 +36,7 @@ from mgmetric import (
 )
 from mgmetric._jsonutil import dumps
 from mgmetric.metric import _perimeter_pair
+from mgmetric.solver import _orbit
 from test_golden import _load_workloads
 
 G = gm_from_exp(usual_metric)
@@ -169,6 +174,31 @@ def test_a_priori_iterations_rejects_a_non_finite_distance(log_g01, rate):
     # no geometric tail of an infinite or NaN first step certifies a bound
     with pytest.raises(ValueError, match="log distance"):
         a_priori_iterations(log_g01, rate, 1e-6)
+
+
+def test_a_priori_iterations_takes_the_logs_apart():
+    # tol / tail0 underflows to 0 here, and its log has no value
+    assert a_priori_iterations(2.0, 0.5, 5e-324) == 1075
+    assert a_priori_iterations(2.0, 0.625, 5e-324) == 1586
+
+
+def test_a_priori_iterations_rejects_a_tail_past_the_largest_float():
+    with pytest.raises(ValueError, match="overflows"):
+        a_priori_iterations(1e300, 1 - 2 ** -53, 1e-6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True) | st.sampled_from([5e-324, 0.5]),
+       st.floats(min_value=5e-324, max_value=1e300) | st.sampled_from([5e-324, 1e-320, 1e-300]))
+def test_a_priori_iterations_is_the_least_index_for_every_finite_tail(log_g01, rate, epsilon):
+    tail0 = log_g01 / (1.0 - rate)
+    if tail0 == math.inf:
+        return
+    tol = math.log1p(epsilon)
+    j = a_priori_iterations(log_g01, rate, epsilon)
+    assert rate ** j * tail0 <= tol
+    assert j == 0 or rate ** (j - 1) * tail0 > tol
 
 
 def test_mu_values_and_classes():
@@ -674,3 +704,88 @@ def test_solve_never_accepts_a_step_below_the_floor(config, mode):
         return
     assert min(r.trace.step_logs, default=0.0) >= -SLACK
     assert r.residual_log >= -SLACK
+
+
+# ---------------------------------------------------------------------------
+# the affine loop of a piecewise-linear map on the perimeter
+
+
+AFFINE_SLOPES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]) | st.floats(-2.0, 2.0)
+AFFINE_OFFSETS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def affine_orbits(draw):
+    """A piecewise-linear map whose first cell may start at -inf and whose
+    last may end at a finite point, with negative, zero and huge slopes
+    and signed-zero offsets, or else a contraction of the whole line
+    whose orbits cross its rows; a seed among +-inf, NaN, -0.0, the
+    breakpoints and the floats next to them; a ball, a step budget and a
+    tolerance."""
+    edges = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=5, unique=True)))
+    contracting = draw(st.booleans())
+    if contracting or draw(st.booleans()):
+        edges[0] = -math.inf
+    if contracting or draw(st.booleans()):
+        edges[-1] = math.inf
+    slopes = st.floats(-0.9, 0.9) if contracting else AFFINE_SLOPES
+    F = PiecewiseMap(tuple(PiecewiseRow(lo, hi, draw(slopes), draw(AFFINE_OFFSETS))
+                           for lo, hi in zip(edges, edges[1:])))
+    near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    x0 = draw(st.floats(-60.0, 60.0)
+              | st.sampled_from(edges + near + [-0.0, 0.0, math.inf, -math.inf, math.nan]))
+    ball = ClosedBall(center=draw(st.floats(0.0, 60.0)), radius=draw(st.floats(1e-3, 1e30)))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 1e-12, 0.0, 1.0, 100.0]))
+    return F, ball, x0, draw(st.integers(0, 60)), tol
+
+
+def _orbit_outcome(F, g, ball, x0, steps, tol):
+    try:
+        trace, residual = _orbit(F, g, ball, x0, steps, tol)
+    except Exception as err:  # the error, type and message, is the outcome
+        return type(err), str(err)
+    return _trace_bits(trace), residual.hex()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(affine_orbits())
+# a step that overflows past the step budget: its residual is NaN, not inf
+@example((PiecewiseMap((PiecewiseRow(0.0, math.inf, 1e300, 0.0),)),
+          ClosedBall(center=1.0, radius=2.0), 1e10, 0, 1e-9))
+# a ball of radius 1 holds its centre, the seed, on its boundary
+@example((PiecewiseMap((PiecewiseRow(-math.inf, math.inf, 0.5, 0.0),)),
+          ClosedBall(center=1.0, radius=1.0), 1.0, 60, 1e-9))
+def test_the_affine_orbit_is_bitwise_the_generic_loop(case):
+    F, ball, x0, steps, tol = case
+    assert isinstance(G, PerimeterMetric)
+    generic = (SelfMap(apply=F.apply, domain=F.domain), GMetric(g=G.g))
+    assert _orbit_outcome(F, G, ball, x0, steps, tol) == \
+        _orbit_outcome(*generic, ball, x0, steps, tol)
+
+
+def test_a_perimeter_orbit_makes_no_kernel_call_per_step(monkeypatch):
+    # a benchmark orbit at two tolerances: the calls to the map and the
+    # pair kernel do not grow with the orbit's length
+    calls = {"apply": 0, "pair": 0}
+    apply = PiecewiseMap.apply
+
+    def counted_apply(self, x):
+        calls["apply"] += 1
+        return apply(self, x)
+
+    def counted_pair(x, y):
+        calls["pair"] += 1
+        return _perimeter_pair(x, y)
+
+    monkeypatch.setattr(PiecewiseMap, "apply", counted_apply)
+    monkeypatch.setattr(PerimeterMetric, "pair", staticmethod(counted_pair))
+    fx = load_fixture_config(_load_workloads().orbit_config(random.Random("orbits:0"),
+                                                            "exp-usual", False))
+    seen = []
+    for epsilon in (1e-3, 1e-9):
+        calls.update(apply=0, pair=0)
+        r = solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=epsilon, max_iter=10 ** 6)
+        seen.append((r.iterations_used, dict(calls)))
+    (short, short_calls), (long, long_calls) = seen
+    assert long > short + 1000
+    assert short_calls == long_calls

@@ -38,10 +38,10 @@ def _parse_region(text: str) -> Interval | str:
     if text == "ball":
         return "ball"
     try:
-        lo, hi = text.split(":")
-        return Interval(float(lo), float(hi))
+        lo, hi = map(float, text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad region {text!r}: expected lo:hi or ball") from exc
+    return Interval(lo, hi)  # an empty or NaN interval gives its own reason
 
 
 def _resolve_fixture(args) -> NamedFixture:

@@ -151,11 +151,15 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     the metric's floor and nothing can satisfy it (that includes a
     budget that underflows to 0), and when g(x0, Fx0, Fx0) is itself
     below the floor, where the space is no multiplicative metric space.
+    Where ``fixtures.exact_step`` applies, its exact value must be within
+    the budget too; other metrics and maps keep the float check.
     """
+    from .fixtures import _diff, exact_step  # fixtures imports this module
     x0 = params.seed_point
     budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
-            and LOG_FLOOR <= g.pair(x0, F(x0)) <= math.log(budget) + SLACK)
+            and LOG_FLOOR <= g.pair(x0, F(x0)) <= (bound := math.log(budget) + SLACK)
+            and ((exact := exact_step(g, F, x0)) is None or _diff(*exact, bound) <= 0))
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,

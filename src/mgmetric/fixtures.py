@@ -1,4 +1,4 @@
-"""Stock spaces and self-maps, plus JSON-config fixtures for the CLI.
+"""Stock spaces and self-maps, JSON-config fixtures for the CLI, and their exact view.
 
 The two stock spaces live on the nonnegative reals: "exp-usual" is the
 exponential of the pairwise perimeter of the usual distance, and
@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .metric import (GMetric, Interval, MultMetric, Record, gm_from_exp, gm_from_product, np,
-                     usual_metric)
+from .metric import (GMetric, Interval, MultMetric, PairSumMetric, PerimeterMetric, Record,
+                     gm_from_exp, gm_from_product, np, usual_metric)
 from .contraction import ContractionParams, SelfMap
 
 
@@ -112,6 +112,65 @@ class DifferenceMetric(MultMetric):
 
     def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.map.batch(x - y)
+
+
+# ---------------------------------------------------------------------------
+# The exact view: each space the CLI builds has a pair log-distance M(x - y)
+# at the canonical pair x <= y, M piecewise linear, so G(x, y, y) is
+# 2 M(-|x - y|) + M(0).  A rational is an integer ratio n / d with d > 0.
+
+_ABS_ROWS = (PiecewiseRow(-math.inf, 0.0, -1.0, 0.0), PiecewiseRow(0.0, math.inf, 1.0, 0.0))
+
+
+def pair_rows(g: GMetric) -> tuple[PiecewiseRow, ...] | None:
+    """M's rows: |t| for the perimeter, a ``product-pl`` space's map, else None."""
+    if isinstance(g, PerimeterMetric):
+        return _ABS_ROWS
+    d = g.d if isinstance(g, PairSumMetric) else None
+    return d.map.rows if isinstance(d, DifferenceMetric) else None
+
+
+def _diff(n: int, d: int, f: float) -> int:
+    # n / d - f times a positive factor, exactly; +-inf is the ratio +-1 / 0
+    fn, fd = f.as_integer_ratio() if math.isfinite(f) else (1 if f > 0 else -1, 0)
+    return n * fd - fn * d
+
+
+def _ratio(n: int, d: int) -> float:
+    # n / d rounded to a float, +-inf past the largest one
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:
+    # the row whose cell holds n / d; for a float's ratio, the row apply uses
+    for row in rows:
+        if _diff(n, d, row.lo) >= 0 > _diff(n, d, row.hi):
+            return row
+    raise _outside(_ratio(n, d))
+
+
+def _at(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> tuple[int, int]:
+    # slope * t + offset on the row of t = n / d
+    row = _row(rows, n, d)
+    (sn, sd), (on, od) = row.slope.as_integer_ratio(), row.offset.as_integer_ratio()
+    return sn * n * od + on * sd * d, sd * d * od
+
+
+def exact_step(g: GMetric, F: SelfMap, x: float) -> tuple[int, int] | None:
+    """G(x, Fx, Fx) as an exact rational, with Fx on the row ``F.apply``
+    uses for x, when ``F`` is a PiecewiseMap and ``g`` has ``pair_rows``;
+    else None.  A difference outside M's rows raises apply's ValueError."""
+    M = pair_rows(g)
+    if M is None or not isinstance(F, PiecewiseMap):
+        return None
+    xn, xd = x.as_integer_ratio()
+    fn, fd = _at(F.rows, xn, xd)
+    mn, md = _at(M, -abs(xn * fd - fn * xd), xd * fd)
+    cn, cd = _at(M, 0, 1)
+    return 2 * mn * cd + cn * md, md * cd
 
 
 # The two stock maps.  Each breakpoint belongs to the translation branch

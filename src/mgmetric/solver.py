@@ -18,10 +18,9 @@ rests on an eta the map does not meet; otherwise the solver still runs
 best-effort and flags the rate as uncertified.
 
 The float residual cannot tell convergence from a step that rounds
-away (x - 1/3 rounds back to x = 1e17).  So on the ``|x - y|``
-perimeter or a ``product-pl`` space, with a piecewise-linear map, the
-last step is checked again in exact rationals; other metrics and maps
-keep the float certificate.
+away (x - 1/3 rounds back to x = 1e17).  So where ``fixtures.exact_step``
+applies, the last step is checked again in exact rationals; other
+metrics and maps keep the float certificate.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ import sys
 from itertools import chain, islice, repeat
 from operator import le, mul
 
-from .metric import (LOG_FLOOR, ClosedBall, GMetric, LogDistance, PairSumMetric,
-                     PerimeterMetric, Point, Record)
+from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, Point, Record
 from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta,
                           seed_condition_holds)
-from .fixtures import DifferenceMetric, PiecewiseMap, _outside
+from .fixtures import PiecewiseMap, _diff, _ratio, _row, exact_step
 
 
 class SolveError(RuntimeError):
@@ -93,7 +91,8 @@ class InexactFixedPoint(SolveError):
 
 
 class SeedConditionViolated(SolveError):
-    """The seed point fails the admissibility condition for its ball."""
+    """The seed point fails the admissibility condition for its ball; the
+    message gives its exact log-distance where ``fixtures.exact_step`` does."""
 
 
 class MaxIterationsExceeded(SolveError):
@@ -251,7 +250,7 @@ def _affine_orbit(F: PiecewiseMap, ball: ClosedBall, x0: Point, steps: int,
         if not lo <= x < hi:
             if not contains(x):
                 raise DomainExit(j, x)
-            row = _row(F, x)
+            row = _row(F.rows, *x.as_integer_ratio())
             lo, hi, s, o = max(row.lo, -sys.float_info.max), row.hi, row.slope, row.offset
         nxt = s * x + o
         a = abs(x - nxt)
@@ -273,45 +272,6 @@ def _affine_orbit(F: PiecewiseMap, ball: ClosedBall, x0: Point, steps: int,
     flags = tuple([(a := abs(center - rho)) + a + (rho - rho) <= log_radius
                    for rho in iterates])
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
-
-
-def _row(F: PiecewiseMap, x):
-    # the row F.apply uses, for a float or a Fraction x
-    for row in F.rows:
-        if row.lo <= x < row.hi:
-            return row
-    raise _outside(float(x))
-
-
-def _exact_residual(g: GMetric, F: PiecewiseMap, x: Point) -> tuple[int, int] | None:
-    """G(x, Fx, Fx) with Fx = slope * x + offset on the row ``F.apply``
-    uses for x, in exact rationals: numerator and positive denominator,
-    or None for a metric with no exact form here.  The perimeter's is
-    2|x - Fx|; a ``product-pl`` space's, whose log-distance is a map M of
-    x - y, is 2 M(-|x - Fx|) + M(0), from its canonical pair order."""
-    row = _row(F, x)
-    if isinstance(g, PerimeterMetric):
-        (xn, xd), (sn, sd), (on, od) = (v.as_integer_ratio() for v in (x, row.slope, row.offset))
-        return 2 * abs((xn * sd - sn * xn) * od - on * sd * xd), xd * sd * od
-    if not (isinstance(g, PairSumMetric) and isinstance(g.d, DifferenceMetric)):
-        return None
-    from fractions import Fraction  # the perimeter's solves never import it
-
-    def exact_map(t: Fraction) -> Fraction:
-        r = _row(g.d.map, t)
-        return Fraction(r.slope) * t + Fraction(r.offset)
-
-    step = Fraction(x) * (1 - Fraction(row.slope)) - Fraction(row.offset)
-    value = 2 * exact_map(-abs(step)) + exact_map(Fraction(0))
-    return value.numerator, value.denominator
-
-
-def _ratio(num: int, den: int) -> float:
-    # num / den rounded to a float, inf past the largest one
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -392,11 +352,10 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
     infinite or NaN, and MaxIterationsExceeded if the residual never
-    reaches tolerance.  When ``F`` is a PiecewiseMap and ``g`` a
-    PerimeterMetric or the PairSumMetric of a DifferenceMetric (a
-    ``product-pl`` space), the last iterate's residual is also checked in
-    exact rationals, and InexactFixedPoint raised when it is above
-    tolerance; other metrics and maps keep the float certificate.
+    reaches tolerance.  Where ``fixtures.exact_step`` applies, the last
+    iterate's residual is also checked in exact rationals, and
+    InexactFixedPoint raised when it is above tolerance; other metrics and
+    maps keep the float certificate.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")
@@ -410,6 +369,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
         seed_log = g.pair(x0, F(x0))
         if seed_log < LOG_FLOOR:
             raise BelowFloor(0, x0, seed_log)
+        seed_log = seed_log if (exact := exact_step(g, F, x0)) is None else _ratio(*exact)
         raise SeedConditionViolated(
             f"seed {x0} has log-distance {seed_log} "
             f"to its image, above the budget ln({params.seed_budget})")
@@ -420,12 +380,9 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     trace, residual = _orbit(F, g, params.ball, x0, max_iter, tol)
     steps = trace.step_logs
     point = trace.iterates[-1]
-    exact = _exact_residual(g, F, point) if isinstance(F, PiecewiseMap) else None
-    if exact is not None:
-        num, den = exact
-        tol_num, tol_den = tol.as_integer_ratio()
-        if num * tol_den > tol_num * den:
-            raise InexactFixedPoint(len(steps), point, _ratio(num, den))
+    exact = exact_step(g, F, point)
+    if exact is not None and _diff(*exact, tol) > 0:
+        raise InexactFixedPoint(len(steps), point, _ratio(*exact))
     # a first step on the floor may lie up to SLACK below 0
     log_g01 = max(0.0, steps[0] if steps else residual)
     # The one rate check.  The bound trusts the rate only if every

@@ -221,15 +221,49 @@ def test_solve_with_a_slow_rate_and_a_subnormal_tolerance_ends(tmp_path):
     assert json.loads(proc.stdout)["certified_bound"] == 72372908879
 
 
-def test_only_a_product_pl_solve_imports_fractions(tmp_path):
-    # the perimeter's exact step works in integer ratios
+def test_no_solve_imports_fractions(tmp_path):
+    # the exact view of both spaces works in integer ratios
     proc, imported = _imported_modules("-m", "mgmetric", "solve", "--fixture", "ex33",
                                        "--x0", "1e17")
     assert proc.returncode == 1 and "fractions" not in imported
     cfg = tmp_path / "absorbed.json"
     cfg.write_text(json.dumps(ABSORBED_PL))
     proc, imported = _imported_modules("-m", "mgmetric", "solve", "--config", str(cfg))
-    assert proc.returncode == 1 and "fractions" in imported
+    assert proc.returncode == 1 and "fractions" not in imported
+
+
+# The translation x - 1 rounds away at the seed 1e17, where the floats are
+# 16 apart: the float seed step is 0, the exact one 2 > ln 2.0625
+ABSORBED_SEED = {
+    "space": "exp-usual",
+    "map": [{"interval": [0, None], "slope": 1, "offset": -1}],
+    "params": {"eta": 0.625, "gamma": 5.5, "x0": 1e17},
+}
+
+
+def test_certify_rejects_a_seed_step_the_float_map_absorbs(capsys, tmp_path):
+    cfg = tmp_path / "absorbed-seed.json"
+    cfg.write_text(json.dumps(ABSORBED_SEED))
+    code, doc, err = run_json(capsys, "certify", "--config", str(cfg), "--condition", "root",
+                              "--region", "ball", "--n", "100")
+    assert code == 1
+    assert doc["seed_condition_ok"] is False
+    assert "seed condition: violated" in err
+    # ex33's x - 1/3 also rounds away at 1e17, but its exact seed step
+    # 2/3 is within the budget
+    _, doc, _ = run_json(capsys, "certify", "--fixture", "ex33", "--x0", "1e17",
+                         "--condition", "root", "--region", "ball", "--n", "100")
+    assert doc["seed_condition_ok"] is True
+
+
+def test_solve_rejects_a_seed_step_the_float_map_absorbs(capsys, tmp_path):
+    cfg = tmp_path / "absorbed-seed.json"
+    cfg.write_text(json.dumps(ABSORBED_SEED))
+    code, doc, err = run_json(capsys, "solve", "--config", str(cfg))
+    assert code == 1
+    assert doc["error"]["type"] == "SeedConditionViolated"
+    assert "log-distance 2.0 to its image" in doc["error"]["message"]
+    assert "SeedConditionViolated" in err
 
 
 def test_solve_seed_violation_exits_one(capsys):
@@ -685,10 +719,17 @@ def test_sample_count_that_cannot_be_allocated_exits_two(tmp_path, argv):
 
 
 def test_usage_error_on_bad_region(capsys):
-    code, _, err = run_cli(capsys, "certify", "--fixture", "ex33",
-                           "--condition", "root", "--region", "oops")
-    assert code == 2
-    assert "bad region" in err
+    # text that does not parse gets the generic reason, an empty or NaN
+    # interval the interval's own
+    for region, reason in [("oops", "bad region 'oops': expected lo:hi or ball"),
+                           ("1:2:3", "bad region '1:2:3': expected lo:hi or ball"),
+                           ("1:", "bad region '1:': expected lo:hi or ball"),
+                           ("5:1", "error: empty interval: lo=5.0 > hi=1.0"),
+                           ("nan:1", "error: interval endpoints must not be NaN")]:
+        code, out, err = run_cli(capsys, "certify", "--fixture", "ex33",
+                                 "--condition", "root", "--region", region)
+        assert (code, out) == (2, "")
+        assert reason in err
 
 
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):

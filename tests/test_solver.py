@@ -31,10 +31,12 @@ from mgmetric import (
     load_fixture_config,
     mu_class,
     mu_of,
+    seed_condition_holds,
     solve_fixed_point,
     usual_metric,
 )
 from mgmetric._jsonutil import dumps
+from mgmetric.fixtures import exact_step
 from mgmetric.metric import _perimeter_pair
 from mgmetric.solver import _orbit
 from test_golden import _load_workloads
@@ -459,16 +461,15 @@ def _exact_pl_residual(M, F, x):
 
 def test_an_exact_residual_past_the_largest_float_is_reported_as_inf():
     # 1e27 - 1e10 rounds back to 1e27, and the space's slope 1e300 makes
-    # the exact residual 2e310
+    # the exact residual 2e310: the seed's step, so the seed is rejected
     fx = load_fixture_config({
         "space": {"kind": "product-pl", "rows": [
             {"interval": [None, 0], "slope": -1e300, "offset": 0},
             {"interval": [0, None], "slope": 1, "offset": 0}]},
         "map": [{"interval": [0, None], "slope": 1, "offset": -1e10}],
         "params": {"eta": 0.625, "gamma": 5.5, "x0": 1e27}})
-    with pytest.raises(InexactFixedPoint) as info:
+    with pytest.raises(SeedConditionViolated, match="log-distance inf to its image"):
         solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=TOL)
-    assert (info.value.point, info.value.exact_residual) == (1e27, math.inf)
 
 
 @st.composite
@@ -502,6 +503,69 @@ def test_a_returned_product_pl_solve_is_exact_within_tolerance(config, space, lo
     except SolveError:
         return
     assert _exact_pl_residual(fx.mult.map, F, r.point) <= Fraction(math.log1p(epsilon))
+
+
+@st.composite
+def exact_view_cases(draw):
+    """A perimeter or product-pl space, a PL map and a point of its
+    domain, often a breakpoint of the map; for a product-pl space the
+    map is at times a translation by a breakpoint c of M, which puts
+    -|x - Fx| on c."""
+    doc, x0 = draw(translating_configs())
+    space = draw(st.just(doc["space"]) | product_pl_spaces())
+    rows = doc["map"]
+    if isinstance(space, dict) and draw(st.booleans()):
+        c = draw(st.sampled_from([r["interval"][1] for r in space["rows"][:-1]]))
+        rows = [{**r, "slope": 1.0, "offset": draw(st.sampled_from([c, -c]))} for r in rows]
+    fx = load_fixture_config({"space": space, "map": rows})
+    x = draw(st.sampled_from([r.lo for r in fx.map.rows] + [x0])
+             | st.floats(min_value=0.0, max_value=1e18))
+    return fx, x
+
+
+def _exact_reference(fx, x):
+    # the Fraction reference of the fixture's space
+    if isinstance(fx.gmetric, PerimeterMetric):
+        return _exact_residual(fx.map, x)
+    return _exact_pl_residual(fx.mult.map, fx.map, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_view_cases())
+def test_the_exact_view_is_the_fraction_reference(case):
+    fx, x = case
+    num, den = exact_step(fx.gmetric, fx.map, x)
+    assert den > 0
+    assert Fraction(num, den) == _exact_reference(fx, x)
+
+
+def test_the_exact_view_takes_the_row_right_of_a_breakpoint():
+    # -|x - Fx| = -1 is M's breakpoint: M is 5t on its left, 2t + 3 from it on
+    fx = load_fixture_config({
+        "space": {"kind": "product-pl", "rows": [
+            {"interval": [None, -1], "slope": 5, "offset": 0},
+            {"interval": [-1, None], "slope": 2, "offset": 3}]},
+        "map": [{"interval": [0, None], "slope": 1, "offset": -1}]})
+    num, den = exact_step(fx.gmetric, fx.map, 1e17)
+    assert Fraction(num, den) == 2 * (2 * -1 + 3) + 3
+    assert exact_step(GMetric(g=G.g), fx.map, 1e17) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(translating_configs(), st.none() | product_pl_spaces(),
+       st.floats(min_value=0.0, max_value=0.99), st.floats(min_value=0.0, max_value=3.0))
+@example(config=({"space": "exp-usual",
+                  "map": [{"interval": [0.0, None], "slope": 1.0, "offset": -1.0}]}, 1e17),
+         space=None, eta=0.625, log_budget=math.log(2.0625))
+def test_an_admitted_seed_step_is_exactly_within_budget(config, space, eta, log_budget):
+    # seed_condition_ok: true implies the exact seed step is within budget
+    doc, x0 = config
+    fx = load_fixture_config(doc if space is None else {**doc, "space": space})
+    params = ContractionParams(eta=eta, gamma=math.exp(log_budget) / (1.0 - eta),
+                               seed_point=x0)
+    if seed_condition_holds(fx.gmetric, fx.map, params):
+        budget = Fraction(math.log(params.seed_budget) + SLACK)
+        assert _exact_reference(fx, x0) <= budget
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,11 @@ class GMetric(Record):
 class ClosedBall(Record):
     """Closed ball {rho : G(center, rho, rho) <= radius}.
 
-    The radius is a multiplicative scale (gamma > 0).  Because
-    G(center, center, center) = 1, the ball is nonempty iff gamma >= 1;
-    gamma < 1 gives the empty ball, which is legal everywhere.
+    The radius is a multiplicative scale (gamma > 0).  The ball holds its
+    centre iff G(center, center, center) <= gamma.  That value is 1 in a
+    multiplicative metric space, such as the stock spaces, where gamma < 1
+    gives the empty ball, which is legal everywhere.  A ``product-pl``
+    config space whose M(0) is not 0 has G(c, c, c) = e^{3 M(0)} instead.
     """
 
     center: Point

@@ -129,6 +129,12 @@ def _check_sample_count(n: int) -> None:
         raise ValueError(f"sample count must be >= 1, got {n}")
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own error for a negative seed does not say which number it read
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _check_finite_width(region: Interval, what: str) -> None:
     # Finite ends are not enough: the samplers scale by hi - lo, which
     # overflows to inf on a region such as [-1e308, 1e308].
@@ -149,6 +155,7 @@ def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], dom
     ``arity`` equal points is 1), and yields the generator, the recorder
     and the domain's lo, hi and midpoint to the suite's later phases."""
     _check_sample_count(n)
+    _check_seed(seed)
     _check_finite_width(domain, "axiom checking domain")
     if not domain.hi - domain.lo > _MIN_SEPARATION:
         raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
@@ -364,7 +371,9 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
             raise ValueError(f"region must be an Interval or 'ball', got {region!r}")
         ball = params.ball
         if not ball_contains(g, ball, ball.center):
-            raise EmptyRegion(f"{ball} is empty (radius below the metric floor)")
+            raise EmptyRegion(f"{ball} does not hold its centre, whose log-distance to "
+                              f"itself, {g.pair(ball.center, ball.center)}, is above "
+                              f"ln(gamma) = {ball.log_radius}")
         probe = _ball_probe_interval(g, ball, F.domain)
         # the draws lie in the probe, inside F's domain; the seed may not
         forced = [p for p in (probe.lo, probe.hi, ball.center, params.seed_point)
@@ -410,6 +419,7 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
     """
     _check_condition(condition, "condition")
     _check_sample_count(n)
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)

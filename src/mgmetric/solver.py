@@ -192,22 +192,37 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     NonFiniteStep.  The loop stops at the first iterate whose residual
     g(x, Fx, Fx) is <= tol, and iterate ``steps`` above tol raises
     MaxIterationsExceeded.  Returns the trace and that last residual.
+
+    A PiecewiseMap on the |x - y| perimeter caches the row [lo, hi) of
+    the last iterate and, while the orbit stays in it, takes the step
+    with F.apply and the perimeter pair written out: bitwise their
+    floats, with no call per step.  lo is clipped to the finite floats,
+    so +-inf and NaN miss the row.  A miss takes the checked path of
+    contains, F.apply and g.pair, and so does every step of any other
+    map or metric, whose lo and hi stay NaN.
     """
-    if isinstance(F, PiecewiseMap) and isinstance(g, PerimeterMetric):
-        return _affine_orbit(F, ball, x0, steps, tol)
     iterates = [x0]
     step_logs: list[float] = []
     # the kernels themselves, bound once: pair(x, y) is g(x, y, y)
     apply, pair = F.apply, g.pair
     contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
-    monotone = True
+    rows = F.rows if isinstance(F, PiecewiseMap) and isinstance(g, PerimeterMetric) else None
+    lo = hi = math.nan
     x = x0
     for j in range(steps + 1):
-        if not contains(x):
-            raise DomainExit(j, x)
-        nxt = apply(x)
-        residual = pair(x, nxt)
+        if lo <= x < hi:
+            nxt = s * x + o
+            a = abs(x - nxt)
+            residual = a + a + (nxt - nxt)
+        else:
+            if not contains(x):
+                raise DomainExit(j, x)
+            if rows is not None:
+                row = _row(rows, *x.as_integer_ratio())
+                lo, hi, s, o = max(row.lo, -sys.float_info.max), row.hi, row.slope, row.offset
+            nxt = apply(x)
+            residual = pair(x, nxt)
         # the floor rule, and finiteness; NaN fails both comparisons
         if not floor <= residual < inf:
             if residual < floor:
@@ -220,7 +235,6 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
         if j == steps:
             raise MaxIterationsExceeded(j, x, residual)
         push_step(residual)
-        monotone = monotone and nxt <= x
         push_iterate(nxt)
         x = nxt
     # ball_contains of each iterate from the scalar kernel, without numpy:
@@ -228,49 +242,12 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     # g.many's float64 conversion, so each flag is a bool whatever real
     # type g returns.
     center, log_radius = ball.center, ball.log_radius
-    flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
-    return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
-
-
-def _affine_orbit(F: PiecewiseMap, ball: ClosedBall, x0: Point, steps: int,
-                  tol: float) -> tuple[PicardTrace, LogDistance]:
-    # _orbit on the |x - y| perimeter, bitwise, with no call per step: the
-    # row of the last iterate is cached and F.apply and _perimeter_pair
-    # are written out.  lo is clipped to the finite floats, so +-inf and
-    # NaN fail lo <= x < hi and, with a point of another row, take the
-    # checked path of contains, DomainExit and _row.
-    iterates = [x0]
-    step_logs: list[float] = []
-    contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
-    push_iterate, push_step = iterates.append, step_logs.append
-    lo = hi = math.nan
-    monotone = True
-    x = x0
-    for j in range(steps + 1):
-        if not lo <= x < hi:
-            if not contains(x):
-                raise DomainExit(j, x)
-            row = _row(F.rows, *x.as_integer_ratio())
-            lo, hi, s, o = max(row.lo, -sys.float_info.max), row.hi, row.slope, row.offset
-        nxt = s * x + o
-        a = abs(x - nxt)
-        residual = a + a + (nxt - nxt)
-        if not floor <= residual < inf:
-            if residual < floor:
-                raise BelowFloor(j, x, residual)
-            if contains(nxt):
-                raise NonFiniteStep(j, x, residual)
-        if residual <= tol:
-            break
-        if j == steps:
-            raise MaxIterationsExceeded(j, x, residual)
-        push_step(residual)
-        monotone = monotone and nxt <= x
-        push_iterate(nxt)
-        x = nxt
-    center, log_radius = ball.center, ball.log_radius
-    flags = tuple([(a := abs(center - rho)) + a + (rho - rho) <= log_radius
-                   for rho in iterates])
+    if rows is None:
+        flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
+    else:
+        flags = tuple([(a := abs(center - rho)) + a + (rho - rho) <= log_radius
+                       for rho in iterates])
+    monotone = all(map(le, iterates[1:], iterates))
     return PicardTrace(tuple(iterates), tuple(step_logs), flags, monotone), residual
 
 

@@ -118,6 +118,45 @@ def test_certify_empty_ball_is_usage_error(capsys):
     assert "empty region" in err
 
 
+# a product-pl space whose M is |t| + 1: G(c, c, c) = 3 M(0) = 3 > ln 5.5
+SHIFTED_ABS = {"space": {"kind": "product-pl", "rows": [
+    {"interval": [None, 0], "slope": -1, "offset": 1},
+    {"interval": [0, None], "slope": 1, "offset": 1}]},
+    "map": [{"interval": [0, None], "slope": 0.5, "offset": 0}],
+    "params": {"eta": 0.625, "gamma": 5.5, "x0": 1}}
+
+
+@pytest.mark.parametrize("source, reason", [
+    (("--fixture", "ex33", "--gamma", "0.5"),
+     "ball(center=0.3333333333333333, radius=0.5) does not hold its centre, whose "
+     "log-distance to itself, 0.0, is above ln(gamma) = -0.6931471805599453"),
+    (("--config", SHIFTED_ABS),
+     "ball(center=1.0, radius=5.5) does not hold its centre, whose log-distance to itself, "
+     "3.0, is above ln(gamma) = 1.7047480922384253"),
+], ids=["ex33", "product-pl"])
+def test_an_empty_ball_names_its_centre_log_distance(capsys, tmp_path, source, reason):
+    if source[0] == "--config":
+        cfg = tmp_path / "shifted.json"
+        cfg.write_text(json.dumps(source[1]))
+        source = ("--config", str(cfg))
+    code, out, err = run_cli(capsys, "certify", *source, "--condition", "root",
+                             "--region", "ball", "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: empty region: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--fixture", "ex33", "--condition", "root", "--region", "0:1", "--n", "10"),
+    ("axioms", "--fixture", "exp-usual", "--n", "10"),
+], ids=["certify", "axioms"])
+def test_a_negative_seed_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_certify_requires_condition(capsys):
     code, _, _ = run_cli(capsys, "certify", "--fixture", "ex33")
     assert code == 2

@@ -853,3 +853,38 @@ def test_a_perimeter_orbit_makes_no_kernel_call_per_step(monkeypatch):
     (short, short_calls), (long, long_calls) = seen
     assert long > short + 1000
     assert short_calls == long_calls
+
+
+def test_an_orbit_off_the_perimeter_calls_its_kernels_per_step(monkeypatch):
+    # the benchmark orbit on a product-pl space whose rows are |t|: the
+    # same distances as the perimeter's, but no PerimeterMetric, so the
+    # loop takes F.apply and g.pair at every step
+    config = _load_workloads().orbit_config(random.Random("orbits:0"), "exp-usual", False)
+    config["space"] = {"kind": "product-pl", "rows": [
+        {"interval": [None, 0.0], "slope": -1.0, "offset": 0.0},
+        {"interval": [0.0, None], "slope": 1.0, "offset": 0.0}]}
+    fx = load_fixture_config(config)
+    assert not isinstance(fx.gmetric, PerimeterMetric)
+    calls = {"apply": 0, "pair": 0}
+    apply, pair = PiecewiseMap.apply, GMetric.pair
+
+    def counted_apply(self, x):
+        # the space's own rows are a PiecewiseMap too; count F's calls only
+        calls["apply"] += self is fx.map
+        return apply(self, x)
+
+    def counted_pair(self, x, y):
+        calls["pair"] += 1
+        return pair(self, x, y)
+
+    monkeypatch.setattr(PiecewiseMap, "apply", counted_apply)
+    monkeypatch.setattr(GMetric, "pair", counted_pair)
+    seen = []
+    for epsilon in (1e-3, 1e-9):
+        calls.update(apply=0, pair=0)
+        r = solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=epsilon, max_iter=10 ** 6)
+        seen.append((r.iterations_used, dict(calls)))
+    (short, short_calls), (long, long_calls) = seen
+    assert long > short + 1000
+    for kernel in calls:
+        assert long_calls[kernel] - short_calls[kernel] >= long - short

@@ -16,7 +16,7 @@ sweeps a condition over a sampled region.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, Interval, LogDistance, Point, Record,
                      _evaluate_many, _relation_holds, np)
@@ -115,8 +115,7 @@ def _condition_sides(condition: str, g, F, eta: float, x, y, z):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, and
     every metric value they used with its triple, in call order: for
     scalars (``g`` a GMetric, ``F`` a SelfMap) or for arrays (their
-    ``many``).  A pair term G(a, b) is ``g(a, b, b)``, bitwise
-    ``g.pair(a, b)``."""
+    ``many``).  A pair term G(a, b) is ``g(a, b, b)``."""
     used = []
 
     def metric(*triple):
@@ -158,7 +157,7 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     x0 = params.seed_point
     budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
-            and LOG_FLOOR <= g.pair(x0, F(x0)) <= (bound := math.log(budget) + SLACK)
+            and LOG_FLOOR <= g.g(x0, fx0 := F(x0), fx0) <= (bound := math.log(budget) + SLACK)
             and ((exact := exact_step(g, F, x0)) is None or _diff(*exact, bound) <= 0))
 
 

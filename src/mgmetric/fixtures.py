@@ -4,7 +4,7 @@ The two stock spaces live on the nonnegative reals: "exp-usual" is the
 exponential of the pairwise perimeter of the usual distance, and
 "product-exp" is the pairwise product of the multiplicative distance
 e^{|x - y|}: the same ternary values along the other route, and both
-run the one perimeter kernel that ``metric`` gives ``usual_metric``.
+run the perimeter batch kernel that ``metric`` gives ``usual_metric``.
 The two stock maps are piecewise linear with one breakpoint each; both
 contract toward 0 below the breakpoint and translate above it.
 """
@@ -12,7 +12,7 @@ contract toward 0 below the breakpoint and translate above it.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+import os
 
 from .metric import (GMetric, Interval, MultMetric, PairSumMetric, PerimeterMetric, Record,
                      gm_from_exp, gm_from_product, np, usual_metric)
@@ -278,7 +278,7 @@ def _parse_space(space) -> tuple[GMetric, MultMetric | None]:
     raise ValueError(f"unknown space {space!r}")
 
 
-def load_fixture_config(source: str | Path | dict) -> NamedFixture:
+def load_fixture_config(source: str | os.PathLike | dict) -> NamedFixture:
     """Build a fixture from a JSON config (path or already-parsed dict).
 
     Schema::
@@ -302,7 +302,8 @@ def load_fixture_config(source: str | Path | dict) -> NamedFixture:
         doc = source
     else:
         import json  # only a config file needs the parser
-        doc = json.loads(Path(source).read_text())
+        with open(source) as f:
+            doc = json.load(f)
 
     gmetric, mult = _parse_space(_key(doc, "space", "config"))
     selfmap = piecewise_map(_parse_rows(doc["map"], "map")) if "map" in doc else None

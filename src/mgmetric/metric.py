@@ -17,7 +17,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 
 class NumpyMissing(ModuleNotFoundError):
@@ -200,16 +200,13 @@ class MultMetric(Record):
 class GMetric(Record):
     """Ternary multiplicative metric candidate, evaluated in log-domain.
 
-    The optional ``batch`` is ``g`` over float64 arrays: it returns
-    bitwise the floats ``g`` returns, and ``many`` calls ``g`` once per
-    triple when it is missing.  Its arguments may be read-only views (a
-    ball's centre is one float broadcast to the sample's length), and it
-    must not write them.
-
-    ``pair(x, y)`` is G(x, y, y), bitwise ``g(x, y, y)``.  The ball, the
-    seed condition and the solver's residual use it.  The conditions
-    call ``g(a, b, b)``, scalar or batch alike, and the axiom audits
-    never use it: it rests on the symmetry they test.
+    ``g`` is its one scalar kernel: the ball, the seed condition and the
+    solver read a pair term G(x, y, y) as ``g(x, y, y)``.  The optional
+    ``batch`` is ``g`` over float64 arrays: it returns bitwise the floats
+    ``g`` returns, and ``many`` calls ``g`` once per triple when it is
+    missing.  Its arguments may be read-only views (a ball's centre is
+    one float broadcast to the sample's length), and it must not write
+    them.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
@@ -226,10 +223,6 @@ class GMetric(Record):
     def many(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """``g`` of each triple of elements of three float64 arrays."""
         return _evaluate_many(self.g, self.batch, x, y, z)
-
-    def pair(self, x: Point, y: Point) -> LogDistance:
-        """G(x, y, y), the log-distance of a pair."""
-        return self.g(x, y, y)
 
 
 class ClosedBall(Record):
@@ -263,7 +256,7 @@ class ClosedBall(Record):
 
 def ball_contains(g: GMetric, ball: ClosedBall, rho: Point) -> bool:
     """Membership test for the closed ball, in log-domain."""
-    return g.pair(ball.center, rho) <= ball.log_radius
+    return g.g(ball.center, rho, rho) <= ball.log_radius
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +281,6 @@ def _ascending_sum(a: float, b: float, c: float) -> float:
     return a + b + c
 
 
-# The perimeter |x - y| + |y - z| + |z - x|, the g of both stock spaces.
-# It needs no canonical pair order: under round-to-nearest x - y is
-# exactly -(y - x), signed zeros included, so abs gives the float the
-# ordered call gives, and both kernels below sort and add as the generic
-# g does.
-def _perimeter(x: Point, y: Point, z: Point) -> LogDistance:
-    return _ascending_sum(abs(x - y), abs(y - z), abs(z - x))
-
-
 def _sorted_sum_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     # _ascending_sum over three float64 arrays the caller owns and lets it
     # overwrite, by a minimum/maximum network: with no summand -0.0, equal
@@ -313,7 +297,11 @@ def _sorted_sum_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray
 
 
 def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # an abs is never -0.0; x, y and z are never written
+    # The perimeter |x - y| + |y - z| + |z - x| over arrays, the g of
+    # both stock spaces.  It needs no canonical pair order: under
+    # round-to-nearest x - y is exactly -(y - x), signed zeros included,
+    # so abs gives the float of g's ordered call, and an abs is never
+    # -0.0.  x, y and z are never written.
     a = np.subtract(x, y)
     b = np.subtract(y, z)
     c = np.subtract(z, x)
@@ -321,14 +309,6 @@ def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     np.abs(b, out=b)
     np.abs(c, out=c)
     return _sorted_sum_batch(a, b, c)
-
-
-def _perimeter_pair(x: Point, y: Point) -> LogDistance:
-    # _perimeter(x, y, y): its distances are a, |y - y| and a again, and
-    # sort to 0, a, a, so its sum is (0 + a) + a, which is a + a.  Adding
-    # y - y keeps the NaN that |y - y| gives when y is infinite.
-    a = abs(x - y)
-    return a + a + (y - y)
 
 
 class PairSumMetric(GMetric):
@@ -361,13 +341,12 @@ class PairSumMetric(GMetric):
 
 
 class PerimeterMetric(PairSumMetric):
-    """The ``PairSumMetric`` of ``usual_metric``, run by the perimeter kernels."""
+    """The ``PairSumMetric`` of ``usual_metric``, whose batch kernel is the
+    perimeter's own."""
 
     d: MultMetric
     description: str
-    g = staticmethod(_perimeter)
     batch = staticmethod(_perimeter_batch)
-    pair = staticmethod(_perimeter_pair)
 
 
 def gm_from_product(d: MultMetric, description: str = "") -> PairSumMetric:

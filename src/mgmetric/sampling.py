@@ -372,7 +372,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
         ball = params.ball
         if not ball_contains(g, ball, ball.center):
             raise EmptyRegion(f"{ball} does not hold its centre, whose log-distance to "
-                              f"itself, {g.pair(ball.center, ball.center)}, is above "
+                              f"itself, {g.g(ball.center, ball.center, ball.center)}, is above "
                               f"ln(gamma) = {ball.log_radius}")
         probe = _ball_probe_interval(g, ball, F.domain)
         # the draws lie in the probe, inside F's domain; the seed may not

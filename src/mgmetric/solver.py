@@ -195,16 +195,16 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
 
     A PiecewiseMap on the |x - y| perimeter caches the row [lo, hi) of
     the last iterate and, while the orbit stays in it, takes the step
-    with F.apply and the perimeter pair written out: bitwise their
-    floats, with no call per step.  lo is clipped to the finite floats,
-    so +-inf and NaN miss the row.  A miss takes the checked path of
-    contains, F.apply and g.pair, and so does every step of any other
-    map or metric, whose lo and hi stay NaN.
+    with F.apply and the perimeter's g(x, Fx, Fx) written out: bitwise
+    their floats, with no call per step.  lo is clipped to the finite
+    floats, so +-inf and NaN miss the row.  A miss takes the checked path
+    of contains, F.apply and g.g, and so does every step of any other map
+    or metric, whose lo and hi stay NaN.
     """
     iterates = [x0]
     step_logs: list[float] = []
-    # the kernels themselves, bound once: pair(x, y) is g(x, y, y)
-    apply, pair = F.apply, g.pair
+    # the kernels themselves, bound once
+    apply, kernel = F.apply, g.g
     contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     rows = F.rows if isinstance(F, PiecewiseMap) and isinstance(g, PerimeterMetric) else None
@@ -212,6 +212,8 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     x = x0
     for j in range(steps + 1):
         if lo <= x < hi:
+            # g(x, nxt, nxt): its distances sort to 0, a, a, and adding
+            # nxt - nxt keeps the NaN of an infinite nxt
             nxt = s * x + o
             a = abs(x - nxt)
             residual = a + a + (nxt - nxt)
@@ -222,7 +224,7 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
                 row = _row(rows, *x.as_integer_ratio())
                 lo, hi, s, o = max(row.lo, -sys.float_info.max), row.hi, row.slope, row.offset
             nxt = apply(x)
-            residual = pair(x, nxt)
+            residual = kernel(x, nxt, nxt)
         # the floor rule, and finiteness; NaN fails both comparisons
         if not floor <= residual < inf:
             if residual < floor:
@@ -243,7 +245,7 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     # type g returns.
     center, log_radius = ball.center, ball.log_radius
     if rows is None:
-        flags = tuple([float(pair(center, rho)) <= log_radius for rho in iterates])
+        flags = tuple([float(kernel(center, rho, rho)) <= log_radius for rho in iterates])
     else:
         flags = tuple([(a := abs(center - rho)) + a + (rho - rho) <= log_radius
                        for rho in iterates])
@@ -343,7 +345,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     x0 = params.seed_point
     # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
-        seed_log = g.pair(x0, F(x0))
+        seed_log = g.g(x0, fx0 := F(x0), fx0)
         if seed_log < LOG_FLOOR:
             raise BelowFloor(0, x0, seed_log)
         seed_log = seed_log if (exact := exact_step(g, F, x0)) is None else _ratio(*exact)

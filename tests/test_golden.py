@@ -88,6 +88,19 @@ def test_readme_command_in_a_fresh_process(label):
     assert ("mgmetric.solver" in imported) == label.startswith("solve")
 
 
+def test_a_scalar_solve_without_site_hooks_imports_no_typing_pathlib_or_numpy(monkeypatch):
+    """With ``-S`` no ``.pth`` file imports modules of its own, so the
+    modules listed are the package's: a scalar solve prints its recorded
+    bytes and loads neither ``typing``, ``pathlib`` nor numpy."""
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    label = "solve-ex33-root"
+    recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
+    proc, imported = _imported_modules("-S", "-m", "mgmetric", *README_COMMANDS[label])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
+    assert imported.isdisjoint({"typing", "pathlib", "numpy"})
+
+
 # Runs the CLI as if numpy were not installed: a None entry in
 # sys.modules makes every import of numpy fail.
 _WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "

@@ -9,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
+    BelowFloor,
     ClosedBall,
+    ContractionParams,
     GMetric,
     Interval,
     MultMetric,
     PairSumMetric,
     PerimeterMetric,
+    SeedConditionViolated,
+    SelfMap,
     ball_contains,
     check_gm_axioms,
     check_gm_properties,
@@ -26,9 +30,10 @@ from mgmetric import (
     load_fixture_config,
     get_fixture,
     Witness,
+    seed_condition_holds,
+    solve_fixed_point,
 )
-from mgmetric.metric import (_RELATIONS, _perimeter, _perimeter_batch, _perimeter_pair,
-                             _relation_holds)
+from mgmetric.metric import _RELATIONS, _perimeter_batch, _relation_holds
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -184,8 +189,9 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     for g in spaces:
         assert type(g) is PerimeterMetric and g._fields == ("d", "description")
         assert g.d.dist is usual_metric
-        # the plain kernels themselves, with no bound-method layer
-        assert g.g is _perimeter and g.batch is _perimeter_batch and g.pair is _perimeter_pair
+        # the pair sum's one scalar kernel, and the perimeter's batch
+        # kernel itself, with no bound-method layer
+        assert type(g).g is PairSumMetric.g and g.batch is _perimeter_batch
     generic = [gm_from_product(MultMetric(dist=_abs_pair, batch=_abs_pair)),
                gm_from_exp(_abs_pair),
                load_fixture_config({"space": {"kind": "product-pl", "rows": [
@@ -193,7 +199,6 @@ def test_stock_spaces_carry_the_perimeter_kernel():
     for g in generic:
         assert type(g) is PairSumMetric and g.batch is not None
         assert g.batch is not _perimeter_batch
-        assert g.pair is not _perimeter_pair
 
 
 def test_pair_sum_metric_is_a_record_of_its_pair_metric():
@@ -232,7 +237,8 @@ def test_perimeter_kernel_is_bitwise_the_generic_route(triples, length):
     x, y, z = (np.array(col, dtype=np.float64) for col in zip(*triples))
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_same_floats(_perimeter_batch(x, y, z), generic.many(x, y, z))
-    _assert_same_floats([_perimeter(*t) for t in triples], [generic(*t) for t in triples])
+    stock = gm_from_exp(usual_metric)
+    _assert_same_floats([stock.g(*t) for t in triples], [generic(*t) for t in triples])
 
 
 def test_perimeter_batch_is_the_scalar_kernel_on_a_seeded_sample():
@@ -247,7 +253,8 @@ def test_perimeter_batch_is_the_scalar_kernel_on_a_seeded_sample():
     inputs = x.copy(), y.copy(), z.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         batch = _perimeter_batch(x, y, z)
-    _assert_same_floats(batch, list(map(_perimeter, x.tolist(), y.tolist(), z.tolist())))
+    scalar = gm_from_exp(usual_metric).g
+    _assert_same_floats(batch, list(map(scalar, x.tolist(), y.tolist(), z.tolist())))
     assert np.isnan(batch).any() and np.isinf(batch).any()
     # the kernel writes only into arrays of its own
     for before, after in zip(inputs, (x, y, z)):
@@ -255,32 +262,20 @@ def test_perimeter_batch_is_the_scalar_kernel_on_a_seeded_sample():
 
 
 # ---------------------------------------------------------------------------
-# the pair kernel G(x, y, y)
+# the pair form G(x, y, y)
 
-# Both arguments may be any float: signed zeros, subnormals, overflowing
-# differences, infinities and NaN.
+# A second point may be any float: signed zeros, subnormals, overflowing
+# differences, infinities and NaN.  A ball's centre, or a seed, is a
+# nonnegative finite float.
 _PAIR_POINTS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1 / 3, 1e308, -1e308,
                      math.inf, -math.inf, math.nan]),
     st.floats(min_value=-10.0, max_value=10.0),
     st.floats(),
 )
-
-
-@st.composite
-def _pairs(draw, points=_PAIR_POINTS):
-    """(x, y) drawn from a pool of one or two points, so x == y is common."""
-    pool = draw(st.lists(points, min_size=1, max_size=2))
-    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_pairs(), min_size=1, max_size=300))
-def test_perimeter_pair_kernel_is_bitwise_g_of_x_y_y(pairs):
-    g = gm_from_exp(usual_metric)
-    pair = g.pair
-    assert pair is _perimeter_pair
-    _assert_same_floats([pair(a, b) for a, b in pairs], [g.g(a, b, b) for a, b in pairs])
+_CENTRES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 1e308]),
+                     st.floats(min_value=0.0, max_value=10.0),
+                     st.floats(min_value=0.0, allow_infinity=False))
 
 
 def _lopsided(x, y, z):
@@ -289,9 +284,12 @@ def _lopsided(x, y, z):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_PAIR_POINTS, _PAIR_POINTS), min_size=1, max_size=40))
-def test_default_pair_kernel_calls_g_of_x_y_y(pairs):
-    calls = []
+@given(st.lists(st.tuples(_CENTRES, _PAIR_POINTS), min_size=1, max_size=20))
+def test_the_pair_form_calls_g_of_x_y_y(pairs):
+    # the ball, the seed condition and the solver's seed message read
+    # G(a, b, b) as one call g(a, b, b) and go by its float; the seed
+    # condition takes F(a) once
+    calls, images = [], []
 
     def g(*args):
         calls.append(args)
@@ -301,27 +299,47 @@ def test_default_pair_kernel_calls_g_of_x_y_y(pairs):
         # NaN compares by its text; everything else by its bits
         return [tuple(map(float.hex, t)) for t in triples]
 
-    pair = GMetric(g=g).pair
-    values = [pair(a, b) for a, b in pairs]
-    assert hexes(calls) == hexes((a, b, b) for a, b in pairs)
-    _assert_same_floats(values, [_lopsided(a, b, b) for a, b in pairs])
+    metric = GMetric(g=g)
+    for a, b in pairs:
+        value = _lopsided(a, b, b)
+        F = SelfMap(apply=lambda x, b=b: images.append(x) or b)
+        params = ContractionParams(eta=0.5, gamma=2.0, seed_point=a)
+        del calls[:], images[:]
+        assert ball_contains(metric, ClosedBall(center=a, radius=2.0), b) == \
+            (value <= math.log(2.0))
+        holds = seed_condition_holds(metric, F, params)
+        assert holds == (-SLACK <= value <= SLACK)
+        assert hexes(calls) == hexes([(a, b, b)] * 2) and len(images) == 1
+        if holds:
+            continue
+        del calls[:]
+        with pytest.raises((SeedConditionViolated, BelowFloor)) as err:
+            solve_fixed_point(metric, F, params)
+        assert hexes(calls) == hexes([(a, b, b)] * 2)
+        if err.type is BelowFloor:
+            assert err.value.step_log.hex() == value.hex()
+        else:
+            assert f"log-distance {value} to its image" in str(err.value)
 
 
-def _no_pair(self, x, y):
-    raise AssertionError("the pair kernel was called")
+def _no_scalar(*args):
+    raise AssertionError("the scalar kernel was called")
 
 
 @pytest.mark.parametrize("build", [lambda: gm_from_exp(usual_metric),
                                    lambda: GMetric(g=_lopsided, batch=_lopsided)])
-def test_axiom_audits_never_call_the_pair_kernel(build, monkeypatch):
+def test_axiom_audits_never_call_the_scalar_kernel(build, monkeypatch):
+    # the audits test the floats of the batch kernel alone
     g = build()
     reports = [check(g, DOMAIN, 500, seed=5) for check in (check_gm_axioms, check_gm_properties)]
-    monkeypatch.setattr(GMetric, "pair", _no_pair)
-    monkeypatch.setattr(PerimeterMetric, "pair", _no_pair)
+    if isinstance(g, PairSumMetric):
+        monkeypatch.setattr(PairSumMetric, "g", _no_scalar)
+    else:
+        g = g.replace(g=_no_scalar)
     assert [check(g, DOMAIN, 500, seed=5)
             for check in (check_gm_axioms, check_gm_properties)] == reports
-    # the trap is armed: the ball goes through the pair kernel
-    with pytest.raises(AssertionError, match="pair kernel"):
+    # the trap is armed: the ball calls the scalar kernel
+    with pytest.raises(AssertionError, match="scalar kernel"):
         ball_contains(g, ClosedBall(center=1.0, radius=2.0), 1.5)
 
 

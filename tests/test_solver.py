@@ -18,6 +18,7 @@ from mgmetric import (
     Interval,
     MaxIterationsExceeded,
     NonFiniteStep,
+    PairSumMetric,
     PerimeterMetric,
     PiecewiseMap,
     PiecewiseRow,
@@ -37,7 +38,6 @@ from mgmetric import (
 )
 from mgmetric._jsonutil import dumps
 from mgmetric.fixtures import exact_step
-from mgmetric.metric import _perimeter_pair
 from mgmetric.solver import _orbit
 from test_golden import _load_workloads
 
@@ -700,9 +700,10 @@ def _trace_bits(trace):
 @pytest.mark.parametrize("mode", ["root", "implicit"])
 def test_pair_kernel_solves_bitwise_like_the_generic_route(mode):
     # The stock fixtures at the README's epsilon, and the benchmark's
-    # slow orbit configs (about 6,500 steps) at its 1e-9.  The generic
-    # metric calls the same g through a function of its own, so its
-    # residuals and ball flags are g(x, y, y) itself.
+    # slow orbit configs (about 6,500 steps) at its 1e-9.  The stock
+    # perimeter takes its written-out steps; the generic metric calls the
+    # same g through a function of its own, so its residuals and ball
+    # flags are g(x, y, y) itself.
     orbit_config = _load_workloads().orbit_config
     cases = [(EX33, 1e-6), (EX37, 1e-6)]
     for seed in range(2):
@@ -713,9 +714,10 @@ def test_pair_kernel_solves_bitwise_like_the_generic_route(mode):
         generic = GMetric(g=lambda x, y, z, g=fx.gmetric.g: g(x, y, z))
         stock, plain = (solve_fixed_point(g, fx.map, fx.params, mode=mode, epsilon=epsilon,
                                           max_iter=1_000_000) for g in (fx.gmetric, generic))
-        assert fx.gmetric.pair is _perimeter_pair
-        assert generic.pair is not _perimeter_pair
+        assert isinstance(fx.gmetric, PerimeterMetric)
         assert _trace_bits(stock.trace) == _trace_bits(plain.trace)
+        last, image = stock.point, fx.map(stock.point)
+        assert stock.residual_log.hex() == fx.gmetric.g(last, image, image).hex()
         assert stock.residual_log.hex() == plain.residual_log.hex()
         assert stock.certified_bound == plain.certified_bound
         assert stock == plain
@@ -816,6 +818,9 @@ def _orbit_outcome(F, g, ball, x0, steps, tol):
 # a step that overflows past the step budget: its residual is NaN, not inf
 @example((PiecewiseMap((PiecewiseRow(0.0, math.inf, 1e300, 0.0),)),
           ClosedBall(center=1.0, radius=2.0), 1e10, 0, 1e-9))
+# the same on the cached row, whose written-out step must give NaN too
+@example((PiecewiseMap((PiecewiseRow(0.0, math.inf, 1e300, 0.0),)),
+          ClosedBall(center=1.0, radius=2.0), 1.0, 1, 1e-9))
 # a ball of radius 1 holds its centre, the seed, on its boundary
 @example((PiecewiseMap((PiecewiseRow(-math.inf, math.inf, 0.5, 0.0),)),
           ClosedBall(center=1.0, radius=1.0), 1.0, 60, 1e-9))
@@ -829,25 +834,25 @@ def test_the_affine_orbit_is_bitwise_the_generic_loop(case):
 
 def test_a_perimeter_orbit_makes_no_kernel_call_per_step(monkeypatch):
     # a benchmark orbit at two tolerances: the calls to the map and the
-    # pair kernel do not grow with the orbit's length
-    calls = {"apply": 0, "pair": 0}
-    apply = PiecewiseMap.apply
+    # scalar g do not grow with the orbit's length
+    calls = {"apply": 0, "g": 0}
+    apply, g = PiecewiseMap.apply, PairSumMetric.g
 
     def counted_apply(self, x):
         calls["apply"] += 1
         return apply(self, x)
 
-    def counted_pair(x, y):
-        calls["pair"] += 1
-        return _perimeter_pair(x, y)
+    def counted_g(self, x, y, z):
+        calls["g"] += 1
+        return g(self, x, y, z)
 
     monkeypatch.setattr(PiecewiseMap, "apply", counted_apply)
-    monkeypatch.setattr(PerimeterMetric, "pair", staticmethod(counted_pair))
+    monkeypatch.setattr(PairSumMetric, "g", counted_g)
     fx = load_fixture_config(_load_workloads().orbit_config(random.Random("orbits:0"),
                                                             "exp-usual", False))
     seen = []
     for epsilon in (1e-3, 1e-9):
-        calls.update(apply=0, pair=0)
+        calls.update(apply=0, g=0)
         r = solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=epsilon, max_iter=10 ** 6)
         seen.append((r.iterations_used, dict(calls)))
     (short, short_calls), (long, long_calls) = seen
@@ -858,30 +863,30 @@ def test_a_perimeter_orbit_makes_no_kernel_call_per_step(monkeypatch):
 def test_an_orbit_off_the_perimeter_calls_its_kernels_per_step(monkeypatch):
     # the benchmark orbit on a product-pl space whose rows are |t|: the
     # same distances as the perimeter's, but no PerimeterMetric, so the
-    # loop takes F.apply and g.pair at every step
+    # loop takes F.apply and g.g at every step
     config = _load_workloads().orbit_config(random.Random("orbits:0"), "exp-usual", False)
     config["space"] = {"kind": "product-pl", "rows": [
         {"interval": [None, 0.0], "slope": -1.0, "offset": 0.0},
         {"interval": [0.0, None], "slope": 1.0, "offset": 0.0}]}
     fx = load_fixture_config(config)
     assert not isinstance(fx.gmetric, PerimeterMetric)
-    calls = {"apply": 0, "pair": 0}
-    apply, pair = PiecewiseMap.apply, GMetric.pair
+    calls = {"apply": 0, "g": 0}
+    apply, g = PiecewiseMap.apply, PairSumMetric.g
 
     def counted_apply(self, x):
         # the space's own rows are a PiecewiseMap too; count F's calls only
         calls["apply"] += self is fx.map
         return apply(self, x)
 
-    def counted_pair(self, x, y):
-        calls["pair"] += 1
-        return pair(self, x, y)
+    def counted_g(self, x, y, z):
+        calls["g"] += 1
+        return g(self, x, y, z)
 
     monkeypatch.setattr(PiecewiseMap, "apply", counted_apply)
-    monkeypatch.setattr(GMetric, "pair", counted_pair)
+    monkeypatch.setattr(PairSumMetric, "g", counted_g)
     seen = []
     for epsilon in (1e-3, 1e-9):
-        calls.update(apply=0, pair=0)
+        calls.update(apply=0, g=0)
         r = solve_fixed_point(fx.gmetric, fx.map, fx.params, epsilon=epsilon, max_iter=10 ** 6)
         seen.append((r.iterations_used, dict(calls)))
     (short, short_calls), (long, long_calls) = seen

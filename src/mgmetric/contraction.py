@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable
 
 from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, Interval, LogDistance, Point, Record,
-                     _evaluate_many, _relation_holds, np)
+                     _RELATIONS, _evaluate_many, np)
 
 
 class ContractionParams(Record):
@@ -132,7 +132,7 @@ def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point) -> bool:
     _validate_eta(eta)
     lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z)
-    return bool(_relation_holds("<=", lhs, rhs)) and not any(v < LOG_FLOOR for _, v in used)
+    return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < LOG_FLOOR for _, v in used)
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,

@@ -364,8 +364,9 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> Pa
     return gm_from_product(MultMetric(dist=d), description or "exp of pairwise perimeter")
 
 
-# Each required relation between lhs_log and rhs_log, for floats and
-# float64 arrays alike, and only between finite sides: a NaN fails every
+# Each required relation between lhs_log and rhs_log: whether ``lhs
+# relation rhs`` holds within SLACK, for floats and float64 arrays alike
+# (elementwise), and only between finite sides: a NaN fails every
 # comparison, and each relation also rules out the infinite sides that
 # would pass its comparison (an infinite side makes "==" compare NaN or
 # inf).  The scalar path calls no numpy.
@@ -375,16 +376,6 @@ _RELATIONS = {
     ">": lambda lhs, rhs: (lhs > rhs + SLACK) & (lhs < math.inf) & (rhs > -math.inf),
     "==": lambda lhs, rhs: abs(lhs - rhs) <= SLACK,
 }
-
-
-def _relation_holds(relation: str, lhs, rhs):
-    """Whether ``lhs relation rhs`` holds within SLACK, both sides finite;
-    elementwise on float64 arrays."""
-    try:
-        test = _RELATIONS[relation]
-    except KeyError:
-        raise ValueError(f"unknown relation {relation!r}") from None
-    return test(lhs, rhs)
 
 
 class Witness(Record):
@@ -401,6 +392,10 @@ class Witness(Record):
     rhs_log: float
     relation: str = "<="
 
+    def __post_init__(self) -> None:
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+
     def holds(self) -> bool:
         """Re-evaluate the required relation from the stored sides."""
-        return bool(_relation_holds(self.relation, self.lhs_log, self.rhs_log))
+        return bool(_RELATIONS[self.relation](self.lhs_log, self.rhs_log))

@@ -9,7 +9,7 @@ import math
 from contextlib import contextmanager
 
 from .metric import (LOG_FLOOR, ClosedBall, GMetric, Interval, MultMetric, Record, Witness,
-                     _relation_holds, ball_contains, np)
+                     _RELATIONS, ball_contains, np)
 from .contraction import (ContractionParams, SelfMap, _check_condition, _condition_sides,
                           seed_condition_holds)
 
@@ -78,7 +78,7 @@ class _Recorder:
         the sample index of each element when the check covers only some
         samples of its phase.  A float ``rhs`` applies to every sample."""
         self._record(phase, rule, points, lhs, rhs, relation, samples,
-                     np.flatnonzero(~_relation_holds(relation, lhs, rhs)))
+                     np.flatnonzero(~_RELATIONS[relation](lhs, rhs)))
 
     def require_floor(self, phase: int, points: tuple[np.ndarray, ...],
                       values: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import le, mul
 
 from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, Point, Record
@@ -38,17 +38,25 @@ from .fixtures import PiecewiseMap, _diff, _ratio, _row, exact_step
 
 class SolveError(RuntimeError):
     """A solve that ends without a certified fixed point: the base of the
-    errors a solve report names."""
+    errors a solve report names.  A subclass names its attributes in
+    ``_fields`` and its message in ``_message``; the positional values
+    fill both, in order."""
+
+    _fields: tuple[str, ...] = ()
+    _message = "{}"
+
+    def __init__(self, *values) -> None:
+        super().__init__(self._message.format(*values))
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
 
 
 class DomainExit(SolveError):
     """An iterate left the self-map's declared domain (an infinite or
     NaN iterate is in no domain)."""
 
-    def __init__(self, index: int, point: float):
-        super().__init__(f"iterate {index} = {point} left the map's domain")
-        self.index = index
-        self.point = point
+    _fields = ("index", "point")
+    _message = "iterate {} = {} left the map's domain"
 
 
 class NonFiniteStep(SolveError):
@@ -56,12 +64,8 @@ class NonFiniteStep(SolveError):
     log-distance g(x_j, x_{j+1}, x_{j+1}): the step length overflowed,
     or the metric gave NaN."""
 
-    def __init__(self, index: int, point: float, step_log: float):
-        super().__init__(f"step {index} from iterate {point} has non-finite "
-                         f"log-distance {step_log}")
-        self.index = index
-        self.point = point
-        self.step_log = step_log
+    _fields = ("index", "point", "step_log")
+    _message = "step {} from iterate {} has non-finite log-distance {}"
 
 
 class BelowFloor(SolveError):
@@ -69,12 +73,8 @@ class BelowFloor(SolveError):
     LOG_FLOOR: the space is no multiplicative metric space there, so no
     residual certifies anything."""
 
-    def __init__(self, index: int, point: float, step_log: float):
-        super().__init__(f"step {index} from iterate {point} has log-distance "
-                         f"{step_log} below the floor {LOG_FLOOR}")
-        self.index = index
-        self.point = point
-        self.step_log = step_log
+    _fields = ("index", "point", "step_log")
+    _message = f"step {{}} from iterate {{}} has log-distance {{}} below the floor {LOG_FLOOR}"
 
 
 class InexactFixedPoint(SolveError):
@@ -82,12 +82,8 @@ class InexactFixedPoint(SolveError):
     exact residual G(x, Fx, Fx), with Fx on the map's row of x in exact
     rationals, is not: the float map absorbs a step the real map takes."""
 
-    def __init__(self, index: int, point: float, exact_residual: float):
-        super().__init__(f"iterate {index} = {point} has exact residual log "
-                         f"{exact_residual} to its image, above the tolerance")
-        self.index = index
-        self.point = point
-        self.exact_residual = exact_residual
+    _fields = ("index", "point", "exact_residual")
+    _message = "iterate {} = {} has exact residual log {} to its image, above the tolerance"
 
 
 class SeedConditionViolated(SolveError):
@@ -98,13 +94,8 @@ class SeedConditionViolated(SolveError):
 class MaxIterationsExceeded(SolveError):
     """The residual did not reach tolerance within the iteration budget."""
 
-    def __init__(self, iterations: int, last_point: float, last_residual_log: float):
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(last point {last_point}, residual log {last_residual_log})")
-        self.iterations = iterations
-        self.last_point = last_point
-        self.last_residual_log = last_residual_log
+    _fields = ("iterations", "last_point", "last_residual_log")
+    _message = "no convergence after {} iterations (last point {}, residual log {})"
 
 
 class PicardTrace(Record):
@@ -132,13 +123,9 @@ class PicardTrace(Record):
         so no field needs CSV quoting."""
         last = len(self.step_logs)
         cells = chain.from_iterable(zip(range(last), self.iterates, self.step_logs, self.in_ball))
-        # blocks of 1,024 rows, so that no report-sized string is copied
-        parts = ["index,value,step_log,in_ball\n"]
-        for start in range(0, last, 1024):
-            n = min(1024, last - start)
-            parts.append(("%d,%r,%r,%s\n" * n) % tuple(islice(cells, 4 * n)))
-        parts.append(f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
-        return "".join(parts)
+        rows = ("%d,%r,%r,%s\n" * last) % tuple(cells)
+        return (f"index,value,step_log,in_ball\n{rows}"
+                f"{last},{self.iterates[last]!r},,{self.in_ball[last]}\n")
 
 
 class FixedPointResult(Record):

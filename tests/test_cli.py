@@ -384,6 +384,21 @@ def test_certify_ball_outside_domain_is_empty_region(capsys, tmp_path):
     assert "does not meet the map's domain" in err
 
 
+def test_certify_ball_with_no_sampled_point_in_the_domain_is_empty_region(capsys, tmp_path):
+    # the ball [0.25, 0.75] lies left of the domain [1, inf): no draw of
+    # the probe interval lands in it
+    cfg = tmp_path / "left.json"
+    cfg.write_text(json.dumps({
+        "space": "exp-usual", "map": [{"interval": [1, None], "slope": 0.5, "offset": 0.5}],
+        "params": {"eta": 0.5, "gamma": 1.6487212707001282, "x0": 0.5}}))
+    code, out, err = run_cli(capsys, "certify", "--config", str(cfg), "--condition", "root",
+                             "--region", "ball", "--n", "100")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: empty region: no sampled point lies in "
+                   "ball(center=0.5, radius=1.6487212707001282)\n")
+
+
 def test_certify_infinite_metric_values_exit_two(tmp_path):
     # the identity map: g overflows to inf on the region, which is no
     # contraction, and a report cannot carry it
@@ -636,6 +651,15 @@ def test_axioms_tiny_domain_is_usage_error(region, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+def test_axioms_domain_too_narrow_for_separated_pairs_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "axioms", "--fixture", "exp-usual",
+                             "--region", "0:1.0000001e-9", "--n", "100")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: found only 0 of 100 point pairs more than 1e-09 apart in "
+                   "[0.0, 1.0000001e-09] after 100 rounds\n")
 
 
 WIDE_CONFIG = {

@@ -388,6 +388,8 @@ def test_certify_argument_validation():
         certify_region(G, EX33.map, EX33.params, "root", Interval(0, 1), 0, seed=1)
     with pytest.raises(ValueError):
         certify_region(G, EX33.map, EX33.params, "root", Interval(0.0, math.inf), 10, seed=1)
+    with pytest.raises(ValueError, match="^region must be an Interval or 'ball', got 'disk'$"):
+        certify_region(G, EX33.map, EX33.params, "root", "disk", 10, seed=1)
 
 
 def test_certify_report_to_dict_shape():

@@ -33,7 +33,7 @@ from mgmetric import (
     seed_condition_holds,
     solve_fixed_point,
 )
-from mgmetric.metric import _RELATIONS, _perimeter_batch, _relation_holds
+from mgmetric.metric import _RELATIONS, _perimeter_batch
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -524,10 +524,10 @@ def test_checker_argument_validation():
        st.floats(), st.booleans())
 def test_no_relation_holds_with_a_non_finite_side(relation, bad, other, bad_on_left):
     lhs, rhs = (bad, other) if bad_on_left else (other, bad)
-    holds = _relation_holds(relation, lhs, rhs)
+    holds = _RELATIONS[relation](lhs, rhs)
     assert holds is False  # a bool from floats, without numpy
     assert not Witness("r", (), lhs, rhs, relation).holds()
     with np.errstate(invalid="ignore"):  # "==" subtracts inf from inf
-        assert not _relation_holds(relation, np.array([lhs, lhs]), np.array([rhs, rhs])).any()
-        assert not _relation_holds(relation, np.array([lhs]), rhs).any()
+        assert not _RELATIONS[relation](np.array([lhs, lhs]), np.array([rhs, rhs])).any()
+        assert not _RELATIONS[relation](np.array([lhs]), rhs).any()
 

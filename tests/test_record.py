@@ -61,6 +61,11 @@ def test_defaults():
     assert (fx.mult, fx.map, fx.params) == (None, None, None)
 
 
+def test_an_unknown_relation_fails_when_the_witness_is_built():
+    with pytest.raises(ValueError, match="^unknown relation '<'$"):
+        Witness("r", (1.0,), 0.0, 0.0, "<")
+
+
 @pytest.mark.parametrize("build", [
     lambda: ContractionParams(0.625, 5.5),
     lambda: ContractionParams(0.625, 5.5, 1.0, 1),

@@ -237,6 +237,12 @@ def test_non_finite_mapping_value_is_rejected(bad):
         dumps({"verdict": "holds-on-sample", "eta": 0.5, "gamma": bad})
 
 
+@pytest.mark.parametrize("doc", [{"a": object()}, [object()]], ids=["mapping", "list"])
+def test_an_unrenderable_value_is_rejected(doc):
+    with pytest.raises(TypeError, match="^cannot render object in a report$"):
+        dumps(doc)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(FLOATS), st.sampled_from([math.inf, -math.inf, math.nan]), st.lists(FLOATS),
        st.sampled_from([[], [None], [1], [True]]), st.booleans())
@@ -322,7 +328,7 @@ def test_scalar_rhs_records_as_a_full_array_does(lhs, rhs, relation):
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
 def test_columns_across_block_boundaries_render_as_the_references_do(n):
-    # to_csv formats blocks of 1,024 rows; dumps joins each container once
+    # dumps joins each container once
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
     trace = PicardTrace(iterates=tuple(values.tolist()),

@@ -20,6 +20,7 @@ from mgmetric import (
     NonFiniteStep,
     PairSumMetric,
     PerimeterMetric,
+    PicardTrace,
     PiecewiseMap,
     PiecewiseRow,
     SeedConditionViolated,
@@ -38,6 +39,7 @@ from mgmetric import (
 )
 from mgmetric._jsonutil import dumps
 from mgmetric.fixtures import exact_step
+from mgmetric.metric import LOG_FLOOR
 from mgmetric.solver import _orbit
 from test_golden import _load_workloads
 
@@ -78,6 +80,15 @@ def test_trace_length_consistency():
     trace = solve_fixed_point(G, EX37.map, params, epsilon=TOL).trace
     assert len(trace.step_logs) == len(trace.iterates) - 1
     assert len(trace.in_ball) == len(trace.iterates)
+
+
+@pytest.mark.parametrize("step_logs, in_ball, message", [
+    ((), (True, True), "one step log per transition"),
+    ((0.0,), (True,), "one ball flag per iterate"),
+])
+def test_a_trace_of_mismatched_lengths_is_rejected(step_logs, in_ball, message):
+    with pytest.raises(ValueError, match=f"^trace needs exactly {message}$"):
+        PicardTrace(iterates=(1.0, 0.5), step_logs=step_logs, in_ball=in_ball, monotone=True)
 
 
 def test_trace_domain_exit():
@@ -374,6 +385,52 @@ def test_every_solve_failure_is_a_solve_error():
     for error in (DomainExit, NonFiniteStep, BelowFloor, SeedConditionViolated,
                   MaxIterationsExceeded, InexactFixedPoint):
         assert issubclass(error, SolveError)
+
+
+# Each solve error's attributes and its message as hand-written f-strings,
+# the reference for the message templates the classes declare.
+_SOLVE_ERRORS = {
+    DomainExit: (("index", "point"),
+                 lambda index, point: f"iterate {index} = {point} left the map's domain"),
+    NonFiniteStep: (("index", "point", "step_log"),
+                    lambda index, point, step_log: f"step {index} from iterate {point} has "
+                                                   f"non-finite log-distance {step_log}"),
+    BelowFloor: (("index", "point", "step_log"),
+                 lambda index, point, step_log: f"step {index} from iterate {point} has "
+                                                f"log-distance {step_log} below the floor "
+                                                f"{LOG_FLOOR}"),
+    InexactFixedPoint: (("index", "point", "exact_residual"),
+                        lambda index, point, exact_residual: f"iterate {index} = {point} has "
+                                                             f"exact residual log "
+                                                             f"{exact_residual} to its image, "
+                                                             f"above the tolerance"),
+    MaxIterationsExceeded: (("iterations", "last_point", "last_residual_log"),
+                            lambda iterations, last_point, last_residual_log:
+                            f"no convergence after {iterations} iterations (last point "
+                            f"{last_point}, residual log {last_residual_log})"),
+}
+
+
+@pytest.mark.parametrize("error", list(_SOLVE_ERRORS), ids=lambda e: e.__name__)
+@settings(max_examples=50, deadline=None)
+@given(index=st.integers(min_value=0, max_value=10**9), point=st.floats(),
+       third=st.floats() | st.sampled_from([1 / 3, 5e-324, Fraction(1, 3)]))
+def test_solve_errors_keep_their_message_and_attributes(error, index, point, third):
+    names, reference = _SOLVE_ERRORS[error]
+    values = (index, point, third)[:len(names)]
+    exc = error(*values)
+    assert str(exc) == reference(*values)
+    assert exc.args == (reference(*values),)
+    for name, value in zip(names, values):
+        assert getattr(exc, name) is value
+    assert "__init__" not in vars(error)
+
+
+def test_a_seed_violation_keeps_its_one_message():
+    message = "seed 5.0 has log-distance 3.0 to its image, above the budget ln(2.0)"
+    exc = SeedConditionViolated(message)
+    assert (str(exc), exc.args) == (message, (message,))
+    assert not hasattr(exc, "index")
 
 
 def test_mu_class_is_derived_from_mu():

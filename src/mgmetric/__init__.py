@@ -15,19 +15,18 @@ __version__ = "0.1.0"
 
 # The public names, by module.
 _NAMES = {
-    "metric": "SLACK ClosedBall GMetric Interval LogDistance MultMetric PairSumMetric "
-              "PerimeterMetric Point Witness ball_contains gm_from_exp gm_from_product "
-              "usual_metric",
-    "contraction": "ContractionParams SelfMap implicit_bound implicit_contraction_holds "
+    "metric": "SLACK ClosedBall DifferenceMetric GMetric Interval LogDistance MultMetric "
+              "PairSumMetric PerimeterMetric PiecewiseMap PiecewiseRow Point SelfMap Witness "
+              "ball_contains gm_from_exp gm_from_product piecewise_map usual_metric",
+    "contraction": "ContractionParams implicit_bound implicit_contraction_holds "
                    "root_contraction_holds seed_condition_holds",
     "sampling": "AxiomReport CertificateReport EmptyRegion certify_region check_gm_axioms "
                 "check_gm_properties check_mult_axioms",
     "solver": "BelowFloor DomainExit FixedPointResult InexactFixedPoint MaxIterationsExceeded "
               "NonFiniteStep PicardTrace SeedConditionViolated SolveError a_priori_iterations "
               "mu_class mu_of solve_fixed_point",
-    "fixtures": "DifferenceMetric EXP_ABS_METRIC NamedFixture PiecewiseMap PiecewiseRow "
-                "get_fixture half_shift_map load_fixture_config piecewise_map quarter_shift_map "
-                "registry",
+    "fixtures": "EXP_ABS_METRIC NamedFixture get_fixture half_shift_map load_fixture_config "
+                "quarter_shift_map registry",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

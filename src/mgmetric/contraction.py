@@ -16,10 +16,9 @@ sweeps a condition over a sampled region.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
-from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, Interval, LogDistance, Point, Record,
-                     _RELATIONS, _evaluate_many, np)
+from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, LogDistance, Point, Record, SelfMap,
+                     _RELATIONS, _diff, exact_step)
 
 
 class ContractionParams(Record):
@@ -44,65 +43,42 @@ class ContractionParams(Record):
         return (1.0 - self.eta) * self.gamma
 
 
-class SelfMap(Record):
-    """A self-map of the carrier with an explicit domain interval.
-
-    The optional ``batch`` is ``apply`` over a float64 array: it returns
-    bitwise the floats ``apply`` returns, and ``many`` calls ``apply``
-    once per point when it is missing.  Its argument may be a read-only
-    view, and it must not write it.
-    """
-
-    apply: Callable[[Point], Point]
-    domain: Interval = Interval(0.0, math.inf)
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, x: Point) -> Point:
-        return self.apply(x)
-
-    def many(self, x: np.ndarray) -> np.ndarray:
-        """``apply`` of each element of a float64 array."""
-        return _evaluate_many(self.apply, self.batch, x)
-
-
 def _validate_eta(eta: float) -> None:
     if not (0.0 <= eta < 1.0):
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
 
 
-def _root_majorant(g, x, y, z, fx, fy):
+def _root_majorant(g, x, y, z, fx, fy, maximum, minimum):
     return g(x, y, z)
 
 
-# np.maximum and np.minimum on two floats, without numpy: the first
-# argument if it is NaN or strictly wins, else the second, so a NaN
-# propagates and a tie (0.0 against -0.0 included) returns the second.
+# np.maximum and np.minimum on two scalars, floats or exact ratios,
+# without numpy: the first argument if it is NaN or strictly wins, else
+# the second, so a NaN propagates and a tie (0.0 against -0.0 included)
+# returns the second.
 def _maximum(a, b):
-    if isinstance(a, float) and isinstance(b, float):
-        return a if a > b or a != a else b
-    return np.maximum(a, b)
+    return a if a > b or a != a else b
 
 
 def _minimum(a, b):
-    if isinstance(a, float) and isinstance(b, float):
-        return a if a < b or a != a else b
-    return np.minimum(a, b)
+    return a if a < b or a != a else b
 
 
-def _implicit_majorant(g, x, y, z, fx, fy):
+def _implicit_majorant(g, x, y, z, fx, fy, maximum, minimum):
     # The maximum and minimum return their second argument on ties, so
     # the earlier term goes second: ties keep it, as Python's min and max
     # do.  Unlike those, they propagate a NaN.
     acc = g(x, y, z)
-    for term in (g(x, fx, fx), g(y, fy, fy), g(x, fy, fy), _minimum(g(x, z, z), g(z, fx, fx))):
-        acc = _maximum(term, acc)
+    for term in (g(x, fx, fx), g(y, fy, fy), g(x, fy, fy), minimum(g(x, z, z), g(z, fx, fx))):
+        acc = maximum(term, acc)
     return acc
 
 
 # The majorant M of each condition, which must satisfy
-# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, the triple and the
-# images Fx, Fy, either as scalars with the scalar kernels or as arrays
-# with the batch ones.
+# g(Fx, Fy, Fz) <= eta * M.  Each takes the metric, the triple, the
+# images Fx, Fy and the maximum and minimum of two values: scalars with
+# ``g``, ``F`` and ``_maximum``, ``_minimum``, or arrays with their
+# ``many`` and ``np.maximum``, ``np.minimum``.
 _MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
 
 
@@ -111,11 +87,11 @@ def _check_condition(name: str, label: str) -> None:
         raise ValueError(f"{label} must be 'root' or 'implicit', got {name!r}")
 
 
-def _condition_sides(condition: str, g, F, eta: float, x, y, z):
+def _condition_sides(condition: str, g, F, eta: float, x, y, z, maximum, minimum):
     """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, and
     every metric value they used with its triple, in call order: for
-    scalars (``g`` a GMetric, ``F`` a SelfMap) or for arrays (their
-    ``many``).  A pair term G(a, b) is ``g(a, b, b)``."""
+    scalars or for arrays, as the majorants take them.  A pair term
+    G(a, b) is ``g(a, b, b)``."""
     used = []
 
     def metric(*triple):
@@ -125,13 +101,13 @@ def _condition_sides(condition: str, g, F, eta: float, x, y, z):
 
     fx, fy, fz = F(x), F(y), F(z)
     lhs = metric(fx, fy, fz)
-    return lhs, eta * _MAJORANTS[condition](metric, x, y, z, fx, fy), used
+    return lhs, eta * _MAJORANTS[condition](metric, x, y, z, fx, fy, maximum, minimum), used
 
 
 def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point) -> bool:
     _validate_eta(eta)
-    lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z)
+    lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z, _maximum, _minimum)
     return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < LOG_FLOOR for _, v in used)
 
 
@@ -150,10 +126,9 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     the metric's floor and nothing can satisfy it (that includes a
     budget that underflows to 0), and when g(x0, Fx0, Fx0) is itself
     below the floor, where the space is no multiplicative metric space.
-    Where ``fixtures.exact_step`` applies, its exact value must be within
+    Where ``metric.exact_step`` applies, its exact value must be within
     the budget too; other metrics and maps keep the float check.
     """
-    from .fixtures import _diff, exact_step  # fixtures imports this module
     x0 = params.seed_point
     budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
@@ -166,7 +141,7 @@ def implicit_bound(g: GMetric, F: SelfMap, eta: float,
     """Log-domain value of the implicit majorant: eta times the max of
     the five reference distances at (x, y, z)."""
     _validate_eta(eta)
-    return float(_condition_sides("implicit", g, F, eta, x, y, z)[1])
+    return float(_condition_sides("implicit", g, F, eta, x, y, z, _maximum, _minimum)[1])
 
 
 def implicit_contraction_holds(g: GMetric, F: SelfMap, eta: float,

@@ -1,4 +1,4 @@
-"""Stock spaces and self-maps, JSON-config fixtures for the CLI, and their exact view.
+"""Stock spaces and self-maps, and JSON-config fixtures for the CLI.
 
 The two stock spaces live on the nonnegative reals: "exp-usual" is the
 exponential of the pairwise perimeter of the usual distance, and
@@ -14,163 +14,14 @@ from __future__ import annotations
 import math
 import os
 
-from .metric import (GMetric, Interval, MultMetric, PairSumMetric, PerimeterMetric, Record,
-                     gm_from_exp, gm_from_product, np, usual_metric)
-from .contraction import ContractionParams, SelfMap
+# The piecewise-linear records live in ``metric``; they still import from here.
+from .metric import (DifferenceMetric, GMetric, MultMetric, PiecewiseMap, PiecewiseRow, Record,
+                     SelfMap, gm_from_exp, gm_from_product, piecewise_map, usual_metric)
+from .contraction import ContractionParams
 
 
 #: Multiplicative metric e^{|x - y|}, held in log-domain.
 EXP_ABS_METRIC = MultMetric(dist=usual_metric, description="e^|x-y|", batch=usual_metric)
-
-
-class PiecewiseRow(Record):
-    """One linear piece slope * x + offset on the half-open cell [lo, hi)."""
-
-    lo: float
-    hi: float
-    slope: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"empty piecewise cell: [{self.lo}, {self.hi})")
-        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
-            raise ValueError(f"piecewise slope and offset must be finite, "
-                             f"got {self.slope} and {self.offset}")
-
-
-def _outside(x: float) -> ValueError:
-    return ValueError(f"point {x} is outside the piecewise rows")
-
-
-class PiecewiseMap(SelfMap):
-    """The self-map of contiguous piecewise-linear rows sorted by ``lo``;
-    each breakpoint belongs to the cell on its right.
-
-    The rows are the only field, so ``==``, ``hash``, copying and
-    pickling go by them.  ``apply`` finds the row of one point;
-    ``batch`` counts the inner breakpoints at or below each point of a
-    float64 array, then does the same arithmetic.  The last cell is
-    half-open too, so a finite right end is left out of the domain, which
-    stops at the float just below it.
-    """
-
-    rows: tuple[PiecewiseRow, ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValueError("piecewise rows must not be empty")
-        for a, b in zip(self.rows, self.rows[1:]):
-            if a.hi != b.lo:
-                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
-
-    @property
-    def domain(self) -> Interval:
-        hi = self.rows[-1].hi
-        return Interval(self.rows[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf))
-
-    def apply(self, x: float) -> float:
-        for row in self.rows:
-            if row.lo <= x < row.hi:
-                return row.slope * x + row.offset
-        raise _outside(x)
-
-    def batch(self, x: np.ndarray) -> np.ndarray:
-        # The cells are contiguous: together they cover [first lo, last hi),
-        # and the cell of x is the number of inner breakpoints <= x.
-        rows = self.rows
-        inside = (rows[0].lo <= x) & (x < rows[-1].hi)
-        if not inside.all():
-            raise _outside(float(x[np.flatnonzero(~inside)[0]]))
-        # One compare per breakpoint: a stock or config map has a few rows,
-        # and a binary search costs several compares' time per point.
-        row = np.zeros(x.shape, dtype=np.intp)
-        for r in rows[1:]:
-            row += x >= r.lo
-        # slope * x + offset, formed in the array take returns
-        y = np.array([r.slope for r in rows], dtype=np.float64).take(row)
-        y *= x
-        y += np.array([r.offset for r in rows], dtype=np.float64).take(row)
-        return y
-
-
-def piecewise_map(rows: list[PiecewiseRow]) -> PiecewiseMap:
-    """The map of contiguous rows given in any order."""
-    return PiecewiseMap(tuple(sorted(rows, key=lambda r: r.lo)))
-
-
-class DifferenceMetric(MultMetric):
-    """The log-distance of a ``product-pl`` config space: its map applied
-    to the signed difference x - y.  The map is the only field, so ``==``,
-    ``hash``, copying and pickling go by its rows."""
-
-    map: PiecewiseMap
-    description = "piecewise log-distance of x - y"
-
-    def dist(self, x: float, y: float) -> float:
-        return self.map.apply(x - y)
-
-    def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.map.batch(x - y)
-
-
-# ---------------------------------------------------------------------------
-# The exact view: each space the CLI builds has a pair log-distance M(x - y)
-# at the canonical pair x <= y, M piecewise linear, so G(x, y, y) is
-# 2 M(-|x - y|) + M(0).  A rational is an integer ratio n / d with d > 0.
-
-_ABS_ROWS = (PiecewiseRow(-math.inf, 0.0, -1.0, 0.0), PiecewiseRow(0.0, math.inf, 1.0, 0.0))
-
-
-def pair_rows(g: GMetric) -> tuple[PiecewiseRow, ...] | None:
-    """M's rows: |t| for the perimeter, a ``product-pl`` space's map, else None."""
-    if isinstance(g, PerimeterMetric):
-        return _ABS_ROWS
-    d = g.d if isinstance(g, PairSumMetric) else None
-    return d.map.rows if isinstance(d, DifferenceMetric) else None
-
-
-def _diff(n: int, d: int, f: float) -> int:
-    # n / d - f times a positive factor, exactly; +-inf is the ratio +-1 / 0
-    fn, fd = f.as_integer_ratio() if math.isfinite(f) else (1 if f > 0 else -1, 0)
-    return n * fd - fn * d
-
-
-def _ratio(n: int, d: int) -> float:
-    # n / d rounded to a float, +-inf past the largest one
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
-
-def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:
-    # the row whose cell holds n / d; for a float's ratio, the row apply uses
-    for row in rows:
-        if _diff(n, d, row.lo) >= 0 > _diff(n, d, row.hi):
-            return row
-    raise _outside(_ratio(n, d))
-
-
-def _at(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> tuple[int, int]:
-    # slope * t + offset on the row of t = n / d
-    row = _row(rows, n, d)
-    (sn, sd), (on, od) = row.slope.as_integer_ratio(), row.offset.as_integer_ratio()
-    return sn * n * od + on * sd * d, sd * d * od
-
-
-def exact_step(g: GMetric, F: SelfMap, x: float) -> tuple[int, int] | None:
-    """G(x, Fx, Fx) as an exact rational, with Fx on the row ``F.apply``
-    uses for x, when ``F`` is a PiecewiseMap and ``g`` has ``pair_rows``;
-    else None.  A difference outside M's rows raises apply's ValueError."""
-    M = pair_rows(g)
-    if M is None or not isinstance(F, PiecewiseMap):
-        return None
-    xn, xd = x.as_integer_ratio()
-    fn, fd = _at(F.rows, xn, xd)
-    mn, md = _at(M, -abs(xn * fd - fn * xd), xd * fd)
-    cn, cd = _at(M, 0, 1)
-    return 2 * mn * cd + cn * md, md * cd
 
 
 # The two stock maps.  Each breakpoint belongs to the translation branch

@@ -7,6 +7,9 @@ maps a triple to ln(G) >= 0, and coincidence (distance exactly 1)
 becomes log value 0.  Exponentiation happens only at API boundaries
 (``GMetric.value``, reports, the CLI).
 
+Self-maps live here too, with the piecewise-linear maps and spaces of
+every fixture and their exact view in integer ratios.
+
 The records here and in the other modules are ``Record`` subclasses:
 frozen, compared and hashed by their fields.  The sampled axiom audits
 live in ``sampling``.
@@ -225,6 +228,27 @@ class GMetric(Record):
         return _evaluate_many(self.g, self.batch, x, y, z)
 
 
+class SelfMap(Record):
+    """A self-map of the carrier with an explicit domain interval.
+
+    The optional ``batch`` is ``apply`` over a float64 array: it returns
+    bitwise the floats ``apply`` returns, and ``many`` calls ``apply``
+    once per point when it is missing.  Its argument may be a read-only
+    view, and it must not write it.
+    """
+
+    apply: Callable[[Point], Point]
+    domain: Interval = Interval(0.0, math.inf)
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __call__(self, x: Point) -> Point:
+        return self.apply(x)
+
+    def many(self, x: np.ndarray) -> np.ndarray:
+        """``apply`` of each element of a float64 array."""
+        return _evaluate_many(self.apply, self.batch, x)
+
+
 class ClosedBall(Record):
     """Closed ball {rho : G(center, rho, rho) <= radius}.
 
@@ -364,6 +388,97 @@ def gm_from_exp(d: Callable[[Point, Point], float], description: str = "") -> Pa
     return gm_from_product(MultMetric(dist=d), description or "exp of pairwise perimeter")
 
 
+class PiecewiseRow(Record):
+    """One linear piece slope * x + offset on the half-open cell [lo, hi)."""
+
+    lo: float
+    hi: float
+    slope: float
+    offset: float
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError(f"empty piecewise cell: [{self.lo}, {self.hi})")
+        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
+            raise ValueError(f"piecewise slope and offset must be finite, "
+                             f"got {self.slope} and {self.offset}")
+
+
+def _outside(x: float) -> ValueError:
+    return ValueError(f"point {x} is outside the piecewise rows")
+
+
+class PiecewiseMap(SelfMap):
+    """The self-map of contiguous piecewise-linear rows sorted by ``lo``;
+    each breakpoint belongs to the cell on its right.
+
+    The rows are the only field, so ``==``, ``hash``, copying and
+    pickling go by them.  ``apply`` finds the row of one point;
+    ``batch`` counts the inner breakpoints at or below each point of a
+    float64 array, then does the same arithmetic.  The last cell is
+    half-open too, so a finite right end is left out of the domain, which
+    stops at the float just below it.
+    """
+
+    rows: tuple[PiecewiseRow, ...]
+
+    def __post_init__(self) -> None:
+        if not self.rows:
+            raise ValueError("piecewise rows must not be empty")
+        for a, b in zip(self.rows, self.rows[1:]):
+            if a.hi != b.lo:
+                raise ValueError(f"piecewise cells must be contiguous: {a.hi} != {b.lo}")
+
+    @property
+    def domain(self) -> Interval:
+        hi = self.rows[-1].hi
+        return Interval(self.rows[0].lo, hi if hi == math.inf else math.nextafter(hi, -math.inf))
+
+    def apply(self, x: float) -> float:
+        for row in self.rows:
+            if row.lo <= x < row.hi:
+                return row.slope * x + row.offset
+        raise _outside(x)
+
+    def batch(self, x: np.ndarray) -> np.ndarray:
+        # The cells are contiguous: together they cover [first lo, last hi),
+        # and the cell of x is the number of inner breakpoints <= x.
+        rows = self.rows
+        inside = (rows[0].lo <= x) & (x < rows[-1].hi)
+        if not inside.all():
+            raise _outside(float(x[np.flatnonzero(~inside)[0]]))
+        # One compare per breakpoint: a stock or config map has a few rows,
+        # and a binary search costs several compares' time per point.
+        row = np.zeros(x.shape, dtype=np.intp)
+        for r in rows[1:]:
+            row += x >= r.lo
+        # slope * x + offset, formed in the array take returns
+        y = np.array([r.slope for r in rows], dtype=np.float64).take(row)
+        y *= x
+        y += np.array([r.offset for r in rows], dtype=np.float64).take(row)
+        return y
+
+
+def piecewise_map(rows: list[PiecewiseRow]) -> PiecewiseMap:
+    """The map of contiguous rows given in any order."""
+    return PiecewiseMap(tuple(sorted(rows, key=lambda r: r.lo)))
+
+
+class DifferenceMetric(MultMetric):
+    """The log-distance of a ``product-pl`` config space: its map applied
+    to the signed difference x - y.  The map is the only field, so ``==``,
+    ``hash``, copying and pickling go by its rows."""
+
+    map: PiecewiseMap
+    description = "piecewise log-distance of x - y"
+
+    def dist(self, x: float, y: float) -> float:
+        return self.map.apply(x - y)
+
+    def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.map.batch(x - y)
+
+
 # Each required relation between lhs_log and rhs_log: whether ``lhs
 # relation rhs`` holds within SLACK, for floats and float64 arrays alike
 # (elementwise), and only between finite sides: a NaN fails every
@@ -399,3 +514,62 @@ class Witness(Record):
     def holds(self) -> bool:
         """Re-evaluate the required relation from the stored sides."""
         return bool(_RELATIONS[self.relation](self.lhs_log, self.rhs_log))
+
+
+# ---------------------------------------------------------------------------
+# The exact view: each space the CLI builds has a pair log-distance M(x - y)
+# at the canonical pair x <= y, M piecewise linear, so G(x, y, y) is
+# 2 M(-|x - y|) + M(0).  A rational is an integer ratio n / d with d > 0.
+
+_ABS_ROWS = (PiecewiseRow(-math.inf, 0.0, -1.0, 0.0), PiecewiseRow(0.0, math.inf, 1.0, 0.0))
+
+
+def pair_rows(g: GMetric) -> tuple[PiecewiseRow, ...] | None:
+    """M's rows: |t| for the perimeter, a ``product-pl`` space's map, else None."""
+    if isinstance(g, PerimeterMetric):
+        return _ABS_ROWS
+    d = g.d if isinstance(g, PairSumMetric) else None
+    return d.map.rows if isinstance(d, DifferenceMetric) else None
+
+
+def _diff(n: int, d: int, f: float) -> int:
+    # n / d - f times a positive factor, exactly; +-inf is the ratio +-1 / 0
+    fn, fd = f.as_integer_ratio() if math.isfinite(f) else (1 if f > 0 else -1, 0)
+    return n * fd - fn * d
+
+
+def _ratio(n: int, d: int) -> float:
+    # n / d rounded to a float, +-inf past the largest one
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:
+    # the row whose cell holds n / d; for a float's ratio, the row apply uses
+    for row in rows:
+        if _diff(n, d, row.lo) >= 0 > _diff(n, d, row.hi):
+            return row
+    raise _outside(_ratio(n, d))
+
+
+def _at(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> tuple[int, int]:
+    # slope * t + offset on the row of t = n / d
+    row = _row(rows, n, d)
+    (sn, sd), (on, od) = row.slope.as_integer_ratio(), row.offset.as_integer_ratio()
+    return sn * n * od + on * sd * d, sd * d * od
+
+
+def exact_step(g: GMetric, F: SelfMap, x: float) -> tuple[int, int] | None:
+    """G(x, Fx, Fx) as an exact rational, with Fx on the row ``F.apply``
+    uses for x, when ``F`` is a PiecewiseMap and ``g`` has ``pair_rows``;
+    else None.  A difference outside M's rows raises apply's ValueError."""
+    M = pair_rows(g)
+    if M is None or not isinstance(F, PiecewiseMap):
+        return None
+    xn, xd = x.as_integer_ratio()
+    fn, fd = _at(F.rows, xn, xd)
+    mn, md = _at(M, -abs(xn * fd - fn * xd), xd * fd)
+    cn, cd = _at(M, 0, 1)
+    return 2 * mn * cd + cn * md, md * cd

@@ -8,9 +8,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
-from .metric import (LOG_FLOOR, ClosedBall, GMetric, Interval, MultMetric, Record, Witness,
-                     _RELATIONS, ball_contains, np)
-from .contraction import (ContractionParams, SelfMap, _check_condition, _condition_sides,
+from .metric import (LOG_FLOOR, ClosedBall, GMetric, Interval, MultMetric, Record, SelfMap,
+                     Witness, _RELATIONS, ball_contains, np)
+from .contraction import (ContractionParams, _check_condition, _condition_sides,
                           seed_condition_holds)
 
 # Sampled "distinct" points must be separated by at least this much,
@@ -425,7 +425,8 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
     (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)
     rec = _Recorder((condition, "invariance", "floor"))
     with _quiet():
-        lhs, rhs, used = _condition_sides(condition, g.many, F.many, params.eta, x, y, z)
+        lhs, rhs, used = _condition_sides(condition, g.many, F.many, params.eta, x, y, z,
+                                          np.maximum, np.minimum)
         rec.require(0, condition, (x, y, z), lhs, rhs)
         # a metric value below the floor voids the condition's evidence
         for triple, values in used:

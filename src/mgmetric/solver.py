@@ -18,7 +18,7 @@ rests on an eta the map does not meet; otherwise the solver still runs
 best-effort and flags the rate as uncertified.
 
 The float residual cannot tell convergence from a step that rounds
-away (x - 1/3 rounds back to x = 1e17).  So where ``fixtures.exact_step``
+away (x - 1/3 rounds back to x = 1e17).  So where ``metric.exact_step``
 applies, the last step is checked again in exact rationals; other
 metrics and maps keep the float certificate.
 """
@@ -30,10 +30,9 @@ import sys
 from itertools import chain, repeat
 from operator import le, mul
 
-from .metric import LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, Point, Record
-from .contraction import (ContractionParams, SelfMap, _check_condition, _validate_eta,
-                          seed_condition_holds)
-from .fixtures import PiecewiseMap, _diff, _ratio, _row, exact_step
+from .metric import (LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, PiecewiseMap,
+                     Point, Record, SelfMap, _diff, _ratio, _row, exact_step)
+from .contraction import ContractionParams, _check_condition, _validate_eta, seed_condition_holds
 
 
 class SolveError(RuntimeError):
@@ -88,7 +87,7 @@ class InexactFixedPoint(SolveError):
 
 class SeedConditionViolated(SolveError):
     """The seed point fails the admissibility condition for its ball; the
-    message gives its exact log-distance where ``fixtures.exact_step`` does."""
+    message gives its exact log-distance where ``metric.exact_step`` does."""
 
 
 class MaxIterationsExceeded(SolveError):
@@ -318,7 +317,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
     infinite or NaN, and MaxIterationsExceeded if the residual never
-    reaches tolerance.  Where ``fixtures.exact_step`` applies, the last
+    reaches tolerance.  Where ``metric.exact_step`` applies, the last
     iterate's residual is also checked in exact rationals, and
     InexactFixedPoint raised when it is above tolerance; other metrics and
     maps keep the float certificate.

@@ -23,7 +23,7 @@ from mgmetric import (
     seed_condition_holds,
     usual_metric,
 )
-from mgmetric.contraction import _implicit_majorant
+from mgmetric.contraction import _implicit_majorant, _maximum, _minimum
 from mgmetric.metric import LOG_FLOOR
 
 G = gm_from_exp(usual_metric)
@@ -465,6 +465,33 @@ for t in ((0.1, 0.2, 0.3), (1.0, 2.0, 1.0)):
 """
 
 
+# The condition core on exact ratios: a perimeter over Fraction and ex33's
+# map with Fraction rows, at (0, 1/3, 11/2), where the images are
+# (0, 0, 31/6) and both majorants are the triple's own perimeter 11.
+_EXACT_WITHOUT_NUMPY = """
+import math, sys
+sys.modules["numpy"] = None
+from fractions import Fraction as Q
+from mgmetric.contraction import _condition_sides, _maximum, _minimum
+from mgmetric.metric import GMetric, PiecewiseMap, PiecewiseRow
+g = GMetric(g=lambda x, y, z: abs(x - y) + abs(y - z) + abs(z - x))
+F = PiecewiseMap((PiecewiseRow(Q(0), Q(1, 3), Q(1, 4), Q(0)),
+                  PiecewiseRow(Q(1, 3), math.inf, Q(1), Q(-1, 3))))
+for condition in ("root", "implicit"):
+    lhs, rhs, _ = _condition_sides(condition, g, F, Q(5, 8), Q(0), Q(1, 3), Q(11, 2),
+                                   _maximum, _minimum)
+    print(condition, type(lhs).__name__, lhs, type(rhs).__name__, rhs)
+"""
+
+
+def test_condition_core_runs_on_exact_ratios_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _EXACT_WITHOUT_NUMPY],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("root Fraction 31/3 Fraction 55/8\n"
+                           "implicit Fraction 31/3 Fraction 55/8\n")
+
+
 def test_scalar_predicates_run_without_numpy():
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
                           capture_output=True, text=True, timeout=60)
@@ -491,12 +518,14 @@ _TRIPLES = ((_X, _Y, _Z), (_X, _FX, _FX), (_Y, _FY, _FY), (_X, _FY, _FY), (_X, _
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(*[SPECIAL_FLOATS] * 6), min_size=1, max_size=40))
 def test_implicit_majorant_scalar_is_the_batch_bitwise(rows):
-    scalar = [_implicit_majorant(lambda *abc: t[_TRIPLES.index(abc)], _X, _Y, _Z, _FX, _FY)
+    scalar = [_implicit_majorant(lambda *abc: t[_TRIPLES.index(abc)], _X, _Y, _Z, _FX, _FY,
+                                 _maximum, _minimum)
               for t in rows]
     cols = [np.array(c, dtype=np.float64) for c in zip(*rows)]
     n = len(rows)
     batch = _implicit_majorant(lambda *abc: cols[_TRIPLES.index(tuple(v[0] for v in abc))],
-                               *(np.full(n, v) for v in (_X, _Y, _Z, _FX, _FY)))
+                               *(np.full(n, v) for v in (_X, _Y, _Z, _FX, _FY)),
+                               np.maximum, np.minimum)
     assert all(type(v) is float for v in scalar)
     scalar = np.array(scalar, dtype=np.float64)
     nan = np.isnan(batch)

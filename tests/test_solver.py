@@ -38,8 +38,7 @@ from mgmetric import (
     usual_metric,
 )
 from mgmetric._jsonutil import dumps
-from mgmetric.fixtures import exact_step
-from mgmetric.metric import LOG_FLOOR
+from mgmetric.metric import LOG_FLOOR, exact_step
 from mgmetric.solver import _orbit
 from test_golden import _load_workloads
 

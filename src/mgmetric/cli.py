@@ -4,14 +4,15 @@ fixed-point solves, and the reference-value regression report.
 Every command prints a JSON report to stdout and a short human summary
 to stderr.  Exit codes: 0 when everything holds, 1 when a condition is
 violated or convergence fails, 2 on usage or config errors, when a
-command that samples (axioms, certify) finds numpy missing, and when
-its sample arrays cannot be allocated.  Reports are byte-identical for
-identical argument vectors.
+command that samples (axioms, certify) finds numpy missing, when its
+sample arrays cannot be allocated, and when the report cannot be
+written.  Reports are byte-identical for identical argument vectors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import _jsonutil
@@ -34,14 +35,35 @@ def _fmt(x: float) -> str:
     return format(x, ".5g")
 
 
+def _region_ends(text: str) -> tuple[float, float] | None:
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:
+        return None
+    return lo, hi
+
+
 def _parse_region(text: str) -> Interval | str:
     if text == "ball":
         return "ball"
-    try:
-        lo, hi = map(float, text.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"bad region {text!r}: expected lo:hi or ball") from exc
-    return Interval(lo, hi)  # an empty or NaN interval gives its own reason
+    ends = _region_ends(text)
+    if ends is None:
+        raise ValueError(f"bad region {text!r}: expected lo:hi or ball")
+    return Interval(*ends)  # an empty or NaN interval gives its own reason
+
+
+def _join_negative_regions(argv: list[str]) -> list[str]:
+    # argparse reads an argument that starts with "-" as an option, so
+    # "--region -1:1" would leave --region without its value; a region
+    # there is passed on as "--region=-1:1", which argparse reads as one.
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] == "--region" and arg.startswith("-")
+                and _region_ends(arg) is not None):
+            out[-1] = f"--region={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _resolve_fixture(args) -> NamedFixture:
@@ -167,7 +189,7 @@ def cmd_solve(args) -> int:
         return EXIT_VIOLATED
 
     if args.format == "csv":
-        sys.stdout.write(result.trace.to_csv())
+        print(result.trace.to_csv(), end="")
         print(f"solve {fx.id}: point {_fmt(result.point)} in "
               f"{result.iterations_used} iteration(s)", file=sys.stderr)
         return EXIT_OK
@@ -286,14 +308,16 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = _build_parser()
+    argv = _join_negative_regions(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    # MemoryError: a sample count whose arrays cannot be allocated
-    except (ValueError, NumpyMissing, MemoryError) as exc:
+    # MemoryError: a sample count whose arrays cannot be allocated;
+    # OSError: a report that cannot be written, as to a full disk
+    except (ValueError, NumpyMissing, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -306,4 +330,16 @@ def entrypoint() -> None:
     import _signal
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    # The report is written once both streams are flushed; the process
+    # then ends without the interpreter's teardown of numpy and every
+    # other module, which writes nothing.  A stream is None when its
+    # file descriptor was closed at start-up.
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    os._exit(code)

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -688,18 +690,24 @@ def test_region_wider_than_the_float_range_is_usage_error(capsys, tmp_path, comm
     assert err == f"error: {what} must have a finite width hi - lo, got [-1e+308, 1e+308]\n"
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
-def test_closed_pipe_ends_the_command_by_sigpipe(tmp_path):
-    # a 6,693-step trace: its JSON report (about 470 KB) cannot fit in
-    # the pipe's buffer, so the write after the reader closes must fail
+def _orbit_solve(tmp_path) -> list[str]:
+    """A 6,693-step orbit solve: its JSON report (about 473 KB) and its
+    CSV trace (about 358 KB) are far larger than a pipe's buffer or
+    stdout's."""
     cfg = tmp_path / "orbit.json"
     cfg.write_text(json.dumps({
         "space": "exp-usual",
         "map": [{"interval": [0, None], "slope": 0.997, "offset": 0.0}],
         "params": {"eta": 0.9995, "gamma": 4000, "x0": 90},
     }))
-    proc = subprocess.Popen([sys.executable, "-m", "mgmetric", "solve", "--config", str(cfg),
-                             "--epsilon", "1e-9", "--max-iter", "1000000"],
+    return ["solve", "--config", str(cfg), "--epsilon", "1e-9", "--max-iter", "1000000"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_the_command_by_sigpipe(tmp_path):
+    # the report cannot fit in the pipe's buffer, so the write after the
+    # reader closes must fail
+    proc = subprocess.Popen([sys.executable, "-m", "mgmetric", *_orbit_solve(tmp_path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline() == b"{\n"
@@ -711,6 +719,87 @@ def test_closed_pipe_ends_the_command_by_sigpipe(tmp_path):
         proc.stderr.close()
     assert "Traceback" not in stderr
     assert proc.returncode == -signal.SIGPIPE
+
+
+# A fresh process flushes both streams and ends without the interpreter's
+# teardown.  Each child runs without PYTHONUNBUFFERED, which would write
+# every print at once and so hide a missing flush.
+
+def _buffered_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# `python -m mgmetric`, and the installed console script's wrapper
+LAUNCHERS = {
+    "module": ["-m", "mgmetric"],
+    "script": ["-c", "import sys; from mgmetric.cli import entrypoint; sys.exit(entrypoint())"],
+}
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
+    argv = [*_orbit_solve(tmp_path), "--format", fmt]
+    expected = run_cli(capsys, *argv)
+    path = tmp_path / "report"
+    with open(path, "wb") as report:
+        proc = subprocess.run([sys.executable, "-m", "mgmetric", *argv],
+                              stdout=subprocess.PIPE if sink == "pipe" else report,
+                              stderr=subprocess.PIPE, env=_buffered_env(), timeout=60)
+    out = proc.stdout if sink == "pipe" else path.read_bytes()
+    assert len(expected[1]) > 300_000
+    assert (proc.returncode, out.decode(), proc.stderr.decode()) == expected
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize("argv,code", [
+    (["reproduce"], 0),
+    (["certify", "--fixture", "ex33", "--condition", "root", "--region", "0.34:5.5",
+      "--n", "10000"], 1),
+    (["certify", "--fixture", "ex33", "--condition", "root", "--region", "1:x"], 2),
+    (["--help"], 0),
+], ids=["reproduce", "violated", "bad-region", "help"])
+def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    expected = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv], capture_output=True,
+                          text=True, env=_buffered_env(), timeout=60)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+@pytest.mark.parametrize("argv", [["reproduce"], ["solve", "--fixture", "ex37", "--format", "csv"]],
+                         ids=["reproduce", "csv"])
+def test_fresh_process_with_stdout_closed_exits_zero(capsys, argv):
+    # with file descriptor 1 closed at start-up, sys.stdout is None
+    _, _, err = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=_buffered_env(), timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["reproduce", "orbit-json", "orbit-csv"])
+def test_report_that_cannot_be_written_ends_in_one_error_line(tmp_path, command, unbuffered):
+    # a small report fails at the flush before exit when stdout is
+    # buffered, a large one (or any one, unbuffered) in the command
+    argv = {"reproduce": ["reproduce"],
+            "orbit-json": _orbit_solve(tmp_path),
+            "orbit-csv": [*_orbit_solve(tmp_path), "--format", "csv"]}[command]
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mgmetric", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    line = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(line) and proc.stderr.count("error:") == 1, proc.stderr
 
 
 def _run_module(*argv, **kwargs):
@@ -793,6 +882,24 @@ def test_usage_error_on_bad_region(capsys):
                                  "--condition", "root", "--region", region)
         assert (code, out) == (2, "")
         assert reason in err
+
+
+@pytest.mark.parametrize("region", ["-1:1", "-0.5:2", "-1e-3:0", "-1:-5", "-inf:0"])
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--fixture", "exp-usual", "--n", "100"],
+    ["certify", "--fixture", "ex33", "--condition", "root", "--n", "100"],
+], ids=["axioms", "certify"])
+def test_negative_region_reads_the_same_spaced_or_joined(capsys, argv, region):
+    spaced = run_cli(capsys, *argv, "--region", region)
+    assert spaced == run_cli(capsys, *argv, f"--region={region}")
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("value", ["--n", "-h", "-1:x"])
+def test_region_followed_by_a_non_region_option_lacks_its_value(capsys, value):
+    code, out, err = run_cli(capsys, "axioms", "--fixture", "exp-usual", "--region", value, "100")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --region: expected one argument\n")
 
 
 def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):

@@ -5,8 +5,9 @@ Every command prints a JSON report to stdout and a short human summary
 to stderr.  Exit codes: 0 when everything holds, 1 when a condition is
 violated or convergence fails, 2 on usage or config errors, when a
 command that samples (axioms, certify) finds numpy missing, when its
-sample arrays cannot be allocated, and when the report cannot be
-written.  Reports are byte-identical for identical argument vectors.
+sample arrays cannot be allocated, and when the report or its summary
+cannot be written.  Reports are byte-identical for identical argument
+vectors.
 """
 
 from __future__ import annotations
@@ -55,33 +56,27 @@ def _parse_region(text: str) -> Interval | str:
 def _join_negative_regions(argv: list[str]) -> list[str]:
     # argparse reads an argument that starts with "-" as an option, so
     # "--region -1:1" would leave --region without its value; a region
-    # there is passed on as "--region=-1:1", which argparse reads as one.
+    # after --region, or after any abbreviation of it such as --reg, is
+    # passed on joined ("--reg=-1:1"), which argparse reads as one.
     out: list[str] = []
     for arg in argv:
-        if (out and out[-1] == "--region" and arg.startswith("-")
-                and _region_ends(arg) is not None):
-            out[-1] = f"--region={arg}"
+        if (out and len(out[-1]) > 2 and "--region".startswith(out[-1])
+                and arg.startswith("-") and _region_ends(arg) is not None):
+            out[-1] += f"={arg}"
         else:
             out.append(arg)
     return out
 
 
 def _resolve_fixture(args) -> NamedFixture:
-    if args.fixture and args.config:
-        raise ValueError("pass either --fixture or --config, not both")
-    if args.fixture:
-        fx = get_fixture(args.fixture)
-        if fx is None:
-            known = ", ".join(f.id for f in registry())
-            raise ValueError(f"unknown fixture {args.fixture!r} (known: {known})")
-        return fx
-    if args.config:
-        try:
-            return load_fixture_config(args.config)
-        # RecursionError: JSON nested deeper than the parser recurses
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad config {args.config}: {exc}") from exc
-    raise ValueError("one of --fixture or --config is required")
+    # argparse has checked that exactly one source is given, and the id
+    if args.fixture is not None:
+        return get_fixture(args.fixture)
+    try:
+        return load_fixture_config(args.config)
+    # RecursionError: JSON nested deeper than the parser recurses
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"bad config {args.config}: {exc}") from exc
 
 
 def _resolve_params(fx: NamedFixture, args) -> ContractionParams:
@@ -260,8 +255,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument("--fixture", help="stock fixture id (see README)")
-        p.add_argument("--config", help="path to a JSON fixture config")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--fixture", choices=[fx.id for fx in registry()],
+                            metavar="FIXTURE", help="stock fixture id: %(choices)s")
+        source.add_argument("--config", help="path to a JSON fixture config")
 
     def add_overrides(p):
         p.add_argument("--eta", type=float, help="override contraction factor")
@@ -310,15 +307,23 @@ def main(argv: list[str] | None = None) -> int:
         _parser = _build_parser()
     argv = _join_negative_regions(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+        try:
+            args = _parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # --help, or a usage error argparse printed
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        finally:
+            # The report is written, also when the summary could not be;
+            # stdout is None when its file descriptor was closed at start-up.
+            if sys.stdout is not None:
+                sys.stdout.flush()
     # MemoryError: a sample count whose arrays cannot be allocated;
-    # OSError: a report that cannot be written, as to a full disk
+    # OSError: a report, summary or flush that cannot be written
     except (ValueError, NumpyMissing, MemoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, ValueError):
+            pass  # stderr cannot be written either: the exit code still says it
         return EXIT_USAGE
 
 
@@ -330,16 +335,7 @@ def entrypoint() -> None:
     import _signal
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
-    code = main()
-    # The report is written once both streams are flushed; the process
-    # then ends without the interpreter's teardown of numpy and every
-    # other module, which writes nothing.  A stream is None when its
-    # file descriptor was closed at start-up.
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
-    os._exit(code)
+    # ``main`` has flushed stdout, and stderr is line-buffered, so nothing
+    # is left to write: the process ends without the interpreter's
+    # teardown of numpy and every other module, which writes nothing.
+    os._exit(main())

@@ -56,9 +56,11 @@ def test_axioms_product_fixture_includes_mult_suite(capsys):
 
 def test_axioms_unknown_fixture_usage_error(capsys):
     code, out, err = run_cli(capsys, "axioms", "--fixture", "nope")
-    assert code == 2
-    assert out == ""
-    assert "unknown fixture" in err
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert "argument --fixture: invalid choice: 'nope'" in last
+    for fixture_id in ("ex33", "ex37", "exp-usual", "product-exp"):
+        assert fixture_id in last
 
 
 def test_axioms_broken_config_reports_symmetry_witness(capsys, tmp_path):
@@ -760,7 +762,9 @@ def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
       "--n", "10000"], 1),
     (["certify", "--fixture", "ex33", "--condition", "root", "--region", "1:x"], 2),
     (["--help"], 0),
-], ids=["reproduce", "violated", "bad-region", "help"])
+    (["axioms"], 2),
+    (["axioms", "--fixture", "ex33", "--config", "x"], 2),
+], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources"])
 def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
     expected = run_cli(capsys, *argv)
@@ -800,6 +804,28 @@ def test_report_that_cannot_be_written_ends_in_one_error_line(tmp_path, command,
     line = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert proc.returncode == 2
     assert proc.stderr.endswith(line) and proc.stderr.count("error:") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize("argv", [
+    ["reproduce"],
+    ["certify", "--fixture", "ex33", "--condition", "root", "--region", "0:0.3", "--n", "10"],
+], ids=["reproduce", "holds"])
+def test_summary_that_cannot_be_written_exits_two_with_the_whole_report(
+        capsys, argv, launcher, unbuffered):
+    # the summary fails, and so does the error line after it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv],
+                              stdout=subprocess.PIPE, stderr=full, text=True, env=env,
+                              timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, out)
 
 
 def _run_module(*argv, **kwargs):
@@ -893,6 +919,20 @@ def test_negative_region_reads_the_same_spaced_or_joined(capsys, argv, region):
     spaced = run_cli(capsys, *argv, "--region", region)
     assert spaced == run_cli(capsys, *argv, f"--region={region}")
     assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("flag", ["--reg", "--regi"])
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--fixture", "exp-usual", "--n", "100"],
+    ["certify", "--fixture", "ex33", "--condition", "root", "--n", "100"],
+], ids=["axioms", "certify"])
+def test_negative_region_after_an_abbreviated_flag_reads_as_joined(capsys, argv, flag):
+    assert run_cli(capsys, *argv, flag, "-1:1") == run_cli(capsys, *argv, "--region=-1:1")
+
+
+def test_solve_takes_no_region_abbreviated_or_not(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--fixture", "ex33", "--r", "-1:1")
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("value", ["--n", "-h", "-1:x"])

@@ -79,14 +79,18 @@ def _resolve_fixture(args) -> NamedFixture:
         raise ValueError(f"bad config {args.config}: {exc}") from exc
 
 
-def _resolve_params(fx: NamedFixture, args) -> ContractionParams:
+def _resolve_map(args, verb: str) -> tuple[NamedFixture, ContractionParams]:
+    # a fixture with a map to ``verb``, and its params with the overrides
+    fx = _resolve_fixture(args)
+    if fx.map is None:
+        raise ValueError(f"fixture {fx.id!r} has no self-map to {verb}")
     overrides = {k: v for k, v in
                  (("eta", args.eta), ("gamma", args.gamma), ("seed_point", args.x0))
                  if v is not None}
     if fx.params is not None:
-        return fx.params.replace(**overrides) if overrides else fx.params
+        return fx, (fx.params.replace(**overrides) if overrides else fx.params)
     if {"eta", "gamma", "seed_point"} <= overrides.keys():
-        return ContractionParams(**overrides)
+        return fx, ContractionParams(**overrides)
     raise ValueError(
         f"fixture {fx.id!r} carries no parameters; pass --eta, --gamma and --x0")
 
@@ -134,19 +138,12 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .sampling import EmptyRegion, certify_region
+    from .sampling import certify_region
 
-    fx = _resolve_fixture(args)
-    if fx.map is None:
-        raise ValueError(f"fixture {fx.id!r} has no self-map to certify")
-    params = _resolve_params(fx, args)
+    fx, params = _resolve_map(args, "certify")
     region = _parse_region(args.region)
-
-    try:
-        report = certify_region(fx.gmetric, fx.map, params, args.condition,
-                                region, args.n, args.seed)
-    except EmptyRegion as exc:
-        raise ValueError(f"empty region: {exc}") from exc
+    report = certify_region(fx.gmetric, fx.map, params, args.condition,
+                            region, args.n, args.seed)
     ok = report.holds and report.seed_condition_ok
     doc = {"command": "certify", "fixture": fx.id, **report.to_dict()}
     summary = [
@@ -165,21 +162,13 @@ def cmd_certify(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import SolveError, solve_fixed_point
 
-    fx = _resolve_fixture(args)
-    if fx.map is None:
-        raise ValueError(f"fixture {fx.id!r} has no self-map to iterate")
-    params = _resolve_params(fx, args)
-
+    fx, params = _resolve_map(args, "iterate")
+    head = {"command": "solve", "fixture": fx.id, "mode": args.mode}
     try:
         result = solve_fixed_point(fx.gmetric, fx.map, params, mode=args.mode,
                                    epsilon=args.epsilon, max_iter=args.max_iter)
     except SolveError as exc:
-        doc = {
-            "command": "solve",
-            "fixture": fx.id,
-            "mode": args.mode,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
+        doc = {**head, "error": {"type": type(exc).__name__, "message": str(exc)}}
         _emit(doc, [f"solve {fx.id}: {type(exc).__name__}: {exc}"])
         return EXIT_VIOLATED
 
@@ -189,13 +178,7 @@ def cmd_solve(args) -> int:
               f"{result.iterations_used} iteration(s)", file=sys.stderr)
         return EXIT_OK
 
-    doc = {
-        "command": "solve",
-        "fixture": fx.id,
-        "mode": args.mode,
-        "epsilon": args.epsilon,
-        **result.to_dict(),
-    }
+    doc = {**head, "epsilon": args.epsilon, **result.to_dict()}
     summary = [
         f"solve {fx.id} ({args.mode}): point {_fmt(result.point)} after "
         f"{result.iterations_used} iteration(s), residual log {_fmt(result.residual_log)}",

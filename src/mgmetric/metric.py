@@ -59,8 +59,8 @@ def _lazy_numpy():
 #: reads its ``__spec__`` and so loads it.
 np = _lazy_numpy()
 
-# Absolute slack for inequality checks in log-domain.  Must sit far
-# below any quantity of interest (the smallest fixture scale is ~1/3).
+# Slack for log-domain inequality checks; the relations scale it (``_slack``).
+# Must sit far below any quantity of interest (the smallest fixture scale is ~1/3).
 SLACK = 1e-12
 
 # The floor rule: a multiplicative distance is at least 1, so a log value
@@ -479,17 +479,30 @@ class DifferenceMetric(MultMetric):
         return self.map.batch(x - y)
 
 
+def _slack(lhs, rhs):
+    # SLACK t / (1 + t) for t = |lhs| + |rhs|, at most SLACK and near 0 a
+    # share of the sides, never swamping them; halved, so no finite t overflows
+    t = 0.5 * abs(lhs)
+    t += 0.5 * abs(rhs)
+    t /= 0.5 + t
+    t *= SLACK
+    return t
+
+
 # Each required relation between lhs_log and rhs_log: whether ``lhs
-# relation rhs`` holds within SLACK, for floats and float64 arrays alike
-# (elementwise), and only between finite sides: a NaN fails every
+# relation rhs`` holds within ``_slack``, for floats and float64 arrays
+# alike (elementwise), and only between finite sides: a NaN fails every
 # comparison, and each relation also rules out the infinite sides that
-# would pass its comparison (an infinite side makes "==" compare NaN or
-# inf).  The scalar path calls no numpy.
+# would pass its comparison.  ">" asks for a margin, so it keeps the
+# whole SLACK: a scaled one would pass rounding noise as a distance.
+# The scalar path calls no numpy.
 _RELATIONS = {
-    "<=": lambda lhs, rhs: (lhs <= rhs + SLACK) & (lhs > -math.inf) & (rhs < math.inf),
-    ">=": lambda lhs, rhs: (lhs >= rhs - SLACK) & (lhs < math.inf) & (rhs > -math.inf),
+    "<=": lambda lhs, rhs: ((lhs <= rhs + _slack(lhs, rhs))
+                            & (lhs > -math.inf) & (rhs < math.inf)),
+    ">=": lambda lhs, rhs: ((lhs >= rhs - _slack(lhs, rhs))
+                            & (lhs < math.inf) & (rhs > -math.inf)),
     ">": lambda lhs, rhs: (lhs > rhs + SLACK) & (lhs < math.inf) & (rhs > -math.inf),
-    "==": lambda lhs, rhs: abs(lhs - rhs) <= SLACK,
+    "==": lambda lhs, rhs: abs(lhs - rhs) <= _slack(lhs, rhs),
 }
 
 

@@ -22,8 +22,11 @@ _MAX_PAIR_ROUNDS = 100
 _MAX_WITNESSES = 32
 
 
-class EmptyRegion(RuntimeError):
-    """No sampled point lies in the requested region."""
+class EmptyRegion(ValueError):
+    """No sampled point lies in the requested region; bad input, so a ValueError."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"empty region: {reason}")
 
 
 class AxiomReport(Record):

@@ -173,6 +173,66 @@ def test_certify_fixture_without_map(capsys):
     assert "no self-map" in err
 
 
+def _write_config(tmp_path, doc) -> str:
+    cfg = tmp_path / "fixture.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+# F doubles every distance; an absolute slack of 1e-12 certified it on
+# regions narrower than about 1e-13, where the slack swamps the sides
+DOUBLING = {"space": "exp-usual", "map": [{"interval": [0, None], "slope": 2, "offset": 0}],
+            "params": {"eta": 0.5, "gamma": 4, "x0": 1e-14}}
+# M(t) = |t| - 1e-13, so d(x, x) = e^(-1e-13) < 1: identity fails
+SUNKEN_ABS = {"space": {"kind": "product-pl", "rows": [
+    {"interval": [None, 0], "slope": -1, "offset": -1e-13},
+    {"interval": [0, None], "slope": 1, "offset": -1e-13}]}}
+
+
+def test_a_map_that_doubles_distances_does_not_certify_a_narrow_region(capsys, tmp_path):
+    code, doc, err = run_json(capsys, "certify", "--config", _write_config(tmp_path, DOUBLING),
+                              "--condition", "root", "--region", "0:1e-13", "--n", "1000")
+    assert code == 1
+    assert doc["verdict"] == "violated"
+    assert "first witness" in err
+
+
+def test_a_self_distance_just_below_one_fails_identity(capsys, tmp_path):
+    code, doc, err = run_json(capsys, "axioms", "--config", _write_config(tmp_path, SUNKEN_ABS),
+                              "--region", "0:10", "--n", "1000")
+    assert code == 1
+    assert {name: r["axioms"]["identity"] for name, r in doc["reports"].items()} == \
+        {"mult": "fail", "gm": "fail", "properties": "fail"}
+
+
+# a map without params: certify and solve take all three from the overrides
+UNPARAMETRISED = {"space": "exp-usual",
+                  "map": [{"interval": [0, None], "slope": 0.5, "offset": 0}]}
+RUNS_THE_MAP = [("certify", "--condition", "root", "--n", "100"), ("solve",)]
+
+
+@pytest.mark.parametrize("command", RUNS_THE_MAP, ids=["certify", "solve"])
+@pytest.mark.parametrize("overrides", [
+    (), ("--eta", "0.6", "--gamma", "4"), ("--gamma", "4", "--x0", "0.1"),
+    ("--eta", "0.6", "--x0", "0.1"),
+], ids=["none", "no-x0", "no-eta", "no-gamma"])
+def test_a_fixture_without_params_needs_all_three_overrides(capsys, tmp_path, command,
+                                                             overrides):
+    code, out, err = run_cli(capsys, command[0], "--config",
+                             _write_config(tmp_path, UNPARAMETRISED), *command[1:], *overrides)
+    assert (code, out) == (2, "")
+    assert err == "error: fixture 'config' carries no parameters; pass --eta, --gamma and --x0\n"
+
+
+@pytest.mark.parametrize("command", RUNS_THE_MAP, ids=["certify", "solve"])
+def test_a_fixture_without_params_runs_on_the_three_overrides(capsys, tmp_path, command):
+    code, doc, _ = run_json(capsys, command[0], "--config",
+                            _write_config(tmp_path, UNPARAMETRISED), *command[1:],
+                            "--eta", "0.6", "--gamma", "4", "--x0", "0.1")
+    assert code == 0
+    assert doc["command"] == command[0]
+
+
 # ---------------------------------------------------------------------------
 # solve
 

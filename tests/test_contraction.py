@@ -254,6 +254,33 @@ def test_certify_ball_empty_below_floor():
         certify_region(G, EX33.map, params, "root", "ball", 100, seed=7)
 
 
+def test_an_empty_region_is_a_value_error_that_names_itself():
+    # bad input like every other ValueError, so the CLI reports it as one
+    params = EX33.params.replace(gamma=0.5)
+    with pytest.raises(ValueError) as err:
+        certify_region(G, EX33.map, params, "root", "ball", 100, seed=7)
+    assert isinstance(err.value, EmptyRegion)
+    assert str(err.value).startswith("empty region: ")
+
+
+@settings(max_examples=80, deadline=None)
+@given(eta=st.floats(0.05, 0.95), excess=st.floats(1e-9, 1.0),
+       exponent=st.floats(-300.0, 300.0))
+@example(eta=0.5, excess=0.02, exponent=-13.0)  # an absolute 1e-12 swamps this width
+@example(eta=0.5, excess=1e-9, exponent=-300.0)
+@example(eta=0.95, excess=1.0, exponent=300.0)
+def test_a_map_steeper_than_eta_never_certifies_root_at_any_width(eta, excess, exponent):
+    # F(x) = slope x stretches every distance by slope > eta, so the
+    # slack, scaled by the sides, must not hide it on [0, w] for any w
+    slope = eta * (1.0 + excess)
+    F = load_fixture_config({"space": "exp-usual", "map": [
+        {"interval": [0, None], "slope": slope, "offset": 0}]}).map
+    params = ContractionParams(eta=eta, gamma=4.0, seed_point=0.0)
+    region = Interval(0.0, 10.0 ** exponent)
+    report = certify_region(G, F, params, "root", region, 50, seed=0)
+    assert report.verdict == "violated"
+
+
 def test_certify_ball_degenerate_single_point():
     # only the center 1/3 is in the ball, and F(1/3) = 0 is not
     params = EX33.params.replace(gamma=1.0)

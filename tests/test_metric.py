@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgmetric import (
     SLACK,
@@ -517,6 +517,25 @@ def test_checker_argument_validation():
 
 # ---------------------------------------------------------------------------
 # relations
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_RELATIONS)), FINITE, FINITE)
+@example("==", 1.7976931348623157e308, -1.7976931348623157e308)
+@example("==", 1.7976931348623157e308, 1.7976931348623157e308)
+def test_relation_slack_is_never_above_slack_and_the_same_on_arrays(relation, lhs, rhs):
+    holds = _RELATIONS[relation](lhs, rhs)
+    assert type(holds) is bool  # from floats, without numpy
+    with np.errstate(over="ignore"):  # "==" of opposite huge sides: inf > SLACK
+        assert _RELATIONS[relation](np.array([lhs]), np.array([rhs]))[0] == holds
+    absolute = {"<=": lhs <= rhs + SLACK, ">=": lhs >= rhs - SLACK,
+                ">": lhs > rhs + SLACK, "==": abs(lhs - rhs) <= SLACK}[relation]
+    assert absolute or not holds
+    if lhs == rhs:  # also where |lhs| + |rhs| passes the largest float
+        assert holds is (relation != ">")
 
 
 @settings(max_examples=300, deadline=None)

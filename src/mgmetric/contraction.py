@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .metric import (LOG_FLOOR, SLACK, ClosedBall, GMetric, LogDistance, Point, Record, SelfMap,
+from .metric import (SLACK, ClosedBall, GMetric, LogDistance, Point, Record, SelfMap,
                      _RELATIONS, _diff, exact_step)
 
 
@@ -108,7 +108,7 @@ def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point) -> bool:
     _validate_eta(eta)
     lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z, _maximum, _minimum)
-    return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < LOG_FLOOR for _, v in used)
+    return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < 0.0 for _, v in used)
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
@@ -132,7 +132,7 @@ def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> b
     x0 = params.seed_point
     budget = params.seed_budget
     return (F.domain.contains(x0) and budget > 0.0
-            and LOG_FLOOR <= g.g(x0, fx0 := F(x0), fx0) <= (bound := math.log(budget) + SLACK)
+            and 0.0 <= g.g(x0, fx0 := F(x0), fx0) <= (bound := math.log(budget) + SLACK)
             and ((exact := exact_step(g, F, x0)) is None or _diff(*exact, bound) <= 0))
 
 

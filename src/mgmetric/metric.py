@@ -63,11 +63,11 @@ np = _lazy_numpy()
 # Must sit far below any quantity of interest (the smallest fixture scale is ~1/3).
 SLACK = 1e-12
 
-# The floor rule: a multiplicative distance is at least 1, so a log value
-# below LOG_FLOOR breaks it (a NaN fails the other checks).  The axiom
-# audit, the pointwise predicates, the region sweep and the solver all
-# test this one bound.
-LOG_FLOOR = -SLACK
+# The floor rule, with no slack: a distance is at least 1, so a log value
+# below 0 breaks it, as the ">=" against 0 that its witnesses record
+# re-checks (a NaN fails the other checks).  Rounding is monotone, so a
+# built-in space's value is below 0 only where an exact pair term is.  The
+# axiom audit, the predicates, the region sweep and the solver all test it.
 
 Point = float
 LogDistance = float

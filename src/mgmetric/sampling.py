@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
-from .metric import (LOG_FLOOR, ClosedBall, GMetric, Interval, MultMetric, Record, SelfMap,
+from .metric import (ClosedBall, GMetric, Interval, MultMetric, Record, SelfMap,
                      Witness, _RELATIONS, ball_contains, np)
 from .contraction import (ContractionParams, _check_condition, _condition_sides,
                           seed_condition_holds)
@@ -85,11 +85,11 @@ class _Recorder:
 
     def require_floor(self, phase: int, points: tuple[np.ndarray, ...],
                       values: np.ndarray) -> None:
-        """The "floor" rule on evaluated log values: each must be >= 0
-        within SLACK, so one below LOG_FLOOR is a witness.  A NaN value
-        is not below the floor; the other checks of a sample report it."""
+        """The "floor" rule on evaluated log values: each one below 0 is a
+        witness.  A NaN value is not below the floor; the other checks of
+        a sample report it."""
         self._record(phase, "floor", points, values, 0.0, ">=", None,
-                     np.flatnonzero(values < LOG_FLOOR))
+                     np.flatnonzero(values < 0.0))
 
     def _record(self, phase, rule, points, lhs, rhs, relation, samples, failing) -> None:
         self.counts[rule] += failing.size

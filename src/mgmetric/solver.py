@@ -30,7 +30,7 @@ import sys
 from itertools import chain, repeat
 from operator import le, mul
 
-from .metric import (LOG_FLOOR, ClosedBall, GMetric, LogDistance, PerimeterMetric, PiecewiseMap,
+from .metric import (ClosedBall, GMetric, LogDistance, PerimeterMetric, PiecewiseMap,
                      Point, Record, SelfMap, _diff, _ratio, _row, exact_step)
 from .contraction import ContractionParams, _check_condition, _validate_eta, seed_condition_holds
 
@@ -69,11 +69,11 @@ class NonFiniteStep(SolveError):
 
 class BelowFloor(SolveError):
     """A step has a log-distance g(x_j, x_{j+1}, x_{j+1}) below the floor
-    LOG_FLOOR: the space is no multiplicative metric space there, so no
-    residual certifies anything."""
+    0: the space is no multiplicative metric space there, so no residual
+    certifies anything."""
 
     _fields = ("index", "point", "step_log")
-    _message = f"step {{}} from iterate {{}} has log-distance {{}} below the floor {LOG_FLOOR}"
+    _message = "step {} from iterate {} has log-distance {} below the floor 0"
 
 
 class InexactFixedPoint(SolveError):
@@ -191,7 +191,7 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
     step_logs: list[float] = []
     # the kernels themselves, bound once
     apply, kernel = F.apply, g.g
-    contains, floor, inf = F.domain.contains, LOG_FLOOR, math.inf
+    contains, inf = F.domain.contains, math.inf
     push_iterate, push_step = iterates.append, step_logs.append
     rows = F.rows if isinstance(F, PiecewiseMap) and isinstance(g, PerimeterMetric) else None
     lo = hi = math.nan
@@ -212,8 +212,8 @@ def _orbit(F: SelfMap, g: GMetric, ball: ClosedBall, x0: Point,
             nxt = apply(x)
             residual = kernel(x, nxt, nxt)
         # the floor rule, and finiteness; NaN fails both comparisons
-        if not floor <= residual < inf:
-            if residual < floor:
+        if not 0.0 <= residual < inf:
+            if residual < 0.0:
                 raise BelowFloor(j, x, residual)
             # a next iterate outside the domain is reported as DomainExit
             if contains(nxt):
@@ -332,7 +332,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
         seed_log = g.g(x0, fx0 := F(x0), fx0)
-        if seed_log < LOG_FLOOR:
+        if seed_log < 0.0:
             raise BelowFloor(0, x0, seed_log)
         seed_log = seed_log if (exact := exact_step(g, F, x0)) is None else _ratio(*exact)
         raise SeedConditionViolated(
@@ -348,8 +348,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     exact = exact_step(g, F, point)
     if exact is not None and _diff(*exact, tol) > 0:
         raise InexactFixedPoint(len(steps), point, _ratio(*exact))
-    # a first step on the floor may lie up to SLACK below 0
-    log_g01 = max(0.0, steps[0] if steps else residual)
+    log_g01 = steps[0] if steps else residual
     # The one rate check.  The bound trusts the rate only if every
     # recorded step contracts by it, and with no slack: steps that may
     # exceed rate * before by SLACK can hover near SLACK / (1 - rate),

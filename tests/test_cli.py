@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +204,33 @@ def test_a_self_distance_just_below_one_fails_identity(capsys, tmp_path):
     assert code == 1
     assert {name: r["axioms"]["identity"] for name, r in doc["reports"].items()} == \
         {"mult": "fail", "gm": "fail", "properties": "fail"}
+
+
+# M(t) is 2e-13 below 0 left of 0, so G(x, y, y) = e^(-4e-13) < 1 for
+# x < y: a floor 1e-12 below 0 certified x/2 on [0, 1] and took its seed
+# 0.5 for a fixed point
+JUST_BELOW_FLOOR = str(Path(__file__).with_name("data") / "just_below_floor.json")
+CERTIFY_JUST_BELOW_FLOOR = ("certify", "--config", JUST_BELOW_FLOOR, "--condition", "root",
+                            "--region", "0:1", "--n", "1000")
+
+
+def test_a_distance_just_below_one_voids_the_certificate(capsys):
+    code, doc, err = run_json(capsys, *CERTIFY_JUST_BELOW_FLOOR)
+    assert code == 1
+    assert (doc["verdict"], doc["seed_condition_ok"]) == ("violated", False)
+    assert {w["rule"] for w in doc["witnesses"]} == {"floor"}
+    assert all(not Witness(**w).holds() for w in doc["witnesses"])
+    assert "\n  seed condition: violated\n" in err
+
+
+def test_a_distance_just_below_one_is_no_fixed_point(capsys):
+    code, doc, err = run_json(capsys, "solve", "--config", JUST_BELOW_FLOOR)
+    assert code == 1
+    assert "point" not in doc
+    assert doc["error"] == {
+        "type": "BelowFloor",
+        "message": "step 0 from iterate 0.5 has log-distance -4e-13 below the floor 0"}
+    assert err.startswith("solve config: BelowFloor: ")
 
 
 # a map without params: certify and solve take all three from the overrides
@@ -569,7 +597,7 @@ def test_solve_below_floor_residual_is_reported(capsys, tmp_path, mode):
     assert "point" not in doc
     assert doc["error"] == {
         "type": "BelowFloor",
-        "message": "step 0 from iterate 3.0 has log-distance -3.0 below the floor -1e-12"}
+        "message": "step 0 from iterate 3.0 has log-distance -3.0 below the floor 0"}
     assert err.startswith("solve config: BelowFloor: ")
 
 
@@ -824,7 +852,10 @@ def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
     (["--help"], 0),
     (["axioms"], 2),
     (["axioms", "--fixture", "ex33", "--config", "x"], 2),
-], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources"])
+    (CERTIFY_JUST_BELOW_FLOOR, 1),
+    (["solve", "--config", JUST_BELOW_FLOOR], 1),
+], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources",
+        "floor-violated", "below-floor"])
 def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
     expected = run_cli(capsys, *argv)

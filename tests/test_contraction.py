@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from mgmetric import (
     usual_metric,
 )
 from mgmetric.contraction import _implicit_majorant, _maximum, _minimum
-from mgmetric.metric import LOG_FLOOR
+from mgmetric.sampling import _region_triples
 
 G = gm_from_exp(usual_metric)
 EX33 = get_fixture("ex33")
@@ -110,10 +111,11 @@ def test_seed_condition_false_outside_map_domain():
     assert not seed_condition_holds(G, F, params)
 
 
-@pytest.mark.parametrize("seed_log,holds", [(-0.5, False), (-SLACK / 2, True), (0.0, True)])
+@pytest.mark.parametrize("seed_log,holds", [(-0.5, False), (-SLACK / 2, False), (-5e-324, False),
+                                             (-0.0, True), (0.0, True)])
 def test_seed_condition_false_below_the_floor(seed_log, holds):
     # every seed_log here is within the budget ln(2.0625); one below the
-    # floor is no multiplicative distance, one within SLACK of it is
+    # floor is no multiplicative distance, however close to it
     g = GMetric(g=lambda x, y, z: seed_log, description="constant")
     assert seed_condition_holds(g, EX33.map, EX33.params) is holds
 
@@ -281,6 +283,68 @@ def test_a_map_steeper_than_eta_never_certifies_root_at_any_width(eta, excess, e
     assert report.verdict == "violated"
 
 
+# ---------------------------------------------------------------------------
+# an exact oracle for every "holds-on-sample" on an exp-usual interval
+
+
+@st.composite
+def _one_scale_configs(draw):
+    """An exp-usual config with its region [0, w], w from 1e-300 to 1e17:
+    a map of 1-4 rows, slopes around eta, whose breakpoints and offsets
+    are multiples of w, continuous at each breakpoint or jumping there."""
+    eta = draw(st.floats(0.05, 0.95))
+    w = 10.0 ** draw(st.floats(-300.0, 17.0))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=3))
+    ends = sorted({0.0, *(c * w for c in cuts)}) + [None]
+    excess = (st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9])
+              | st.floats(-1.0, 0.5))
+    rows, offset, last = [], w * draw(st.floats(-2.0, 2.0)), None
+    for lo, hi in zip(ends, ends[1:]):
+        slope = eta * (1.0 + draw(excess)) * draw(st.sampled_from([1.0, -1.0]))
+        if last is not None:
+            offset += (last - slope) * lo + w * draw(st.just(0.0) | st.floats(-1.0, 1.0))
+        rows.append({"interval": [lo, hi], "slope": slope, "offset": offset})
+        last = slope
+    return {"space": "exp-usual", "map": rows, "params": {"eta": eta, "gamma": 4.0, "x0": w / 2}}
+
+
+def _exact_perimeter(a, b, c):
+    return abs(a - b) + abs(b - c) + abs(c - a)
+
+
+def _exact_condition_holds(F, eta: float, condition: str, x: float, y: float, z: float) -> bool:
+    # both sides in Fractions, each image s * x + o on the row apply
+    # uses; "<=" keeps its slack SLACK t / (1 + t), t = |lhs| + |rhs|
+    def image(t):
+        row = next(r for r in F.rows if r.lo <= t < r.hi)
+        return Fraction(row.slope) * Fraction(t) + Fraction(row.offset)
+
+    g = _exact_perimeter
+    fx, fy, fz = image(x), image(y), image(z)
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    majorant = g(x, y, z)
+    if condition == "implicit":
+        majorant = max(majorant, g(x, fx, fx), g(y, fy, fy), g(x, fy, fy),
+                       min(g(x, z, z), g(z, fx, fx)))
+    lhs, rhs = g(fx, fy, fz), Fraction(eta) * majorant
+    t = abs(lhs) + abs(rhs)
+    return lhs <= rhs + Fraction(SLACK) * t / (1 + t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_scale_configs(), st.sampled_from(["root", "implicit"]), st.integers(0, 2**32 - 1))
+def test_every_triple_of_a_holding_certificate_holds_exactly(config, condition, seed):
+    fx = load_fixture_config(config)
+    region = Interval(0.0, 2.0 * fx.params.seed_point)  # [0, w], the seed at its midpoint
+    report = certify_region(fx.gmetric, fx.map, fx.params, condition, region, 200, seed)
+    if not report.holds:
+        return
+    (x, y, z), _, _ = _region_triples(fx.gmetric, fx.map, fx.params, region, 200,
+                                      np.random.default_rng(seed))
+    for triple in zip(x.tolist(), y.tolist(), z.tolist()):
+        assert _exact_condition_holds(fx.map, fx.params.eta, condition, *triple), triple
+
+
 def test_certify_ball_degenerate_single_point():
     # only the center 1/3 is in the ball, and F(1/3) = 0 is not
     params = EX33.params.replace(gamma=1.0)
@@ -391,7 +455,7 @@ def test_predicates_never_hold_on_a_value_below_the_floor(shift, slope, eta, xyz
     g = GMetric(g=shifted, description="shifted perimeter")
     F = SelfMap(apply=lambda x: slope * x)
     holds = _PREDICATES[condition](g, F, eta, *xyz)
-    if min(used) < LOG_FLOOR:
+    if min(used) < 0.0:
         assert not holds
 
 

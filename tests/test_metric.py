@@ -12,11 +12,14 @@ from mgmetric import (
     BelowFloor,
     ClosedBall,
     ContractionParams,
+    DifferenceMetric,
     GMetric,
     Interval,
     MultMetric,
     PairSumMetric,
     PerimeterMetric,
+    PiecewiseMap,
+    PiecewiseRow,
     SeedConditionViolated,
     SelfMap,
     ball_contains,
@@ -33,7 +36,8 @@ from mgmetric import (
     seed_condition_holds,
     solve_fixed_point,
 )
-from mgmetric.metric import _RELATIONS, _perimeter_batch
+from mgmetric.metric import _RELATIONS, _at, _perimeter_batch
+from mgmetric.sampling import _Recorder
 
 DOMAIN = Interval(0.0, 10.0)
 
@@ -308,7 +312,7 @@ def test_the_pair_form_calls_g_of_x_y_y(pairs):
         assert ball_contains(metric, ClosedBall(center=a, radius=2.0), b) == \
             (value <= math.log(2.0))
         holds = seed_condition_holds(metric, F, params)
-        assert holds == (-SLACK <= value <= SLACK)
+        assert holds == (0.0 <= value <= SLACK)
         assert hexes(calls) == hexes([(a, b, b)] * 2) and len(images) == 1
         if holds:
             continue
@@ -550,3 +554,77 @@ def test_no_relation_holds_with_a_non_finite_side(relation, bad, other, bad_on_l
         assert not _RELATIONS[relation](np.array([lhs, lhs]), np.array([rhs, rhs])).any()
         assert not _RELATIONS[relation](np.array([lhs]), rhs).any()
 
+
+# ---------------------------------------------------------------------------
+# the floor: ln G >= 0 with no slack
+
+# Slopes, offsets and differences at every scale from subnormal to 1e300,
+# signed zeros included
+_SCALES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                     1e-300, -1e-300, 1e300, -1e300]),
+                    st.floats(min_value=-1e300, max_value=1e300))
+
+
+@st.composite
+def _signed_rows(draw):
+    """Contiguous rows over the whole line, so every float difference has one."""
+    inner = sorted(draw(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=3,
+                                 unique=True)))
+    ends = [-math.inf, *inner, math.inf]
+    return PiecewiseMap(tuple(PiecewiseRow(lo, hi, draw(_SCALES), draw(_SCALES))
+                              for lo, hi in zip(ends, ends[1:])))
+
+
+def _exact_below_zero(M: PiecewiseMap, t: float) -> bool:
+    # the sign of slope * t + offset on t's row, in integer ratios
+    return _at(M.rows, *t.as_integer_ratio())[0] < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_rows(), st.lists(_SCALES, min_size=1, max_size=8))
+@example(PiecewiseMap((PiecewiseRow(-math.inf, math.inf, 0.0, -2e-13),)), [0.0])
+@example(PiecewiseMap((PiecewiseRow(-math.inf, math.inf, -1.0, 1e-310),)), [1e-310, 5e-324])
+@example(PiecewiseMap((PiecewiseRow(-math.inf, math.inf, 1e300, -1e300),)), [1.0, -1e300])
+def test_a_row_value_is_below_zero_only_where_its_exact_value_is(M, ts):
+    # apply rounds s * t, then adds o: each rounding is monotone and o a
+    # float, so the float is below 0 only where s * t + o is
+    with np.errstate(over="ignore"):
+        batch = M.batch(np.array(ts)).tolist()
+    for t, b in zip(ts, batch):
+        value = M.apply(t)
+        assert b.hex() == value.hex()
+        assert not value < 0.0 or _exact_below_zero(M, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_rows(), st.lists(st.tuples(*[_SCALES] * 3), min_size=1, max_size=8))
+@example(PiecewiseMap((PiecewiseRow(-math.inf, 0.0, 0.0, -2e-13),
+                       PiecewiseRow(0.0, math.inf, 0.0, 0.0))), [(0.0, 0.5, 0.25)])
+def test_a_pair_sum_is_below_zero_only_where_an_exact_pair_term_is(M, triples):
+    # G is a sum of three pair terms, each M at the float difference of
+    # its canonical pair; a sum of floats >= 0 is >= 0
+    g = gm_from_product(DifferenceMetric(M))
+    x, y, z = (np.array(column) for column in zip(*triples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = g.batch(x, y, z).tolist()
+    for (a, b, c), value in zip(triples, batch):
+        assert value.hex() == g(a, b, c).hex()
+        if value < 0.0:
+            assert any(_exact_below_zero(M, min(u, v) - max(u, v))
+                       for u, v in ((a, b), (b, c), (c, a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE)
+@example(-0.0)
+@example(-5e-324)
+@example(-SLACK / 2)
+@example(-1.7976931348623157e308)
+def test_the_recorded_floor_is_the_relation_of_its_witness(v):
+    # a value is a floor witness exactly when the ">=" against 0 it
+    # records fails on re-checking
+    rec = _Recorder(("floor",))
+    rec.require_floor(0, (np.array([0.0]),), np.array([v]))
+    witness = Witness("floor", (0.0,), v, 0.0, ">=")
+    assert rec.counts["floor"] == (not witness.holds())
+    assert rec.witnesses() == ((witness,) if rec.counts["floor"] else ())

@@ -38,7 +38,7 @@ from mgmetric import (
     usual_metric,
 )
 from mgmetric._jsonutil import dumps
-from mgmetric.metric import LOG_FLOOR, exact_step
+from mgmetric.metric import exact_step
 from mgmetric.solver import _orbit
 from test_golden import _load_workloads
 
@@ -370,14 +370,26 @@ def test_seed_step_below_the_floor_is_reported_before_the_rate(eta, gamma):
     assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, -1.5)
 
 
-def test_step_on_the_floor_within_slack_is_accepted():
-    # -SLACK itself is on the floor: a solve converges at once with the
-    # a-priori bound of a first step of 0
-    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -1e-12, description="slack")
+@pytest.mark.parametrize("step_log", [-1e-12, -5e-324])
+def test_step_just_below_the_floor_is_below_floor(step_log):
+    # the floor has no slack: the smallest negative step is below it
+    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else step_log, description="below")
+    F = SelfMap(apply=lambda x: x + 5.0)
+    params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
+    with pytest.raises(BelowFloor) as err:
+        solve_fixed_point(g, F, params, epsilon=TOL)
+    assert (err.value.index, err.value.point, err.value.step_log) == (0, 3.0, step_log)
+
+
+def test_step_of_minus_zero_is_on_the_floor():
+    # -0.0 is on the floor: a solve converges at once with the a-priori
+    # bound of a first step of 0
+    g = GMetric(g=lambda x, y, z: 0.0 if x == y == z else -0.0, description="on the floor")
     F = SelfMap(apply=lambda x: x + 5.0)
     params = ContractionParams(eta=0.5, gamma=10.0, seed_point=3.0)
     r = solve_fixed_point(g, F, params, epsilon=TOL)
-    assert (r.point, r.residual_log, r.iterations_used, r.certified_bound) == (3.0, -1e-12, 0, 0)
+    assert (r.point, r.iterations_used, r.certified_bound) == (3.0, 0, 0)
+    assert r.residual_log.hex() == "-0x0.0p+0"
 
 
 def test_every_solve_failure_is_a_solve_error():
@@ -396,8 +408,7 @@ _SOLVE_ERRORS = {
                                                    f"non-finite log-distance {step_log}"),
     BelowFloor: (("index", "point", "step_log"),
                  lambda index, point, step_log: f"step {index} from iterate {point} has "
-                                                f"log-distance {step_log} below the floor "
-                                                f"{LOG_FLOOR}"),
+                                                f"log-distance {step_log} below the floor 0"),
     InexactFixedPoint: (("index", "point", "exact_residual"),
                         lambda index, point, exact_residual: f"iterate {index} = {point} has "
                                                              f"exact residual log "
@@ -824,8 +835,8 @@ def test_solve_never_accepts_a_step_below_the_floor(config, mode):
     except (BelowFloor, SeedConditionViolated, MaxIterationsExceeded, NonFiniteStep,
             InexactFixedPoint):
         return
-    assert min(r.trace.step_logs, default=0.0) >= -SLACK
-    assert r.residual_log >= -SLACK
+    assert min(r.trace.step_logs, default=0.0) >= 0.0
+    assert r.residual_log >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .metric import (SLACK, ClosedBall, GMetric, LogDistance, Point, Record, SelfMap,
-                     _RELATIONS, _diff, exact_step)
+from .metric import (ClosedBall, GMetric, LogDistance, Point, Record, SelfMap, _RELATIONS,
+                     _diff, _ratio, exact_step)
 
 
 class ContractionParams(Record):
@@ -39,7 +39,7 @@ class ContractionParams(Record):
 
     @property
     def seed_budget(self) -> float:
-        """The seed condition's multiplicative budget (1 - eta) * gamma."""
+        """(1 - eta) * gamma rounded, maybe up; the seed rule uses it exactly."""
         return (1.0 - self.eta) * self.gamma
 
 
@@ -118,22 +118,32 @@ def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
     return _condition_holds("root", g, F, eta, x, y, z)
 
 
-def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:
-    """Seed admissibility: g(x0, Fx0, Fx0) <= ln((1 - eta) * gamma).
+def _seed(g: GMetric, F: SelfMap, params: ContractionParams) -> tuple[bool, LogDistance]:
+    # seed_condition_holds's verdict on a seed of F's domain, and the seed's step
+    step = g.g(x0 := params.seed_point, fx0 := F(x0), fx0)
+    exact = exact_step(g, F, x0)
+    n, d = exact or (step.as_integer_ratio() if math.isfinite(step) else (-1, 1))
+    (en, ed), (gn, gd) = params.eta.as_integer_ratio(), params.gamma.as_integer_ratio()
+    bn, bd = (ed - en) * gn, ed * gd
+    holds = n == 0 and bn >= bd
+    if n > 0 and bn > bd:
+        b = bn / bd  # B rounded, then down
+        b = b if _diff(bn, bd, b) >= 0 else math.nextafter(b, 0.0)
+        holds = _diff(n, d, math.nextafter(math.log(b), -math.inf)) <= 0
+    return holds, step if exact is None else _ratio(*exact)
 
-    Returns False (not an error) when x0 is outside F's domain, where it
-    has no image, when (1 - eta) * gamma < 1, where the budget is below
-    the metric's floor and nothing can satisfy it (that includes a
-    budget that underflows to 0), and when g(x0, Fx0, Fx0) is itself
-    below the floor, where the space is no multiplicative metric space.
-    Where ``metric.exact_step`` applies, its exact value must be within
-    the budget too; other metrics and maps keep the float check.
+
+def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:
+    """Seed admissibility: G(x0, Fx0, Fx0) <= B = (1 - eta) * gamma.
+
+    The step is ``metric.exact_step``'s ratio where that applies, else
+    g's float, and fails when NaN, infinite or below the floor.  B is the
+    exact product of the two floats.  A zero step holds when B >= 1, a
+    positive one when it is at most one ulp below math.log of B rounded
+    down: a step within a few ulps of ln B is violated, never held.  A
+    seed outside F's domain, where it has no image, fails too.
     """
-    x0 = params.seed_point
-    budget = params.seed_budget
-    return (F.domain.contains(x0) and budget > 0.0
-            and 0.0 <= g.g(x0, fx0 := F(x0), fx0) <= (bound := math.log(budget) + SLACK)
-            and ((exact := exact_step(g, F, x0)) is None or _diff(*exact, bound) <= 0))
+    return F.domain.contains(params.seed_point) and _seed(g, F, params)[0]
 
 
 def implicit_bound(g: GMetric, F: SelfMap, eta: float,

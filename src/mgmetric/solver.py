@@ -32,7 +32,7 @@ from operator import le, mul
 
 from .metric import (ClosedBall, GMetric, LogDistance, PerimeterMetric, PiecewiseMap,
                      Point, Record, SelfMap, _diff, _ratio, _row, exact_step)
-from .contraction import ContractionParams, _check_condition, _validate_eta, seed_condition_holds
+from .contraction import ContractionParams, _check_condition, _seed, _validate_eta
 
 
 class SolveError(RuntimeError):
@@ -330,14 +330,14 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
 
     x0 = params.seed_point
     # a seed outside F's domain has no image; the orbit raises DomainExit
-    if F.domain.contains(x0) and not seed_condition_holds(g, F, params):
-        seed_log = g.g(x0, fx0 := F(x0), fx0)
+    if F.domain.contains(x0):
+        holds, seed_log = _seed(g, F, params)
         if seed_log < 0.0:
             raise BelowFloor(0, x0, seed_log)
-        seed_log = seed_log if (exact := exact_step(g, F, x0)) is None else _ratio(*exact)
-        raise SeedConditionViolated(
-            f"seed {x0} has log-distance {seed_log} "
-            f"to its image, above the budget ln({params.seed_budget})")
+        if not holds:
+            raise SeedConditionViolated(
+                f"seed {x0} has log-distance {seed_log} to its image, above the budget "
+                f"ln((1 - {params.eta}) * {params.gamma}) or within a few ulps of it")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
     rate = params.eta if mode == "root" else mu

@@ -233,6 +233,40 @@ def test_a_distance_just_below_one_is_no_fixed_point(capsys):
     assert err.startswith("solve config: BelowFloor: ")
 
 
+# eta 0.5 and gamma 2 give the budget ln 1 = 0 exactly, and the seed 1 is
+# 3.3e-13 from the fixed point: a budget with a whole SLACK admitted it
+SEED_ABOVE_BUDGET = str(Path(__file__).with_name("data") / "seed_step_above_budget.json")
+CERTIFY_SEED_ABOVE_BUDGET = ("certify", "--config", SEED_ABOVE_BUDGET, "--condition", "root",
+                             "--region", "0:2", "--n", "1000")
+
+
+def test_a_seed_step_just_above_the_budget_voids_the_certificate(capsys):
+    code, doc, err = run_json(capsys, *CERTIFY_SEED_ABOVE_BUDGET)
+    assert code == 1
+    assert (doc["verdict"], doc["seed_condition_ok"]) == ("holds-on-sample", False)
+    assert "\n  seed condition: violated\n" in err
+
+
+def test_a_seed_step_just_above_the_budget_is_no_solve(capsys):
+    code, doc, err = run_json(capsys, "solve", "--config", SEED_ABOVE_BUDGET)
+    assert code == 1
+    assert "point" not in doc
+    assert doc["error"]["type"] == "SeedConditionViolated"
+    assert doc["error"]["message"].endswith(
+        "the budget ln((1 - 0.5) * 2.0) or within a few ulps of it")
+    assert err.startswith("solve config: SeedConditionViolated: ")
+
+
+@pytest.mark.parametrize("argv,marker", [(CERTIFY_SEED_ABOVE_BUDGET, "seed condition: violated"),
+                                         (("solve", "--config", SEED_ABOVE_BUDGET),
+                                          "SeedConditionViolated")], ids=["certify", "solve"])
+def test_a_seed_step_just_above_the_budget_exits_one_as_a_module(argv, marker):
+    proc = subprocess.run([sys.executable, "-m", "mgmetric", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert marker in proc.stderr
+
+
 # a map without params: certify and solve take all three from the overrides
 UNPARAMETRISED = {"space": "exp-usual",
                   "map": [{"interval": [0, None], "slope": 0.5, "offset": 0}]}

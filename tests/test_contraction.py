@@ -131,6 +131,99 @@ def test_seed_condition_monotone_in_gamma():
             assert seed_condition_holds(G, EX33.map, p2)
 
 
+@pytest.mark.parametrize("gamma,holds", [(1.3333333333333333, False), (1.3333333333333335, True)])
+def test_the_seed_budget_is_the_exact_product(gamma, holds):
+    # a seed at a fixed point has step 0, which meets the budget iff
+    # (1 - eta) * gamma >= 1 exactly: 0.75 * 1.3333333333333333 is below 1,
+    # though the float product rounds up to 1.0
+    params = ContractionParams(eta=0.25, gamma=gamma, seed_point=1.0)
+    assert params.seed_budget == 1.0
+    assert seed_condition_holds(G, load_fixture_config(IDENTITY).map, params) is holds
+
+
+def test_a_seed_step_just_above_a_zero_budget_is_violated():
+    # the seed 1 of x - 2.5e-13 has the exact step 5e-13 > ln 1, and the
+    # map has no fixed point
+    fx = load_fixture_config({"space": "exp-usual",
+                              "map": [{"interval": [0, None], "slope": 1, "offset": -2.5e-13}],
+                              "params": {"eta": 0.5, "gamma": 2, "x0": 1}})
+    assert not seed_condition_holds(fx.gmetric, fx.map, fx.params)
+
+
+def _exp_at_most(s: Fraction, budget: Fraction) -> bool:
+    # e^s <= budget, exactly, for a rational s >= 0.  The partial sums of
+    # the series bound e^s below; past k + 1 > 2 s the terms shrink by
+    # r = s / (k + 1) < 1/2 or faster, so the tail is at most term r / (1 - r).
+    # e^s is irrational for a rational s != 0, so the loop ends.
+    if s == 0:
+        return budget >= 1
+    total = term = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        term *= s / k
+        total += term
+        if total > budget:
+            return False
+        r = s / (k + 1)
+        if 2 * r < 1 and total + term * r / (1 - r) <= budget:
+            return True
+
+
+@st.composite
+def _seeds_near_fixed_points(draw):
+    """An affine self-map ax + b of [0, inf) on one of the three spaces,
+    a seed at, a few ulps from or further from its fixed point, and the
+    seed's step G(x0, Fx0, Fx0) in rationals."""
+    a = draw(st.floats(0.0, 0.99))
+    b = draw(st.floats(0.0, 5.0))
+    kind = draw(st.sampled_from(["exp-usual", "product-exp", "product-pl"]))
+    left, at0 = draw(st.floats(-3.0, 0.0)), draw(st.sampled_from([0.0, 1e-13, 0.5]))
+    space = kind if kind != "product-pl" else {"kind": "product-pl", "rows": [
+        {"interval": [None, 0], "slope": left, "offset": at0},
+        {"interval": [0, None], "slope": -left, "offset": at0}]}
+    fixed = b / (1.0 - a)
+    x0 = draw(st.sampled_from([fixed, math.nextafter(fixed, 0.0), math.nextafter(fixed, 9.0)])
+              | st.floats(0.0, fixed + 5.0))
+    fx = load_fixture_config({"space": space,
+                              "map": [{"interval": [0, None], "slope": a, "offset": b}]})
+    delta = abs(Fraction(x0) - (Fraction(a) * Fraction(x0) + Fraction(b)))
+    # both stock spaces are the perimeter; M(t) = |left t| + at0 gives
+    # G(x, y, y) = 2 M(-|x - y|) + M(0)
+    step = (2 * (-Fraction(left) * delta + Fraction(at0)) + Fraction(at0)
+            if kind == "product-pl" else 2 * delta)
+    return fx, x0, step
+
+
+def _moved(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seeds_near_fixed_points(), st.floats(0.0, 0.99), st.integers(-8, 40))
+def test_a_held_seed_verdict_is_never_wrong(seed, eta, ulps):
+    # gamma within a few ulps of e^s / (1 - eta), where the seed rule
+    # decides; its verdict is checked against e^s <= (1 - eta) gamma decided
+    # exactly.  A held verdict must be right.  A violated one may be wrong
+    # only within 8 + 8 ceil(ln B) ulps of gamma, where a float ln B loses
+    # its last ulps: gamma that many ulps lower fails exactly.
+    fx, x0, step = seed
+    gamma = _moved(math.exp(float(step)) / (1.0 - eta), ulps)
+    params = ContractionParams(eta=eta, gamma=gamma, seed_point=x0)
+    holds = seed_condition_holds(fx.gmetric, fx.map, params)
+
+    def exact(gamma):
+        return _exp_at_most(step, (1 - Fraction(eta)) * Fraction(gamma))
+
+    if holds:
+        assert exact(gamma)
+    elif exact(gamma):
+        band = 8 + 8 * math.ceil(max(math.log(params.seed_budget), 0.0))
+        assert not exact(_moved(gamma, -band))
+
+
 # ---------------------------------------------------------------------------
 # implicit condition
 

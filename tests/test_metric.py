@@ -292,7 +292,7 @@ def _lopsided(x, y, z):
 def test_the_pair_form_calls_g_of_x_y_y(pairs):
     # the ball, the seed condition and the solver's seed message read
     # G(a, b, b) as one call g(a, b, b) and go by its float; the seed
-    # condition takes F(a) once
+    # rule takes g and F once each, also in a failed solve
     calls, images = [], []
 
     def g(*args):
@@ -312,14 +312,15 @@ def test_the_pair_form_calls_g_of_x_y_y(pairs):
         assert ball_contains(metric, ClosedBall(center=a, radius=2.0), b) == \
             (value <= math.log(2.0))
         holds = seed_condition_holds(metric, F, params)
-        assert holds == (0.0 <= value <= SLACK)
+        # the exact budget (1 - 0.5) * 2 is 1: only a zero step meets it
+        assert holds == (value == 0.0)
         assert hexes(calls) == hexes([(a, b, b)] * 2) and len(images) == 1
         if holds:
             continue
-        del calls[:]
+        del calls[:], images[:]
         with pytest.raises((SeedConditionViolated, BelowFloor)) as err:
             solve_fixed_point(metric, F, params)
-        assert hexes(calls) == hexes([(a, b, b)] * 2)
+        assert hexes(calls) == hexes([(a, b, b)]) and len(images) == 1
         if err.type is BelowFloor:
             assert err.value.step_log.hex() == value.hex()
         else:

@@ -28,6 +28,7 @@ from mgmetric import (
     SolveError,
     a_priori_iterations,
     ball_contains,
+    certify_region,
     get_fixture,
     gm_from_exp,
     load_fixture_config,
@@ -736,14 +737,19 @@ def contracting_configs(draw):
 @settings(max_examples=150, deadline=None)
 @given(contracting_configs(), st.floats(min_value=1.0, max_value=8.0),
        st.sampled_from(["root", "implicit"]), st.booleans())
+@example(config=({"space": "exp-usual", "map": [{"interval": [0.0, None], "slope": 0.5,
+                                                  "offset": 0.0}]}, 0.0, 0.25),
+         slack=1.0, mode="root", batched=True)  # the exact budget 0.75 * (1 / 0.75) < 1
 def test_solve_trace_is_the_orbit(config, slack, mode, batched):
     doc, x0, eta = config
     fx = load_fixture_config(doc)
     # without a batch form the ball flags come from the scalar fallback
     g = fx.gmetric if batched else GMetric(g=fx.gmetric.g)
     F = fx.map
-    # a radius that admits the seed, so that later iterates may leave the ball
-    gamma = math.exp(g(x0, F(x0), F(x0))) * slack / (1.0 - eta)
+    # a radius that admits the seed, so that later iterates may leave the
+    # ball: a relative 1e-9 above e^{s0} / (1 - eta), since the seed rule
+    # reports a step within a few ulps of its budget as violated
+    gamma = math.exp(g(x0, F(x0), F(x0))) * slack * (1.0 + 1e-9) / (1.0 - eta)
     params = ContractionParams(eta=eta, gamma=gamma, seed_point=x0)
     r = solve_fixed_point(g, F, params, mode=mode, epsilon=TOL)
     trace = r.trace
@@ -960,3 +966,49 @@ def test_an_orbit_off_the_perimeter_calls_its_kernels_per_step(monkeypatch):
     assert long > short + 1000
     for kernel in calls:
         assert long_calls[kernel] - short_calls[kernel] >= long - short
+
+
+# ---------------------------------------------------------------------------
+# the paper's theorem: the root condition on the ball and the seed
+# condition give a fixed point in the ball
+
+
+@st.composite
+def theorem_configs(draw):
+    """A continuous piecewise-linear self-map of [0, inf) with slopes in
+    [0, eta), so the root condition holds everywhere, on a stock space;
+    a seed, and gamma with a margin over both seed budgets."""
+    eta = draw(st.floats(min_value=0.05, max_value=0.95))
+    cuts = sorted(set(draw(st.lists(st.floats(min_value=0.01, max_value=20.0), max_size=3))))
+    rows, lo, value = [], 0.0, draw(st.floats(min_value=0.0, max_value=5.0))
+    for hi in cuts + [None]:
+        slope = draw(st.floats(min_value=0.0, max_value=eta, exclude_max=True))
+        rows.append({"interval": [lo, hi], "slope": slope, "offset": value - slope * lo})
+        if hi is not None:
+            lo, value = hi, value + slope * (hi - lo)
+    doc = {"space": draw(st.sampled_from(["exp-usual", "product-exp"])), "map": rows}
+    fx = load_fixture_config(doc)
+    x0 = draw(st.floats(min_value=0.0, max_value=10.0))
+    s0 = fx.gmetric(x0, fx.map(x0), fx.map(x0))
+    # ln gamma meets s0 <= (1 - eta) ln gamma, which keeps the orbit in
+    # the ball, and s0 <= ln((1 - eta) gamma), the seed rule
+    log_gamma = max(s0 / (1.0 - eta), s0 - math.log1p(-eta))
+    log_gamma += draw(st.floats(min_value=1e-9, max_value=2.0))
+    return fx, ContractionParams(eta=eta, gamma=math.exp(log_gamma), seed_point=x0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(theorem_configs(), st.floats(min_value=-12.0, max_value=-2.0))
+def test_a_certified_ball_and_seed_solve_in_the_ball(config, log10_epsilon):
+    # epsilon from 1e-12: the fixed points lie below 100, where a float
+    # iterate's exact residual is a few ulps, about 1e-13; a smaller
+    # epsilon may end in InexactFixedPoint, a correct refusal
+    fx, params = config
+    g, F = fx.gmetric, fx.map
+    assert seed_condition_holds(g, F, params)
+    report = certify_region(g, F, params, "root", "ball", 100, 0)
+    assert report.holds and report.seed_condition_ok
+    r = solve_fixed_point(g, F, params, epsilon=10.0 ** log10_epsilon)
+    assert not r.ball_exited
+    if r.rate_certified:
+        assert r.iterations_used <= r.certified_bound

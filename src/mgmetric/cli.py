@@ -201,7 +201,7 @@ def cmd_reproduce(args) -> int:
     ex37 = get_fixture("ex37")
     p = ex33.params
     computed = (
-        p.seed_budget,
+        (1.0 - p.eta) * p.gamma,
         ex33.gmetric.value(p.seed_point, ex33.map(p.seed_point), ex33.map(p.seed_point)),
         ex37.gmetric.value(p.seed_point, ex37.map(p.seed_point), ex37.map(p.seed_point)),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .metric import (ClosedBall, GMetric, LogDistance, Point, Record, SelfMap, _RELATIONS,
-                     _diff, _ratio, exact_step)
+                     _diff, exact_step)
 
 
 class ContractionParams(Record):
@@ -36,11 +36,6 @@ class ContractionParams(Record):
     @property
     def ball(self) -> ClosedBall:
         return ClosedBall(center=self.seed_point, radius=self.gamma)
-
-    @property
-    def seed_budget(self) -> float:
-        """(1 - eta) * gamma rounded, maybe up; the seed rule uses it exactly."""
-        return (1.0 - self.eta) * self.gamma
 
 
 def _validate_eta(eta: float) -> None:
@@ -118,19 +113,25 @@ def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
     return _condition_holds("root", g, F, eta, x, y, z)
 
 
-def _seed(g: GMetric, F: SelfMap, params: ContractionParams) -> tuple[bool, LogDistance]:
+def _step_ratio(g: GMetric, F: SelfMap, x: Point, step: LogDistance) -> tuple[int, int]:
+    # a certified step G(x, Fx, Fx), g's float ``step``, as an integer ratio:
+    # exact_step's where it applies, else the float's, +-inf as +-1 / 0, NaN 0 / 0
+    if (exact := exact_step(g, F, x)) is not None:
+        return exact
+    return step.as_integer_ratio() if math.isfinite(step) else ((step > 0) - (step < 0), 0)
+
+
+def _seed(g: GMetric, F: SelfMap, params: ContractionParams) -> tuple[bool, tuple[int, int]]:
     # seed_condition_holds's verdict on a seed of F's domain, and the seed's step
-    step = g.g(x0 := params.seed_point, fx0 := F(x0), fx0)
-    exact = exact_step(g, F, x0)
-    n, d = exact or (step.as_integer_ratio() if math.isfinite(step) else (-1, 1))
+    n, d = _step_ratio(g, F, x0 := params.seed_point, g.g(x0, fx0 := F(x0), fx0))
     (en, ed), (gn, gd) = params.eta.as_integer_ratio(), params.gamma.as_integer_ratio()
     bn, bd = (ed - en) * gn, ed * gd
-    holds = n == 0 and bn >= bd
+    holds = n == 0 < d and bn >= bd  # 0 / 0, a NaN step, never holds
     if n > 0 and bn > bd:
         b = bn / bd  # B rounded, then down
         b = b if _diff(bn, bd, b) >= 0 else math.nextafter(b, 0.0)
         holds = _diff(n, d, math.nextafter(math.log(b), -math.inf)) <= 0
-    return holds, step if exact is None else _ratio(*exact)
+    return holds, (n, d)
 
 
 def seed_condition_holds(g: GMetric, F: SelfMap, params: ContractionParams) -> bool:

@@ -552,11 +552,11 @@ def _diff(n: int, d: int, f: float) -> int:
 
 
 def _ratio(n: int, d: int) -> float:
-    # n / d rounded to a float, +-inf past the largest one
+    # n / d rounded to a float, +-inf past the largest one or as +-1 / 0, 0 / 0 NaN
     try:
         return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if n > 0 else -math.inf if n else math.nan
 
 
 def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:

@@ -19,8 +19,8 @@ best-effort and flags the rate as uncertified.
 
 The float residual cannot tell convergence from a step that rounds
 away (x - 1/3 rounds back to x = 1e17).  So where ``metric.exact_step``
-applies, the last step is checked again in exact rationals; other
-metrics and maps keep the float certificate.
+applies, the two certified steps, the seed's and the last, are read in
+exact rationals; other metrics and maps keep the float steps.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from itertools import chain, repeat
 from operator import le, mul
 
 from .metric import (ClosedBall, GMetric, LogDistance, PerimeterMetric, PiecewiseMap,
-                     Point, Record, SelfMap, _diff, _ratio, _row, exact_step)
-from .contraction import ContractionParams, _check_condition, _seed, _validate_eta
+                     Point, Record, SelfMap, _diff, _ratio, _row)
+from .contraction import ContractionParams, _check_condition, _seed, _step_ratio, _validate_eta
 
 
 class SolveError(RuntimeError):
@@ -297,6 +297,14 @@ def mu_class(mu: float) -> str:
     return "at_least_one"
 
 
+def _on_floor(index: int, x: Point, ratio: tuple[int, int]) -> tuple[int, int]:
+    # the floor rule on a certified step; its step_log, rounded down, re-checks
+    if ratio[0] < 0:
+        r = _ratio(*ratio)
+        raise BelowFloor(index, x, r if _diff(*ratio, r) >= 0 else math.nextafter(r, -math.inf))
+    return ratio
+
+
 def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
                       mode: str = "root", epsilon: float = 1e-6,
                       max_iter: int = 10_000) -> FixedPointResult:
@@ -304,23 +312,21 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     fixed point.
 
     The seed condition is checked first and SeedConditionViolated raised
-    on failure (DomainExit when the seed is outside F's domain, BelowFloor
-    when its step is below the floor).  ``mode`` selects the rate for the
-    a-priori bound: eta for "root", mu = eta / (1 - eta) for "implicit".
-    The rate is certified when it is < 1 and every recorded step
-    contracts by it, step_logs[j+1] <= rate * step_logs[j]: along the
-    orbit, the root condition on (x_j, x_{j+1}, x_{j+1}) without the
-    slack, and the per-step form of the implicit mode's telescoped rate.
-    An uncertified rate gives a best-effort run with ``certified_bound``
-    = None and ``rate_certified`` = False.
+    on failure (DomainExit when the seed is outside F's domain).  ``mode``
+    selects the rate for the a-priori bound: eta for "root", mu = eta /
+    (1 - eta) for "implicit".  The rate is certified when it is < 1 and
+    every recorded step contracts by it, step_logs[j+1] <= rate *
+    step_logs[j]: along the orbit, the root condition on (x_j, x_{j+1},
+    x_{j+1}) without the slack, and the per-step form of the implicit
+    mode's telescoped rate.  An uncertified rate gives a best-effort run
+    with ``certified_bound`` = None and ``rate_certified`` = False.
 
     Raises DomainExit if the orbit leaves F's domain, BelowFloor if a
     step's log-distance is below the floor, NonFiniteStep if it is
     infinite or NaN, and MaxIterationsExceeded if the residual never
-    reaches tolerance.  Where ``metric.exact_step`` applies, the last
-    iterate's residual is also checked in exact rationals, and
-    InexactFixedPoint raised when it is above tolerance; other metrics and
-    maps keep the float certificate.
+    reaches tolerance.  The seed's step and the last residual are read as
+    ``contraction._step_ratio`` reads them: BelowFloor when either is
+    negative, and InexactFixedPoint when the last is above tolerance.
     Leaving the ball is recorded per-iterate in the trace, not raised.
     """
     _check_condition(mode, "mode")
@@ -331,12 +337,11 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     x0 = params.seed_point
     # a seed outside F's domain has no image; the orbit raises DomainExit
     if F.domain.contains(x0):
-        holds, seed_log = _seed(g, F, params)
-        if seed_log < 0.0:
-            raise BelowFloor(0, x0, seed_log)
+        holds, seed = _seed(g, F, params)
+        _on_floor(0, x0, seed)
         if not holds:
             raise SeedConditionViolated(
-                f"seed {x0} has log-distance {seed_log} to its image, above the budget "
+                f"seed {x0} has log-distance {_ratio(*seed)} to its image, above the budget "
                 f"ln((1 - {params.eta}) * {params.gamma}) or within a few ulps of it")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
@@ -345,9 +350,9 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     trace, residual = _orbit(F, g, params.ball, x0, max_iter, tol)
     steps = trace.step_logs
     point = trace.iterates[-1]
-    exact = exact_step(g, F, point)
-    if exact is not None and _diff(*exact, tol) > 0:
-        raise InexactFixedPoint(len(steps), point, _ratio(*exact))
+    n, d = _on_floor(len(steps), point, _step_ratio(g, F, point, residual))
+    if _diff(n, d, tol) > 0:
+        raise InexactFixedPoint(len(steps), point, _ratio(n, d))
     log_g01 = steps[0] if steps else residual
     # The one rate check.  The bound trusts the rate only if every
     # recorded step contracts by it, and with no slack: steps that may

@@ -267,6 +267,28 @@ def test_a_seed_step_just_above_the_budget_exits_one_as_a_module(argv, marker):
     assert marker in proc.stderr
 
 
+# Two product-pl spaces whose certified steps are -2e-400 exactly, which
+# rounds to -0.0: the last step of an orbit from 2 to 1, where F(1) =
+# 1 + 1e-200 rounds back to 1, and the seed step of x + 1e-200 at 1.
+LAST_STEP_BELOW_FLOOR = str(Path(__file__).with_name("data") / "last_step_below_floor.json")
+SEED_STEP_BELOW_FLOOR = str(Path(__file__).with_name("data") / "seed_step_below_floor.json")
+
+
+@pytest.mark.parametrize("config,index", [(LAST_STEP_BELOW_FLOOR, 1), (SEED_STEP_BELOW_FLOOR, 0)],
+                         ids=["last-step", "seed-step"])
+def test_a_certified_step_below_the_floor_is_no_solve(capsys, config, index):
+    code, doc, err = run_json(capsys, "solve", "--config", config)
+    assert code == 1
+    assert "point" not in doc
+    assert doc["error"]["type"] == "BelowFloor"
+    message = doc["error"]["message"]
+    prefix = f"step {index} from iterate 1.0 has log-distance "
+    assert message.startswith(prefix) and message.endswith(" below the floor 0")
+    # rounded toward -inf, the step log re-checks below the floor
+    assert float(message[len(prefix):].split()[0]) < 0
+    assert err.startswith("solve config: BelowFloor: ")
+
+
 # a map without params: certify and solve take all three from the overrides
 UNPARAMETRISED = {"space": "exp-usual",
                   "map": [{"interval": [0, None], "slope": 0.5, "offset": 0}]}
@@ -888,8 +910,10 @@ def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
     (["axioms", "--fixture", "ex33", "--config", "x"], 2),
     (CERTIFY_JUST_BELOW_FLOOR, 1),
     (["solve", "--config", JUST_BELOW_FLOOR], 1),
+    (["solve", "--config", LAST_STEP_BELOW_FLOOR], 1),
+    (["solve", "--config", SEED_STEP_BELOW_FLOOR], 1),
 ], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources",
-        "floor-violated", "below-floor"])
+        "floor-violated", "below-floor", "last-step-below-floor", "seed-step-below-floor"])
 def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
     expected = run_cli(capsys, *argv)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .metric import (ClosedBall, GMetric, LogDistance, Point, Record, SelfMap, _RELATIONS,
-                     _diff, exact_step)
+                     _diff, _ratio, exact_step)
 
 
 class ContractionParams(Record):
@@ -62,11 +62,13 @@ def _minimum(a, b):
 def _implicit_majorant(g, x, y, z, fx, fy, maximum, minimum):
     # The maximum and minimum return their second argument on ties, so
     # the earlier term goes second: ties keep it, as Python's min and max
-    # do.  Unlike those, they propagate a NaN.
+    # do.  Unlike those, they propagate a NaN.  Each term is folded in as
+    # soon as it is made, so a batch keeps no term alive past its fold.
     acc = g(x, y, z)
-    for term in (g(x, fx, fx), g(y, fy, fy), g(x, fy, fy), minimum(g(x, z, z), g(z, fx, fx))):
-        acc = maximum(term, acc)
-    return acc
+    acc = maximum(g(x, fx, fx), acc)
+    acc = maximum(g(y, fy, fy), acc)
+    acc = maximum(g(x, fy, fy), acc)
+    return maximum(minimum(g(x, z, z), g(z, fx, fx)), acc)
 
 
 # The majorant M of each condition, which must satisfy
@@ -83,27 +85,26 @@ def _check_condition(name: str, label: str) -> None:
 
 
 def _condition_sides(condition: str, g, F, eta: float, x, y, z, maximum, minimum):
-    """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M, and
-    every metric value they used with its triple, in call order: for
+    """Both sides of a condition, lhs g(Fx,Fy,Fz) and rhs eta * M: for
     scalars or for arrays, as the majorants take them.  A pair term
-    G(a, b) is ``g(a, b, b)``."""
-    used = []
-
-    def metric(*triple):
-        value = g(*triple)
-        used.append((triple, value))
-        return value
-
-    fx, fy, fz = F(x), F(y), F(z)
-    lhs = metric(fx, fy, fz)
-    return lhs, eta * _MAJORANTS[condition](metric, x, y, z, fx, fy, maximum, minimum), used
+    G(a, b) is ``g(a, b, b)``; a caller that checks the floor wraps ``g``,
+    which sees each triple once, lhs first, in a fixed order."""
+    fx, fy = F(x), F(y)
+    lhs = g(fx, fy, F(z))
+    return lhs, eta * _MAJORANTS[condition](g, x, y, z, fx, fy, maximum, minimum)
 
 
 def _condition_holds(condition: str, g: GMetric, F: SelfMap, eta: float,
                      x: Point, y: Point, z: Point) -> bool:
     _validate_eta(eta)
-    lhs, rhs, used = _condition_sides(condition, g, F, eta, x, y, z, _maximum, _minimum)
-    return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < 0.0 for _, v in used)
+    used = []
+
+    def metric(*triple):  # scalars: each value is kept for the floor rule
+        used.append(g(*triple))
+        return used[-1]
+
+    lhs, rhs = _condition_sides(condition, metric, F, eta, x, y, z, _maximum, _minimum)
+    return bool(_RELATIONS["<="](lhs, rhs)) and not any(v < 0.0 for v in used)
 
 
 def root_contraction_holds(g: GMetric, F: SelfMap, eta: float,
@@ -128,9 +129,7 @@ def _seed(g: GMetric, F: SelfMap, params: ContractionParams) -> tuple[bool, tupl
     bn, bd = (ed - en) * gn, ed * gd
     holds = n == 0 < d and bn >= bd  # 0 / 0, a NaN step, never holds
     if n > 0 and bn > bd:
-        b = bn / bd  # B rounded, then down
-        b = b if _diff(bn, bd, b) >= 0 else math.nextafter(b, 0.0)
-        holds = _diff(n, d, math.nextafter(math.log(b), -math.inf)) <= 0
+        holds = _diff(n, d, math.nextafter(math.log(_ratio(bn, bd, -1)), -math.inf)) <= 0
     return holds, (n, d)
 
 

@@ -551,12 +551,14 @@ def _diff(n: int, d: int, f: float) -> int:
     return n * fd - fn * d
 
 
-def _ratio(n: int, d: int) -> float:
-    # n / d rounded to a float, +-inf past the largest one or as +-1 / 0, 0 / 0 NaN
+def _ratio(n: int, d: int, side: int) -> float:
+    # n / d as a float: the nearest (side 0), or the one below (-1) or above (1)
+    # it, so a float test re-checks; +-inf past the largest or as +-1 / 0, 0 / 0 NaN
     try:
-        return n / d
+        r = n / d
     except (OverflowError, ZeroDivisionError):
-        return math.inf if n > 0 else -math.inf if n else math.nan
+        r = math.inf if n > 0 else -math.inf if n else math.nan
+    return math.nextafter(r, side * math.inf) if _diff(n, d, r) * side > 0 else r
 
 
 def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:
@@ -564,7 +566,7 @@ def _row(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> PiecewiseRow:
     for row in rows:
         if _diff(n, d, row.lo) >= 0 > _diff(n, d, row.hi):
             return row
-    raise _outside(_ratio(n, d))
+    raise _outside(_ratio(n, d, 0))
 
 
 def _at(rows: tuple[PiecewiseRow, ...], n: int, d: int) -> tuple[int, int]:

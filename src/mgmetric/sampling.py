@@ -127,12 +127,9 @@ class _Recorder:
         )
 
 
-def _check_sample_count(n: int) -> None:
+def _check_sampling(n: int, seed: int) -> None:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-
-
-def _check_seed(seed: int) -> None:
     # numpy's own error for a negative seed does not say which number it read
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -157,8 +154,7 @@ def _audit(metric: MultMetric | GMetric, arity: int, rules: tuple[str, ...], dom
     under ``_quiet`` runs phase 0, the "identity" rule (``metric`` of
     ``arity`` equal points is 1), and yields the generator, the recorder
     and the domain's lo, hi and midpoint to the suite's later phases."""
-    _check_sample_count(n)
-    _check_seed(seed)
+    _check_sampling(n, seed)
     _check_finite_width(domain, "axiom checking domain")
     if not domain.hi - domain.lo > _MIN_SEPARATION:
         raise ValueError(f"axiom checking needs a domain wider than {_MIN_SEPARATION}, "
@@ -421,19 +417,20 @@ def certify_region(g: GMetric, F: SelfMap, params: ContractionParams,
     Raises EmptyRegion when no sampled point lies in the region.
     """
     _check_condition(condition, "condition")
-    _check_sample_count(n)
-    _check_seed(seed)
+    _check_sampling(n, seed)
 
     rng = np.random.default_rng(seed)
     (x, y, z), region_label, pool = _region_triples(g, F, params, region, n, rng)
     rec = _Recorder((condition, "invariance", "floor"))
+
+    def metric(*triple):  # a value below the floor voids the condition's evidence
+        rec.require_floor(0, triple, values := g.many(*triple))
+        return values
+
     with _quiet():
-        lhs, rhs, used = _condition_sides(condition, g.many, F.many, params.eta, x, y, z,
-                                          np.maximum, np.minimum)
+        lhs, rhs = _condition_sides(condition, metric, F.many, params.eta, x, y, z,
+                                    np.maximum, np.minimum)
         rec.require(0, condition, (x, y, z), lhs, rhs)
-        # a metric value below the floor voids the condition's evidence
-        for triple, values in used:
-            rec.require_floor(0, triple, values)
         if pool is not None:
             ball = params.ball
             triple, values = _from_center(g, ball, F.many(pool))

@@ -79,7 +79,8 @@ class BelowFloor(SolveError):
 class InexactFixedPoint(SolveError):
     """The float residual of the last iterate is within tolerance, but its
     exact residual G(x, Fx, Fx), with Fx on the map's row of x in exact
-    rationals, is not: the float map absorbs a step the real map takes."""
+    rationals, is not: the float map absorbs a step the real map takes.
+    ``exact_residual`` is rounded up, so it re-checks above the tolerance."""
 
     _fields = ("index", "point", "exact_residual")
     _message = "iterate {} = {} has exact residual log {} to its image, above the tolerance"
@@ -300,8 +301,7 @@ def mu_class(mu: float) -> str:
 def _on_floor(index: int, x: Point, ratio: tuple[int, int]) -> tuple[int, int]:
     # the floor rule on a certified step; its step_log, rounded down, re-checks
     if ratio[0] < 0:
-        r = _ratio(*ratio)
-        raise BelowFloor(index, x, r if _diff(*ratio, r) >= 0 else math.nextafter(r, -math.inf))
+        raise BelowFloor(index, x, _ratio(*ratio, -1))
     return ratio
 
 
@@ -341,7 +341,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
         _on_floor(0, x0, seed)
         if not holds:
             raise SeedConditionViolated(
-                f"seed {x0} has log-distance {_ratio(*seed)} to its image, above the budget "
+                f"seed {x0} has log-distance {_ratio(*seed, 0)} to its image, above the budget "
                 f"ln((1 - {params.eta}) * {params.gamma}) or within a few ulps of it")
 
     mu = mu_of(params.eta) if mode == "implicit" else None
@@ -352,7 +352,7 @@ def solve_fixed_point(g: GMetric, F: SelfMap, params: ContractionParams,
     point = trace.iterates[-1]
     n, d = _on_floor(len(steps), point, _step_ratio(g, F, point, residual))
     if _diff(n, d, tol) > 0:
-        raise InexactFixedPoint(len(steps), point, _ratio(n, d))
+        raise InexactFixedPoint(len(steps), point, _ratio(n, d, 1))
     log_g01 = steps[0] if steps else residual
     # The one rate check.  The bound trusts the rate only if every
     # recorded step contracts by it, and with no slack: steps that may

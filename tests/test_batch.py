@@ -8,13 +8,14 @@ and a ball sweep without batch kernels to one with them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgmetric import (GMetric, MultMetric, SelfMap, certify_region, get_fixture, gm_from_exp,
-                      gm_from_product, load_fixture_config)
+from mgmetric import (GMetric, Interval, MultMetric, SelfMap, certify_region, get_fixture,
+                      gm_from_exp, gm_from_product, load_fixture_config)
 from mgmetric._jsonutil import dumps
 from mgmetric.sampling import _stratified
 from test_contraction import LEAVES_BALL
@@ -163,3 +164,21 @@ def test_ball_certify_without_batch_kernels_matches_stock(source, condition):
         plain = certify_region(plain_g, plain_map, params, condition, "ball", 300, seed=3)
         assert plain.to_dict() == stock.to_dict()
         assert dumps(plain.to_dict()) == dumps(stock.to_dict())
+
+
+def test_an_implicit_sweep_holds_at_most_fourteen_sample_arrays():
+    # The sweep checks each metric array against the floor as it is made,
+    # and the majorant folds it in at once: the README's ex37 certify then
+    # peaks near 12 float64 arrays of its sample length, where keeping
+    # every array for a floor pass after the condition peaked near 17.
+    fx = get_fixture("ex37")
+    args = (fx.gmetric, fx.map, fx.params, "implicit", Interval(0.001, 0.499))
+    certify_region(*args, 100, seed=0)  # first-call allocations are no sweep's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = certify_region(*args, 10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 8 * report.samples

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -18,7 +19,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from mgmetric import Witness, cli
+from mgmetric import Witness, cli, load_fixture_config
 from mgmetric.cli import main
 from test_contraction import IDENTITY, LEAVES_BALL
 from test_golden import GOLDEN, README_COMMANDS, _imported_modules
@@ -287,6 +288,50 @@ def test_a_certified_step_below_the_floor_is_no_solve(capsys, config, index):
     # rounded toward -inf, the step log re-checks below the floor
     assert float(message[len(prefix):].split()[0]) < 0
     assert err.startswith("solve config: BelowFloor: ")
+
+
+# The exact residual of x + 1.4999992500005002e-06 at 1e17 in a product-pl
+# space of slope 1/3 is just above log1p(1e-6), and rounds to it.
+INEXACT_AT_TOLERANCE = str(Path(__file__).with_name("data") / "inexact_at_tolerance.json")
+
+
+def test_an_inexact_residual_is_reported_above_the_tolerance(capsys):
+    code, doc, err = run_json(capsys, "solve", "--config", INEXACT_AT_TOLERANCE)
+    assert code == 1
+    assert "point" not in doc
+    assert doc["error"]["type"] == "InexactFixedPoint"
+    message = doc["error"]["message"]
+    prefix = "iterate 0 = 1e+17 has exact residual log "
+    assert message.startswith(prefix) and message.endswith(" to its image, above the tolerance")
+    # rounded toward +inf, the exact residual re-checks above the tolerance
+    assert float(message[len(prefix):].split()[0]) > math.log1p(1e-6)
+    assert err.startswith("solve config: InexactFixedPoint: ")
+
+
+# A product-pl space whose pair distance is -1 at differences in (-1, 0),
+# below the floor, and the map 10 x: on [0, 0.5] most samples fail both
+# the root condition and the floor, by the triple or by its image.
+FLOOR_AND_CONDITION = str(Path(__file__).with_name("data") / "floor_and_condition.json")
+CERTIFY_FLOOR_AND_CONDITION = ("certify", "--config", FLOOR_AND_CONDITION, "--condition", "root",
+                               "--region", "0:0.5", "--n", "100")
+
+
+def test_a_sample_meets_its_floor_witnesses_before_its_condition_witness(capsys):
+    code, doc, err = run_json(capsys, *CERTIFY_FLOOR_AND_CONDITION)
+    assert (code, doc["violations"]) == (1, 216)
+    witnesses = [Witness(**w) for w in doc["witnesses"]]
+    assert all(not w.holds() for w in witnesses)
+    assert [(w.rule, w.points[0]) for w in witnesses[:4]] == [
+        ("floor", 0), ("root", 0), ("floor", 0.5), ("root", 0.5)]
+    assert err.splitlines()[2] == "  first witness: (0, 0.5, 0) lhs=-2 rhs=0"
+    # a floor witness is of a sample's triple or of its image; where the
+    # sample has a root witness too, the floor witness comes first
+    F = load_fixture_config(FLOOR_AND_CONDITION).map
+    triples = [tuple(w.points) for w in witnesses]
+    pairs = [(k, r) for k, w in enumerate(witnesses) if w.rule == "floor"
+             for r, v in enumerate(witnesses) if v.rule == "root"
+             and triples[k] in (triples[r], tuple(map(F.apply, triples[r])))]
+    assert len(pairs) >= 20 and all(k < r for k, r in pairs)
 
 
 # a map without params: certify and solve take all three from the overrides
@@ -912,8 +957,10 @@ def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
     (["solve", "--config", JUST_BELOW_FLOOR], 1),
     (["solve", "--config", LAST_STEP_BELOW_FLOOR], 1),
     (["solve", "--config", SEED_STEP_BELOW_FLOOR], 1),
+    (CERTIFY_FLOOR_AND_CONDITION, 1),
 ], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources",
-        "floor-violated", "below-floor", "last-step-below-floor", "seed-step-below-floor"])
+        "floor-violated", "below-floor", "last-step-below-floor", "seed-step-below-floor",
+        "floor-and-condition"])
 def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
     expected = run_cli(capsys, *argv)

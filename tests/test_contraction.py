@@ -667,8 +667,8 @@ g = GMetric(g=lambda x, y, z: abs(x - y) + abs(y - z) + abs(z - x))
 F = PiecewiseMap((PiecewiseRow(Q(0), Q(1, 3), Q(1, 4), Q(0)),
                   PiecewiseRow(Q(1, 3), math.inf, Q(1), Q(-1, 3))))
 for condition in ("root", "implicit"):
-    lhs, rhs, _ = _condition_sides(condition, g, F, Q(5, 8), Q(0), Q(1, 3), Q(11, 2),
-                                   _maximum, _minimum)
+    lhs, rhs = _condition_sides(condition, g, F, Q(5, 8), Q(0), Q(1, 3), Q(11, 2),
+                                _maximum, _minimum)
     print(condition, type(lhs).__name__, lhs, type(rhs).__name__, rhs)
 """
 

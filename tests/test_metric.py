@@ -36,7 +36,7 @@ from mgmetric import (
     seed_condition_holds,
     solve_fixed_point,
 )
-from mgmetric.metric import _RELATIONS, _at, _perimeter_batch
+from mgmetric.metric import _RELATIONS, _at, _diff, _perimeter_batch, _ratio
 from mgmetric.sampling import _Recorder
 
 DOMAIN = Interval(0.0, 10.0)
@@ -629,3 +629,15 @@ def test_the_recorded_floor_is_the_relation_of_its_witness(v):
     witness = Witness("floor", (0.0,), v, 0.0, ">=")
     assert rec.counts["floor"] == (not witness.holds())
     assert rec.witnesses() == ((witness,) if rec.counts["floor"] else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(min_value=1))
+@example(-2, 10 ** 400)  # -2e-400, nearest -0.0
+@example(10 ** 400, 1)  # past the largest float
+@example(-(10 ** 400), 3)
+def test_a_directed_ratio_is_the_float_on_its_side(n, d):
+    down, nearest, up = (_ratio(n, d, side) for side in (-1, 0, 1))
+    assert _diff(n, d, down) >= 0 >= _diff(n, d, up)
+    assert down <= nearest <= up
+    assert up == down or math.nextafter(down, math.inf) == up

@@ -326,6 +326,17 @@ def _perimeter_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     # round-to-nearest x - y is exactly -(y - x), signed zeros included,
     # so abs gives the float of g's ordered call, and an abs is never
     # -0.0.  x, y and z are never written.
+    if y is z or x is y:
+        # A pair term G(u, v, v) or G(v, v, u) is |u - v| twice plus
+        # |v - v|: 0, or a NaN where v is not finite, its sign cleared as
+        # g's abs clears it.
+        u, v = (x, y) if y is z else (z, y)
+        a = np.subtract(u, v)
+        b = np.subtract(v, v)
+        np.abs(a, out=a)
+        np.abs(b, out=b)
+        np.add(a, a, out=a)
+        return np.add(a, b, out=a)
     a = np.subtract(x, y)
     b = np.subtract(y, z)
     c = np.subtract(z, x)

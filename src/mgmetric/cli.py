@@ -18,7 +18,7 @@ import sys
 
 from . import _jsonutil
 from .metric import Interval, NumpyMissing
-from .contraction import ContractionParams
+from .contraction import _MAJORANTS, ContractionParams
 from .fixtures import NamedFixture, get_fixture, load_fixture_config, registry
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="sweep a contractive condition over a region")
     add_source(p_cert)
     add_overrides(p_cert)
-    p_cert.add_argument("--condition", choices=("root", "implicit"), required=True)
+    p_cert.add_argument("--condition", choices=tuple(_MAJORANTS), required=True)
     p_cert.add_argument("--region", default="ball", help="interval lo:hi, or 'ball'")
     p_cert.add_argument("--n", type=int, default=10_000)
     p_cert.add_argument("--seed", type=int, default=0)
@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="locate a fixed point by Picard iteration")
     add_source(p_solve)
     add_overrides(p_solve)
-    p_solve.add_argument("--mode", choices=("root", "implicit"), default="root")
+    p_solve.add_argument("--mode", choices=tuple(_MAJORANTS), default="root")
     p_solve.add_argument("--epsilon", type=float, default=1e-6)
     p_solve.add_argument("--max-iter", type=int, default=10_000)
     p_solve.add_argument("--format", choices=("json", "csv"), default="json")

@@ -81,7 +81,7 @@ _MAJORANTS = {"root": _root_majorant, "implicit": _implicit_majorant}
 
 def _check_condition(name: str, label: str) -> None:
     if name not in _MAJORANTS:
-        raise ValueError(f"{label} must be 'root' or 'implicit', got {name!r}")
+        raise ValueError(f"{label} must be {' or '.join(map(repr, _MAJORANTS))}, got {name!r}")
 
 
 def _condition_sides(condition: str, g, F, eta: float, x, y, z, maximum, minimum):

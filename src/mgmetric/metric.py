@@ -183,9 +183,9 @@ class MultMetric(Record):
     valid metric that is >= 0, zero exactly on the diagonal, symmetric,
     and subadditive (the multiplicative triangle inequality).  The
     optional ``batch`` is ``dist`` over float64 arrays: it returns
-    bitwise the floats ``dist`` returns, and ``many`` calls ``dist`` once
-    per pair when it is missing.  Its arguments may be read-only views,
-    and it must not write them.
+    bitwise the floats ``dist`` returns, NaN payloads aside, and ``many``
+    calls ``dist`` once per pair when it is missing.  Its arguments may
+    be read-only views, and it must not write them.
     """
 
     dist: Callable[[Point, Point], LogDistance]
@@ -206,10 +206,10 @@ class GMetric(Record):
     ``g`` is its one scalar kernel: the ball, the seed condition and the
     solver read a pair term G(x, y, y) as ``g(x, y, y)``.  The optional
     ``batch`` is ``g`` over float64 arrays: it returns bitwise the floats
-    ``g`` returns, and ``many`` calls ``g`` once per triple when it is
-    missing.  Its arguments may be read-only views (a ball's centre is
-    one float broadcast to the sample's length), and it must not write
-    them.
+    ``g`` returns, NaN payloads aside (which NaN a sum keeps depends on
+    the build), and ``many`` calls ``g`` once per triple when it is missing.
+    Its arguments may be read-only views (a ball's centre is one float
+    broadcast to the sample's length), and it must not write them.
     """
 
     g: Callable[[Point, Point, Point], LogDistance]
@@ -232,9 +232,9 @@ class SelfMap(Record):
     """A self-map of the carrier with an explicit domain interval.
 
     The optional ``batch`` is ``apply`` over a float64 array: it returns
-    bitwise the floats ``apply`` returns, and ``many`` calls ``apply``
-    once per point when it is missing.  Its argument may be a read-only
-    view, and it must not write it.
+    bitwise the floats ``apply`` returns, NaN payloads aside, and
+    ``many`` calls ``apply`` once per point when it is missing.  Its
+    argument may be a read-only view, and it must not write it.
     """
 
     apply: Callable[[Point], Point]

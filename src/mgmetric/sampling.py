@@ -100,8 +100,7 @@ class _Recorder:
         kept = failing[:_MAX_WITNESSES]
         index = (kept if samples is None else samples[kept]).tolist()
         columns = [p[kept].tolist() for p in points]
-        rhs_log = ([float(rhs)] * kept.size if isinstance(rhs, float)
-                   else np.broadcast_to(rhs, lhs.shape)[kept].tolist())
+        rhs_log = np.broadcast_to(rhs, lhs.shape)[kept].tolist()
         for i, pts, lv, rv in zip(index, zip(*columns), lhs[kept].tolist(), rhs_log):
             self._found.append(((phase, i, check), Witness(rule, pts, lv, rv, relation)))
 
@@ -392,8 +391,7 @@ def _region_triples(g: GMetric, F: SelfMap, params: ContractionParams,
     if region.contains(params.seed_point):
         s = params.seed_point
         corners += [(s, s, s), (s, lo, hi)]
-    a = float(lo + (hi - lo) * rng.random())
-    b = float(lo + (hi - lo) * rng.random())
+    a, b = _uniform(rng, region, 2).tolist()
     corners += [(a, a, b), (a, b, b), (a, a, a)]
     triples = _with_corners(corners, *(_stratified(rng, lo, hi, n) for _ in range(3)))
     return triples, str(region), None

@@ -944,23 +944,38 @@ def test_fresh_process_writes_the_whole_report(capsys, tmp_path, fmt, sink):
     assert (proc.returncode, out.decode(), proc.stderr.decode()) == expected
 
 
+# The CLI's regression cases, each with its exit code: every one runs in
+# this process and under both launchers
 @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
 @pytest.mark.parametrize("argv,code", [
-    (["reproduce"], 0),
-    (["certify", "--fixture", "ex33", "--condition", "root", "--region", "0.34:5.5",
-      "--n", "10000"], 1),
-    (["certify", "--fixture", "ex33", "--condition", "root", "--region", "1:x"], 2),
-    (["--help"], 0),
-    (["axioms"], 2),
-    (["axioms", "--fixture", "ex33", "--config", "x"], 2),
-    (CERTIFY_JUST_BELOW_FLOOR, 1),
-    (["solve", "--config", JUST_BELOW_FLOOR], 1),
-    (["solve", "--config", LAST_STEP_BELOW_FLOOR], 1),
-    (["solve", "--config", SEED_STEP_BELOW_FLOOR], 1),
-    (CERTIFY_FLOOR_AND_CONDITION, 1),
-], ids=["reproduce", "violated", "bad-region", "help", "no-source", "two-sources",
-        "floor-violated", "below-floor", "last-step-below-floor", "seed-step-below-floor",
-        "floor-and-condition"])
+    pytest.param(["reproduce"], 0, id="reproduce"),
+    pytest.param(["solve", "--fixture", "ex37", "--format", "csv"], 0, id="csv"),
+    pytest.param(["certify", "--fixture", "ex33", "--condition", "root", "--region", "0.34:5.5",
+                  "--n", "10000"], 1, id="violated"),
+    pytest.param(["certify", "--fixture", "ex33", "--condition", "root", "--region", "1:x"], 2,
+                 id="bad-region"),
+    pytest.param(["certify", "--fixture", "ex33", "--condition", "root", "--region", "ball",
+                  "--gamma", "0.5"], 2, id="empty-ball"),
+    # the perimeter kernel's pair path: implicit pair terms, ball
+    # membership and invariance, and the axiom audits' pair terms
+    pytest.param(["certify", "--fixture", "ex37", "--condition", "implicit", "--region",
+                  "0.001:0.499", "--n", "10000"], 0, id="implicit"),
+    pytest.param(["certify", "--fixture", "ex33", "--condition", "root", "--region", "ball",
+                  "--n", "10000"], 1, id="ball-violated"),
+    pytest.param(["axioms", "--fixture", "product-exp"], 0, id="axioms-product-exp"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["axioms"], 2, id="no-source"),
+    pytest.param(["axioms", "--fixture", "ex33", "--config", "x"], 2, id="two-sources"),
+    pytest.param(["axioms", "--fixture", "nope"], 2, id="unknown-fixture"),
+    pytest.param(CERTIFY_JUST_BELOW_FLOOR, 1, id="floor-violated"),
+    pytest.param(["solve", "--config", JUST_BELOW_FLOOR], 1, id="below-floor"),
+    pytest.param(CERTIFY_SEED_ABOVE_BUDGET, 1, id="budget-violated"),
+    pytest.param(["solve", "--config", SEED_ABOVE_BUDGET], 1, id="above-budget"),
+    pytest.param(["solve", "--config", LAST_STEP_BELOW_FLOOR], 1, id="last-step-below-floor"),
+    pytest.param(["solve", "--config", SEED_STEP_BELOW_FLOOR], 1, id="seed-step-below-floor"),
+    pytest.param(CERTIFY_FLOOR_AND_CONDITION, 1, id="floor-and-condition"),
+    pytest.param(["solve", "--config", INEXACT_AT_TOLERANCE], 1, id="inexact-at-tolerance"),
+])
 def test_fresh_process_keeps_its_exit_code_and_output(capsys, monkeypatch, launcher, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
     expected = run_cli(capsys, *argv)
@@ -1165,8 +1180,8 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", counting_build)
     monkeypatch.setattr(cli, "_parser", None, raising=False)
     for round_ in range(2):
-        for label, argv in README_COMMANDS.items():
-            main(list(argv))
+        for label, cmd in README_COMMANDS.items():
+            main(list(cmd.argv))
             digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             assert digest == recorded[label], (round_, label)
         if round_ == 0:

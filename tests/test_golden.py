@@ -4,9 +4,11 @@ workload print exactly the recorded bytes.
 ``perfbench/golden.json`` holds the sha256 of each command's stdout:
 the README commands under ``["readme-cli"]["*"]``, the commands
 ``perfbench/workloads.py`` builds for sweep-orbit seed 0 under
-``["sweep-orbit"]["0"]``.  These tests only read both files.  Any change
-to a report's bytes fails here, not only in the benchmark run; the
-sweep-orbit solves pin the long JSON and CSV orbit reports.
+``["sweep-orbit"]["0"]``.  These tests only read both files, and the
+README, whose CLI block must list the README commands of
+``workloads.py``.  Any change to a report's bytes fails here, not only
+in the benchmark run; the sweep-orbit solves pin the long JSON and CSV
+orbit reports.
 """
 
 import ast
@@ -27,29 +29,41 @@ from mgmetric.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
+README = ROOT / "README.md"
 
-# The README commands, by their label in golden.json.
-README_COMMANDS = {
-    "axioms-exp-usual": ["axioms", "--fixture", "exp-usual", "--n", "1000", "--seed", "7"],
-    "certify-ex33-root-holds": ["certify", "--fixture", "ex33", "--condition", "root",
-                                "--region", "0:0.3333", "--n", "10000"],
-    "certify-ex33-root-violated": ["certify", "--fixture", "ex33", "--condition", "root",
-                                   "--region", "0.34:5.5", "--n", "10000"],
-    "certify-ex37-implicit": ["certify", "--fixture", "ex37", "--condition", "implicit",
-                              "--region", "0.001:0.499", "--n", "10000"],
-    "solve-ex33-root": ["solve", "--fixture", "ex33", "--mode", "root", "--epsilon", "1e-6"],
-    "solve-ex37-implicit": ["solve", "--fixture", "ex37", "--mode", "implicit",
-                            "--epsilon", "1e-6"],
-    "solve-ex37-csv": ["solve", "--fixture", "ex37", "--format", "csv"],
-    "reproduce": ["reproduce"],
-}
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is processed
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# The README commands, by their label in golden.json: each one's argv and
+# exit code.
+README_COMMANDS = {cmd.label: cmd for cmd in _load_workloads().README_COMMANDS}
+
+
+def test_readme_cli_block_gives_the_benchmark_commands():
+    """README's ``## CLI`` code block, comments stripped, is the
+    benchmark's README commands in order."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    argvs = [tuple(line.split("#", 1)[0].split()) for line in block.splitlines()]
+    assert argvs == [("mgmetric", *cmd.argv) for cmd in README_COMMANDS.values()]
 
 
 def test_readme_commands_match_golden_digests(capsys):
     recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"]
     digests = {}
-    for label, argv in README_COMMANDS.items():
-        main(argv)
+    for label, cmd in README_COMMANDS.items():
+        assert main(list(cmd.argv)) == cmd.expect_rc, label
         digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == recorded
 
@@ -76,8 +90,9 @@ def test_readme_command_in_a_fresh_process(label):
     numpy, no ``inspect`` and no sampling module for the scalar
     commands, and no solver for ``reproduce``."""
     recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
-    proc, imported = _imported_modules("-m", "mgmetric", *README_COMMANDS[label])
-    assert proc.returncode == (1 if label == "certify-ex33-root-violated" else 0)
+    cmd = README_COMMANDS[label]
+    proc, imported = _imported_modules("-m", "mgmetric", *cmd.argv)
+    assert proc.returncode == cmd.expect_rc
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
     assert "mgmetric.cli" in imported
     assert ("numpy._core" in imported) == (label not in SCALAR_COMMANDS)
@@ -96,7 +111,7 @@ def test_a_scalar_solve_without_site_hooks_imports_no_typing_pathlib_or_numpy(mo
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     label = "solve-ex33-root"
     recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
-    proc, imported = _imported_modules("-S", "-m", "mgmetric", *README_COMMANDS[label])
+    proc, imported = _imported_modules("-S", "-m", "mgmetric", *README_COMMANDS[label].argv)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded
     assert imported.isdisjoint({"typing", "pathlib", "numpy"})
@@ -112,7 +127,7 @@ _WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 def test_readme_command_without_numpy(label):
     """The scalar commands print their recorded bytes without numpy; the
     array commands exit 2 with a one-line error and no traceback."""
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *README_COMMANDS[label]],
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *README_COMMANDS[label].argv],
                           capture_output=True, text=True, timeout=60)
     if label in SCALAR_COMMANDS:
         recorded = json.loads(GOLDEN.read_text())["readme-cli"]["*"][label]
@@ -149,7 +164,7 @@ def test_scalar_readme_commands_under_other_interpreters():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for python in interpreters:
         for label in sorted(SCALAR_COMMANDS):
-            proc = subprocess.run([python, "-m", "mgmetric", *README_COMMANDS[label]],
+            proc = subprocess.run([python, "-m", "mgmetric", *README_COMMANDS[label].argv],
                                   capture_output=True, text=True, timeout=60, env=env)
             assert proc.returncode == 0, (python, label, proc.stderr)
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == recorded[label], \
@@ -209,19 +224,6 @@ def test_no_module_but_cli_imports_the_package_inside_a_function():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
     assert offenders == []
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class body is processed
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_sweep_orbit_seed0_matches_golden_digests(capsys, tmp_path):
